@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import sys
+import zlib
 from typing import Sequence
 
 import numpy as np
@@ -93,8 +94,13 @@ def save_bench_rows(
 
 
 def seed_for(*parts) -> int:
-    """A stable 31-bit seed derived from hashable experiment coordinates."""
-    return abs(hash(tuple(parts))) % (2**31 - 1)
+    """A stable 31-bit seed derived from experiment coordinates.
+
+    CRC-32 of the coordinates' ``repr`` — unlike ``hash``, which Python
+    randomizes per process for strings, it is the same in every run, so
+    a benchmark measures the same graphs every time.
+    """
+    return zlib.crc32(repr(parts).encode("utf-8")) % (2**31 - 1)
 
 
 def print_header(experiment_id: str, claim: str) -> None:

@@ -24,7 +24,7 @@ from _harness import print_header, seed_for, sizes_and_reps
 
 from repro.analysis.tables import format_rows
 from repro.core import max_degree_policy
-from repro.core.vectorized import simulate_constant_state, simulate_single
+from repro.core.engines import simulate_constant_state, simulate_single
 from repro.graphs.generators import by_name
 
 FAMILIES = ["cycle", "grid", "regular", "er", "ba", "star"]

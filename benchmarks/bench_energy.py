@@ -31,7 +31,7 @@ from repro.core import (
     simulate_single,
     simulate_two_channel,
 )
-from repro.core.vectorized import SingleChannelEngine
+from repro.core.engines import SingleChannelEngine
 from repro.graphs.generators import by_name
 
 

@@ -11,15 +11,16 @@ Two artifacts, both written to ``results/BENCH_kernels.json``:
   ``warm > cold`` rows; see docs/performance.md, "Noise floor".)
 * the **Theorem-2.1 smoke sweep** (6 sizes × 20 seeds, batched
   executor) timed on the pre-kernel ``sparse_int32`` path — faithfully
-  reconstructed below as :class:`LegacyBatchedEngine` — versus the new
-  batched engine on the ``bitset`` kernel (in-process and through a
-  shared-memory :class:`~repro.analysis.sweep.SweepPool`) and versus
-  the **fused-round tier** (``round_kernel="fused_packed"``, the
-  whole-round kernel of PR-10).  Samples must be byte-identical across
-  all paths.  The acceptance bar is a ≥ 2× wall-clock speedup for each
-  tier over the legacy path it replaced; the fused-vs-bitset ratio is
-  additionally recorded honestly (the remaining gap is RNG + ufunc
-  floor, see docs/performance.md) and gated in CI against regression.
+  reconstructed below as :class:`LegacyBatchedEngine` — versus the
+  batched engine's ``bitset`` step loop, and versus the default path
+  (every run through the fused round kernel, in-process and through a
+  shared-memory :class:`~repro.analysis.sweep.SweepPool`).  The engines
+  run every eligible sweep through the fused kernel, so the legacy and
+  step-loop baselines are driven by hand through ``BatchedEngine.step()``
+  (:func:`step_loop`).  Samples must be byte-identical across all
+  paths.  The acceptance bar is a ≥ 2× wall-clock speedup for each path
+  over the legacy one it replaced; the default-vs-step-loop ratio is
+  gated in CI against regression.
 
 Methodology: every *ratio* is a *median of adjacent pairs* — baseline
 and candidate run back-to-back, repeatedly, and the median per-pair
@@ -40,6 +41,7 @@ from repro.analysis.measurements import StabilizationRounds, graph_for_config
 from repro.analysis.sweep import SweepPool, run_sweep
 from repro.analysis.tables import format_table
 from repro.core import max_degree_policy
+from repro.core.engines import VectorizedResult
 from repro.core.engines.base import MAX_EXPONENT
 from repro.core.engines.batched import BatchedEngine
 from repro.core.engines.single import SingleChannelEngine
@@ -160,22 +162,61 @@ class LegacyBatchedEngine(BatchedEngine):
         return beep1
 
 
-class LegacyStabilizationRounds(StabilizationRounds):
-    """``StabilizationRounds`` batch path on :class:`LegacyBatchedEngine`."""
+def step_loop(engine, max_rounds):
+    """Drive every replica to legality through ``engine.step()`` alone.
+
+    The batched engine's own step loop — legality checked on the active
+    rows before each round, legal replicas retired — written out here
+    because :meth:`BatchedEngine.run` takes the fused round kernel on
+    every eligible run.
+    """
+    results = [None] * engine.replicas
+    active = np.ones(engine.replicas, dtype=bool)
+    executed = 0
+    while active.any():
+        idx = np.flatnonzero(active)
+        rows = engine.levels if idx.size == engine.replicas else engine.levels[idx]
+        for r in idx[engine._legal_rows(rows)].tolist():
+            results[r] = VectorizedResult(
+                True, executed, frozenset(), engine.levels[r].copy()
+            )
+            active[r] = False
+        if executed >= max_rounds:
+            for r in np.flatnonzero(active).tolist():
+                results[r] = VectorizedResult(
+                    False, executed, frozenset(), engine.levels[r].copy()
+                )
+            break
+        if active.any():
+            engine.step(active, active_idx=np.flatnonzero(active))
+        executed += 1
+    return results
+
+
+class StepLoopStabilizationRounds(StabilizationRounds):
+    """``StabilizationRounds`` batch path driven through :func:`step_loop`."""
+
+    engine_cls = BatchedEngine
 
     def measure_batch(self, config, seed_sequences):
         graph = graph_for_config(config)
-        policy = self._policy(config, graph)
-        engine = LegacyBatchedEngine(
+        engine = self.engine_cls(
             graph,
-            policy,
+            self._policy(config, graph),
             seed_sequences=list(seed_sequences),
             algorithm="two_channel" if self.variant == "two_channel" else "single",
+            kernel=self.kernel,
         )
-        block = engine.run(
-            max_rounds=self.max_rounds, arbitrary_start=self.arbitrary_start
-        )
+        if self.arbitrary_start:
+            engine.randomize_levels()
+        block = step_loop(engine, self.max_rounds)
         return [self._check(outcome, config) for outcome in block]
+
+
+class LegacyStabilizationRounds(StepLoopStabilizationRounds):
+    """The step-loop batch path on :class:`LegacyBatchedEngine`."""
+
+    engine_cls = LegacyBatchedEngine
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +299,7 @@ def grid_table(rows):
 
 
 # ----------------------------------------------------------------------
-# Theorem-2.1 smoke sweep: legacy sparse path vs bitset (+ shm pool)
+# Theorem-2.1 smoke sweep: legacy path vs step loop vs default (+ shm)
 # ----------------------------------------------------------------------
 def _timed_sweep(measure, pool=None):
     configs = [{"family": "er", "n": n} for n in SPEEDUP_SIZES]
@@ -276,48 +317,47 @@ def _timed_sweep(measure, pool=None):
 
 
 def sweep_speedup(pairs=3):
-    """Smoke-sweep rows + speedups for the bitset and fused tiers.
+    """Smoke-sweep rows + speedups for the step loop and the default path.
 
-    Adjacent *quads* — legacy, bitset, bitset+shm-pool, fused-packed —
-    run back to back, ``pairs`` times; every reported ratio is the
-    median of per-quad ratios, and the samples of all four paths must
-    be byte-identical.
+    Adjacent *quads* — legacy, bitset step loop, default (fused),
+    default + shm pool — run back to back, ``pairs`` times; every
+    reported ratio is the median of per-quad ratios, and the samples of
+    all four paths must be byte-identical.
     """
     configs = [{"family": "er", "n": n} for n in SPEEDUP_SIZES]
     legacy_measure = LegacyStabilizationRounds(variant="max_degree")
-    new_measure = StabilizationRounds(variant="max_degree", kernel="bitset")
-    fused_measure = StabilizationRounds(
-        variant="max_degree", round_kernel="fused_packed"
-    )
+    step_measure = StepLoopStabilizationRounds(variant="max_degree", kernel="bitset")
+    default_measure = StabilizationRounds(variant="max_degree", kernel="bitset")
     graphs = [graph_for_config(config) for config in configs]
 
     with SweepPool(jobs=1, graphs=graphs) as pool:
         _timed_sweep(legacy_measure)  # warmup
-        _timed_sweep(new_measure)
-        _timed_sweep(new_measure, pool=pool)
-        _timed_sweep(fused_measure)
-        measurements = []  # (legacy_s, new_s, shm_s, fused_s) quads
+        _timed_sweep(step_measure)
+        _timed_sweep(default_measure)
+        _timed_sweep(default_measure, pool=pool)
+        measurements = []  # (legacy_s, step_s, default_s, shm_s) quads
         samples = {}
         for _ in range(pairs):
             legacy_s, samples["legacy"] = _timed_sweep(legacy_measure)
-            new_s, samples["new"] = _timed_sweep(new_measure)
-            shm_s, samples["shm"] = _timed_sweep(new_measure, pool=pool)
-            fused_s, samples["fused"] = _timed_sweep(fused_measure)
-            measurements.append((legacy_s, new_s, shm_s, fused_s))
+            step_s, samples["step"] = _timed_sweep(step_measure)
+            default_s, samples["default"] = _timed_sweep(default_measure)
+            shm_s, samples["shm"] = _timed_sweep(default_measure, pool=pool)
+            measurements.append((legacy_s, step_s, default_s, shm_s))
 
-    identical = (
-        samples["new"] == samples["legacy"]
-        and samples["shm"] == samples["legacy"]
-        and samples["fused"] == samples["legacy"]
+    identical = all(
+        samples[path] == samples["legacy"] for path in ("step", "default", "shm")
     )
+
     def _median_ratio(num, den):
         ratios = sorted(t[num] / t[den] for t in measurements)
         return ratios[len(ratios) // 2]
 
-    speedup = _median_ratio(0, 1)
-    shm_speedup = _median_ratio(0, 2)
-    fused_speedup = _median_ratio(0, 3)
-    fused_vs_bitset = _median_ratio(1, 3)
+    speedups = {
+        "step": _median_ratio(0, 1),
+        "default": _median_ratio(0, 2),
+        "shm": _median_ratio(0, 3),
+        "default_vs_step": _median_ratio(1, 2),
+    }
     median = sorted(measurements, key=lambda t: t[0] / t[1])[len(measurements) // 2]
     samples_total = SPEEDUP_REPS * len(SPEEDUP_SIZES)
     rows = [
@@ -329,36 +369,30 @@ def sweep_speedup(pairs=3):
         },
         {
             "bench": "thm21_sweep",
-            "path": "batched_bitset",
+            "path": "batched_bitset_step_loop",
             "wall_seconds": round(median[1], 4),
             "samples": samples_total,
-            "speedup_vs_legacy": round(speedup, 2),
+            "speedup_vs_legacy": round(speedups["step"], 2),
             "samples_identical_to_legacy": identical,
         },
         {
             "bench": "thm21_sweep",
-            "path": "batched_bitset_shm_pool",
+            "path": "batched_bitset_default",
             "wall_seconds": round(median[2], 4),
             "samples": samples_total,
-            "speedup_vs_legacy": round(shm_speedup, 2),
+            "speedup_vs_legacy": round(speedups["default"], 2),
+            "speedup_vs_step_loop": round(speedups["default_vs_step"], 2),
             "samples_identical_to_legacy": identical,
         },
         {
             "bench": "thm21_sweep",
-            "path": "batched_fused_packed",
+            "path": "batched_bitset_default_shm_pool",
             "wall_seconds": round(median[3], 4),
             "samples": samples_total,
-            "speedup_vs_legacy": round(fused_speedup, 2),
-            "speedup_vs_bitset": round(fused_vs_bitset, 2),
+            "speedup_vs_legacy": round(speedups["shm"], 2),
             "samples_identical_to_legacy": identical,
         },
     ]
-    speedups = {
-        "bitset": speedup,
-        "shm": shm_speedup,
-        "fused": fused_speedup,
-        "fused_vs_bitset": fused_vs_bitset,
-    }
     return rows, speedups, identical
 
 
@@ -393,35 +427,29 @@ def run_experiment(full: bool = False) -> None:
     print()
 
     sweep_rows, speedups, identical = sweep_speedup()
-    legacy_s = sweep_rows[0]["wall_seconds"]
-    new_s = sweep_rows[1]["wall_seconds"]
-    shm_s = sweep_rows[2]["wall_seconds"]
-    fused_s = sweep_rows[3]["wall_seconds"]
+    legacy_s, step_s, default_s, shm_s = (r["wall_seconds"] for r in sweep_rows)
     print(
         f"Theorem-2.1 smoke sweep ({len(SPEEDUP_SIZES)} sizes × "
         f"{SPEEDUP_REPS} seeds, batched executor):"
     )
-    print(f"  legacy sparse_int32 path : {legacy_s:.3f}s")
-    print(f"  bitset kernel            : {new_s:.3f}s  ({speedups['bitset']:.1f}x)")
-    print(f"  bitset + shm worker pool : {shm_s:.3f}s  ({speedups['shm']:.1f}x)")
-    print(
-        f"  fused_packed round tier  : {fused_s:.3f}s  "
-        f"({speedups['fused']:.1f}x, {speedups['fused_vs_bitset']:.2f}x vs bitset)"
-    )
+    print(f"  legacy sparse_int32 path  : {legacy_s:.3f}s")
+    print(f"  bitset step loop          : {step_s:.3f}s  ({speedups['step']:.1f}x)")
+    print(f"  default (fused round)     : {default_s:.3f}s  ({speedups['default']:.1f}x)")
+    print(f"  default + shm worker pool : {shm_s:.3f}s  ({speedups['shm']:.1f}x)")
     print(f"sweep outputs byte-identical across paths: {'PASS' if identical else 'FAIL'}")
-    bar_ok = speedups["bitset"] >= 2.0
+    bar_ok = speedups["step"] >= 2.0
     print(
-        f"bitset speedup vs legacy sparse path: {speedups['bitset']:.1f}x — "
+        f"bitset step-loop speedup vs legacy sparse path: {speedups['step']:.1f}x — "
         f"{'PASS' if bar_ok else 'FAIL'} (bar: >= 2x)"
     )
-    fused_ok = speedups["fused"] >= 2.0
+    default_ok = speedups["default"] >= 2.0
     print(
-        f"fused speedup vs legacy sparse path: {speedups['fused']:.1f}x — "
-        f"{'PASS' if fused_ok else 'FAIL'} (bar: >= 2x)"
+        f"default speedup vs legacy sparse path: {speedups['default']:.1f}x — "
+        f"{'PASS' if default_ok else 'FAIL'} (bar: >= 2x)"
     )
-    regress_ok = speedups["fused_vs_bitset"] >= 0.9
+    regress_ok = speedups["default_vs_step"] >= 0.9
     print(
-        f"fused vs bitset hear-kernel path: {speedups['fused_vs_bitset']:.2f}x — "
+        f"default vs step-loop path: {speedups['default_vs_step']:.2f}x — "
         f"{'PASS' if regress_ok else 'FAIL'} (gate: >= 0.9x, generous CI slack)"
     )
 
@@ -440,7 +468,6 @@ def run_experiment(full: bool = False) -> None:
                 "ratios: median of adjacent pairs; "
                 "grid absolute times: min of repetitions"
             ),
-            "round_kernel": "fused_packed",
         },
     )
     print(f"rows written to {path}")

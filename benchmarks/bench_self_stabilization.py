@@ -21,7 +21,7 @@ from _harness import print_header, seed_for, sizes_and_reps
 
 from repro.analysis.sweep import run_sweep
 from repro.core import max_degree_policy
-from repro.core.vectorized import SingleChannelEngine
+from repro.core.engines import SingleChannelEngine
 from repro.graphs.generators import by_name
 
 RHOS = [0.01, 0.05, 0.25, 0.5, 1.0]

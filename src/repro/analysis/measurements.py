@@ -85,11 +85,6 @@ class StabilizationRounds:
     #: strings (not model objects) so the measurement stays picklable.
     channel: str = "perfect"
     scheduler: str = "synchronous"
-    #: Optional fused-round tier (docs/performance.md, "Fused round
-    #: tier"); ``None`` keeps the per-step loop.  Byte-identical where
-    #: eligible, silent step-loop fallback otherwise — like ``kernel``,
-    #: a pure performance knob.
-    round_kernel: Optional[str] = None
 
     # ------------------------------------------------------------------
     def _policy(
@@ -124,7 +119,6 @@ class StabilizationRounds:
             kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
-            round_kernel=self.round_kernel,
         )
         return self._check(outcome, config)
 
@@ -146,7 +140,6 @@ class StabilizationRounds:
             kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
-            round_kernel=self.round_kernel,
         )
         return [self._check(outcome, config) for outcome in block]
 
@@ -183,7 +176,6 @@ class StabilizationRounds:
             kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
-            round_kernel=self.round_kernel,
         )
         return self._check(outcome, config)
 
@@ -215,7 +207,6 @@ class StabilizationRounds:
             kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
-            round_kernel=self.round_kernel,
         )
         return [self._check(outcome, config) for outcome in block]
 
@@ -291,7 +282,6 @@ class FaultRecoveryRounds:
         rng: np.random.Generator,
         config: Mapping[str, Any],
     ) -> float:
-        from ..core.engines.base import drive
         from ..core.engines.single import SingleChannelEngine
         from ..core.engines.two_channel import TwoChannelEngine
 
@@ -299,11 +289,11 @@ class FaultRecoveryRounds:
             TwoChannelEngine if self.variant == "two_channel" else SingleChannelEngine
         )
         engine = engine_cls(graph, policy, seed=rng, kernel=self.kernel)
-        first = drive(engine, self.max_rounds, 1, False)
+        first = engine.until_stable(self.max_rounds)
         if not first.stabilized:
             raise RuntimeError(f"initial stabilization failed: {dict(config)}")
         self._corrupt_levels(engine)
-        recovery = drive(engine, self.max_rounds, 1, False)
+        recovery = engine.until_stable(self.max_rounds)
         if not recovery.stabilized:
             raise RuntimeError(f"recovery failed within budget: {dict(config)}")
         return float(recovery.rounds)

@@ -1,8 +1,8 @@
 """The reference synchronous round engine for the beeping model.
 
 This is the object-per-node, semantics-defining implementation: slow but
-transparent.  The fast numpy engine in :mod:`repro.core.vectorized`
-replicates its behaviour bit-for-bit (same seed → same trajectory) and is
+transparent.  The fast numpy engines in :mod:`repro.core.engines`
+replicate its behaviour bit-for-bit (same seed → same trajectory) and are
 tested against it.
 
 Round structure (full-duplex beeping with collision detection):

@@ -123,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--kernel", choices=["auto", "sparse", "dense", "bitset"],
                        default="auto",
                        help="hear kernel (bit-identical results; perf only)")
-    run_p.add_argument("--round-kernel", default=None,
-                       choices=["auto", "fused_numpy", "fused_packed",
-                                "fused_numba"],
-                       help="fused-round tier (byte-identical where "
-                            "eligible, silent step-loop fallback; perf only)")
     run_p.add_argument("--reps", type=int, default=1,
                        help="independent repetitions; > 1 prints a summary")
     run_p.add_argument("--jobs", type=int, default=1,
@@ -154,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--kernel", choices=["auto", "sparse", "dense", "bitset"],
                          default="auto",
                          help="hear kernel (bit-identical results; perf only)")
-    sweep_p.add_argument("--round-kernel", default=None,
-                         choices=["auto", "fused_numpy", "fused_packed",
-                                  "fused_numba"],
-                         help="fused-round tier (byte-identical where "
-                              "eligible, silent step-loop fallback; perf only)")
     sweep_p.add_argument("--shared-graphs", action="store_true",
                          help="ship graph structures to workers via shared "
                               "memory (parallel executors only)")
@@ -295,8 +285,7 @@ def _metrics_options(args) -> Optional[MetricsOptions]:
 
 
 def _resolve_stress(args):
-    """The ``--channel`` / ``--scheduler`` / ``--round-kernel`` specs,
-    validated eagerly.
+    """The ``--channel`` / ``--scheduler`` specs, validated eagerly.
 
     Returns ``(channel, scheduler)`` with ``None`` for a flag left at
     its default, so downstream calls keep the forwarded-only-when-set
@@ -312,20 +301,6 @@ def _resolve_stress(args):
         channel_from_spec(channel)
     if scheduler is not None:
         scheduler_from_spec(scheduler)
-    round_kernel = getattr(args, "round_kernel", None)
-    if round_kernel is not None:
-        from .core.kernels import (
-            available_round_kernels,
-            resolve_round_kernel_name,
-        )
-
-        name = resolve_round_kernel_name(round_kernel)
-        if name not in available_round_kernels():
-            raise ValueError(
-                f"round kernel '{name}' is not available in this "
-                "environment (numba not installed); use "
-                "'fused_packed' or 'fused_numpy'"
-            )
     return channel, scheduler
 
 
@@ -368,7 +343,6 @@ def _cmd_run(args) -> int:
                 kernel=None if args.kernel == "auto" else args.kernel,
                 channel=channel,
                 scheduler=scheduler,
-                round_kernel=args.round_kernel,
             )
         profiler.add_rounds(result.rounds)
     else:
@@ -382,7 +356,6 @@ def _cmd_run(args) -> int:
             kernel=None if args.kernel == "auto" else args.kernel,
             channel=channel,
             scheduler=scheduler,
-            round_kernel=args.round_kernel,
         )
     print(
         f"{args.family}(n={graph.num_vertices}, m={graph.num_edges}) "
@@ -408,7 +381,6 @@ def _cmd_run_repeated(args, graph) -> int:
         variant=args.variant, c1=args.c1,
         arbitrary_start=not args.fresh_start, kernel=args.kernel,
         channel=args.channel, scheduler=args.scheduler,
-        round_kernel=args.round_kernel,
     )
     config = {"family": args.family, "n": args.n, "graph_seed": args.graph_seed}
     executor = "batched" if args.engine == "batched" else (
@@ -469,7 +441,6 @@ def _cmd_sweep(args) -> int:
     measure = StabilizationRounds(
         variant=args.variant, c1=args.c1, kernel=args.kernel,
         channel=args.channel, scheduler=args.scheduler,
-        round_kernel=args.round_kernel,
     )
     executor = "batched" if args.engine == "batched" else (
         "process" if args.jobs > 1 else "serial"

@@ -30,7 +30,7 @@ import numpy as np
 from ..devtools.seeding import SeedLike, resolve_rng
 from ..graphs.graph import Graph
 from .knowledge import EllMaxPolicy
-from .vectorized import VectorizedResult, simulate_single
+from .engines import VectorizedResult, simulate_single
 
 __all__ = ["ChurnEvent", "rewire_edges", "carry_levels", "restabilize_after_churn"]
 

@@ -1,11 +1,8 @@
 """Execution engines: array programs behind one beeping-model semantics.
 
-The package replaces the former monolithic ``repro.core.vectorized``
-module (kept as a thin compatibility shim):
-
 * :mod:`~repro.core.engines.base` — :class:`EngineBase` (shared
-  adjacency/masks/legality), the :func:`drive` run-until-legal loop and
-  :class:`VectorizedResult`.
+  adjacency/masks/legality and the resumable
+  :meth:`~EngineBase.until_stable` loop) and :class:`VectorizedResult`.
 * :mod:`~repro.core.engines.single` / :mod:`~repro.core.engines.two_channel`
   — Algorithms 1 and 2 as solo array programs.
 * :mod:`~repro.core.engines.batched` — :class:`BatchedEngine`, R
@@ -16,7 +13,7 @@ module (kept as a thin compatibility shim):
   ``compute_mis`` and the CLI ``--engine`` flags.
 """
 
-from .base import EngineBase, SeedLike, VectorizedResult, as_generator, drive
+from .base import EngineBase, SeedLike, VectorizedResult
 from .batched import BatchedEngine, BatchedResult, simulate_batched
 from .constant_state import ConstantStateEngine, simulate_constant_state
 from .registry import (
@@ -34,8 +31,6 @@ __all__ = [
     "EngineBase",
     "SeedLike",
     "VectorizedResult",
-    "as_generator",
-    "drive",
     # solo engines
     "SingleChannelEngine",
     "TwoChannelEngine",

@@ -33,10 +33,9 @@ from ..kernels import (
     GraphStructure,
     HearKernel,
     PerRoundDraws,
-    get_round_kernel,
+    RoundKernel,
     make_kernel,
     resolve_kernel_name,
-    resolve_round_kernel_name,
     structure_for,
 )
 from ..knowledge import EllMaxPolicy
@@ -52,8 +51,6 @@ __all__ = [
     "EngineBase",
     "StressState",
     "bind_stress_models",
-    "as_generator",
-    "drive",
 ]
 
 #: One engine step returns either the beep mask (single channel) or a
@@ -66,10 +63,6 @@ StepOutput = Union[
 #: Exponent clip for 2^(−ℓ): ℓmax = O(log n) ≤ 60 at any simulable scale,
 #: and clipping avoids float overflow on corrupted/extreme inputs.
 MAX_EXPONENT = 1023
-
-#: Back-compat alias: the blessed coercion point now lives in
-#: :func:`repro.devtools.seeding.resolve_rng`.
-as_generator = resolve_rng
 
 
 class StressState:
@@ -251,7 +244,6 @@ class EngineBase:
         kernel: str = "auto",
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
-        round_kernel: Optional[str] = None,
     ):
         if policy.num_vertices != graph.num_vertices:
             raise ValueError("policy size does not match graph size")
@@ -299,28 +291,10 @@ class EngineBase:
         self._pfloat: npt.NDArray[np.float64] = np.empty(
             self.n, dtype=np.float64
         )
-        # Optional fused-round tier (docs/performance.md, "Fused round
-        # tier"): when requested, the whole round loop is delegated to a
-        # RoundKernel in :meth:`until_stable` — but only for eligible
-        # configurations (perfect channel + synchronous scheduler, no
-        # collector, no per-round series).  The resolved name is pinned
-        # at construction, mirroring the hear-kernel contract above.
-        self.round_kernel_name: Optional[str] = (
-            resolve_round_kernel_name(round_kernel)
-            if round_kernel is not None
-            else None
-        )
-        self._round_kernel = (
-            get_round_kernel(
-                self.round_kernel_name,
-                self.structure,
-                algorithm="single" if self.uses_negative_levels else "two_channel",
-                ell_max=policy.ell_max,
-                replicas=1,
-            )
-            if self.round_kernel_name is not None
-            else None
-        )
+        # The fused round kernel (docs/performance.md, "Fused round
+        # kernel") runs every eligible :meth:`until_stable`; it is built
+        # on the first such run and re-targeted by :meth:`rebind`.
+        self._fused: Optional[RoundKernel] = None
 
     # ------------------------------------------------------------------
     # Level management
@@ -385,14 +359,8 @@ class EngineBase:
         self.n = structure.n
         self.adjacency = structure.csr
         self.kernel = make_kernel(self.kernel_name, structure)
-        if self.round_kernel_name is not None:
-            self._round_kernel = get_round_kernel(
-                self.round_kernel_name,
-                structure,
-                algorithm="single" if self.uses_negative_levels else "two_channel",
-                ell_max=self.ell_max,
-                replicas=1,
-            )
+        if self._fused is not None:
+            self._fused.rebind(self.kernel, self.ell_max)
         self._floor = (
             -self.ell_max
             if self.uses_negative_levels
@@ -443,6 +411,11 @@ class EngineBase:
         of ``check_every`` (recording needs ``stable_mask``, one matvec,
         but not the full legality predicate).
 
+        Without a collector or per-round series, and under the perfect
+        channel and synchronous scheduler, the loop runs in the fused
+        :class:`~repro.core.kernels.RoundKernel`; the result is the same
+        as the :meth:`step` loop's, byte for byte.
+
         ``collector`` (a :class:`repro.obs.RunCollector`) observes the
         levels before every step and the beeps after; its legality
         verdict — the exact :meth:`is_legal` formula — is *reused* for
@@ -458,12 +431,7 @@ class EngineBase:
         """
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
-        if (
-            self._round_kernel is not None
-            and self._ideal
-            and collector is None
-            and not record_series
-        ):
+        if self._ideal and collector is None and not record_series:
             return self._run_fused(max_rounds, check_every)
         if collector is not None:
             collector.view.adopt_engine(self)
@@ -510,11 +478,12 @@ class EngineBase:
         return result
 
     def _run_fused(self, max_rounds: int, check_every: int) -> VectorizedResult:  # repro: cold
-        """Delegate the run loop to the bound fused round kernel.
+        """Delegate the run loop to the fused round kernel.
 
         Cold by annotation: this body runs once per *run* (the per-round
         loop lives in the kernel, which the analyzer roots separately),
-        so its int64↔int32 boundary casts are one-time work.
+        so its int64↔int32 boundary casts and the kernel's construction
+        on the first run are one-time work.
 
         Eligibility is decided by the caller (:meth:`until_stable`):
         ideal stress models, no collector, no per-round series.  The
@@ -523,9 +492,15 @@ class EngineBase:
         after the run matches the step loop exactly (fault-recovery
         resumes mid-stream) and outcomes are byte-identical.
         """
+        if self._fused is None:
+            self._fused = RoundKernel(
+                self.kernel,
+                algorithm="single" if self.uses_negative_levels else "two_channel",
+                ell_max=self.ell_max,
+            )
         levels32 = self.levels.astype(np.int32).reshape(1, self.n)
         draws = PerRoundDraws([self.rng], self.n)
-        outcomes, executed = self._round_kernel.run_block(
+        outcomes, executed = self._fused.run_block(
             levels32, draws, max_rounds, check_every
         )
         draws.finish()
@@ -580,23 +555,3 @@ class EngineBase:
     def mis_vertices(self) -> FrozenSet[int]:
         return frozenset(int(v) for v in np.nonzero(self.mis_mask())[0])
 
-
-def drive(
-    engine: EngineBase,
-    max_rounds: int,
-    check_every: int,
-    record_series: bool,
-    collector: Optional["RunCollector"] = None,
-) -> VectorizedResult:
-    """Back-compat wrapper over :meth:`EngineBase.until_stable`.
-
-    Historical entry point of the one-shot simulate drivers; the loop now
-    lives on the engine itself so services can resume it after a
-    :meth:`EngineBase.rebind`.  Semantics are unchanged.
-    """
-    return engine.until_stable(
-        max_rounds,
-        check_every=check_every,
-        record_series=record_series,
-        collector=collector,
-    )

@@ -37,10 +37,9 @@ from ..kernels import (
     BlockDraws,
     GraphStructure,
     HearKernel,
-    get_round_kernel,
+    RoundKernel,
     make_kernel,
     resolve_kernel_name,
-    resolve_round_kernel_name,
     structure_for,
 )
 from ..knowledge import EllMaxPolicy
@@ -125,7 +124,6 @@ class BatchedEngine:
         kernel: str = "auto",
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
-        round_kernel: Optional[str] = None,
     ):
         if policy.num_vertices != graph.num_vertices:
             raise ValueError("policy size does not match graph size")
@@ -230,25 +228,11 @@ class BatchedEngine:
         # returns views of it; ``legal_mask`` copies before publishing.
         self._legal_scratch = np.empty(self.replicas, dtype=bool)
         self._p_table = self._build_p_table()
-        # Optional fused-round tier: :meth:`run` delegates the whole
-        # retirement loop to this kernel when the configuration is
-        # eligible (ideal stress models, no collector, aligned cursors).
-        self.round_kernel_name: Optional[str] = (
-            resolve_round_kernel_name(round_kernel)
-            if round_kernel is not None
-            else None
-        )
-        self._round_kernel = (
-            get_round_kernel(
-                self.round_kernel_name,
-                self.structure,
-                algorithm=algorithm,
-                ell_max=policy.ell_max,
-                replicas=self.replicas,
-            )
-            if self.round_kernel_name is not None
-            else None
-        )
+        # The fused round kernel: :meth:`run` delegates the whole
+        # retirement loop to it when the run is eligible (ideal stress
+        # models, no collector, aligned cursors).  Built on the first
+        # such run and re-targeted by :meth:`rebind`.
+        self._fused: Optional[RoundKernel] = None
 
     def _build_p_table(self) -> Optional[npt.NDArray[np.float64]]:
         """Beep-probability lookup table for uniform-ℓmax policies.
@@ -332,14 +316,8 @@ class BatchedEngine:
         self._floor32 = self._floor.astype(np.int32)
         self._neg_ell_max = -self._ell_max32
         self._p_table = self._build_p_table()
-        if self.round_kernel_name is not None:
-            self._round_kernel = get_round_kernel(
-                self.round_kernel_name,
-                structure,
-                algorithm=self.algorithm,
-                ell_max=self.ell_max,
-                replicas=self.replicas,
-            )
+        if self._fused is not None:
+            self._fused.rebind(self.kernel, self.ell_max)
         self._mis_scratch = None
         if self.n != old_n:
             n = self.n
@@ -697,10 +675,14 @@ class BatchedEngine:
     ) -> BatchedResult:
         """Drive every replica to its first legal configuration.
 
-        The loop mirrors :func:`repro.core.engines.base.drive` exactly —
-        legality observed before stepping at rounds ``0, check_every,
-        2·check_every, …`` plus at budget exhaustion — so each replica's
-        ``rounds`` equals the solo run's.
+        The loop mirrors :meth:`repro.core.engines.base.EngineBase.until_stable`
+        exactly — legality observed before stepping at rounds ``0,
+        check_every, 2·check_every, …`` plus at budget exhaustion — so
+        each replica's ``rounds`` equals the solo run's.  Without a
+        collector, under the perfect channel and synchronous scheduler,
+        and with aligned draw cursors, the loop runs in the fused
+        :class:`~repro.core.kernels.RoundKernel`, byte-identical to the
+        :meth:`step` loop below.
 
         ``collector`` (a :class:`repro.obs.BatchedCollector`) observes the
         active rows before every step and the channel-1 beeps after; its
@@ -719,15 +701,12 @@ class BatchedEngine:
         elif arbitrary_start:
             self.randomize_levels()
 
-        if (
-            self._round_kernel is not None
-            and self._ideal
-            and collector is None
-        ):
+        if self._ideal and collector is None:
             draws = BlockDraws(self._blocks, self._cursor, self._draw_fns)
             # Aligned cursors are a precondition of the fused serve loop;
-            # they can diverge only after a partial step-loop run retired
-            # some replicas mid-block — fall back to the step loop then.
+            # they diverge only after :meth:`step` advanced a subset of
+            # the replicas (a step-loop run that retired some of them
+            # mid-block) — the step loop runs then.
             if draws.aligned():
                 return self._run_fused(draws, max_rounds, check_every)
 
@@ -791,15 +770,22 @@ class BatchedEngine:
     def _run_fused(
         self, draws: BlockDraws, max_rounds: int, check_every: int
     ) -> BatchedResult:
-        """Delegate the retirement loop to the bound fused round kernel.
+        """Delegate the retirement loop to the fused round kernel.
 
         The kernel serves uniforms from the engine's own pre-drawn
         blocks/cursors (``BlockDraws``), advances ``self.levels`` in
         place, and records each replica's outcome at its retirement
         round — byte-identical to the step loop above, replica for
-        replica (asserted by ``tests/test_round_kernels.py``).
+        replica (asserted by the fused-kernel identity tests).
         """
-        outcomes, executed = self._round_kernel.run_block(
+        if self._fused is None:
+            self._fused = RoundKernel(
+                self.kernel,
+                algorithm=self.algorithm,
+                ell_max=self.ell_max,
+                replicas=self.replicas,
+            )
+        outcomes, executed = self._fused.run_block(
             self.levels, draws, max_rounds, check_every
         )
         draws.finish()
@@ -830,7 +816,6 @@ def simulate_batched(
     kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
-    round_kernel: Optional[str] = None,
 ) -> BatchedResult:
     """Run R replicas of Algorithm 1/2 to stabilization, batched."""
     engine = BatchedEngine(
@@ -843,7 +828,6 @@ def simulate_batched(
         kernel=kernel,
         channel=channel,
         scheduler=scheduler,
-        round_kernel=round_kernel,
     )
     return engine.run(
         max_rounds=max_rounds,

@@ -18,9 +18,8 @@ from ...devtools.seeding import SeedLike, resolve_rng
 from ..kernels import (
     HearKernel,
     PerRoundDraws,
-    get_round_kernel,
+    RoundKernel,
     make_kernel,
-    resolve_round_kernel_name,
     structure_for,
 )
 from .base import VectorizedResult, bind_stress_models
@@ -42,7 +41,6 @@ class ConstantStateEngine:
         kernel: str = "auto",
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
-        round_kernel: Optional[str] = None,
     ):
         self.graph = graph
         self.n = graph.num_vertices
@@ -62,24 +60,9 @@ class ConstantStateEngine:
         self._draws: npt.NDArray[np.float64] = np.empty(
             self.n, dtype=np.float64
         )
-        # Optional fused-round tier (docs/performance.md): the driver in
-        # :func:`simulate_constant_state` delegates the loop when the
-        # configuration is eligible (ideal stress models only).
-        self.round_kernel_name: Optional[str] = (
-            resolve_round_kernel_name(round_kernel)
-            if round_kernel is not None
-            else None
-        )
-        self._round_kernel = (
-            get_round_kernel(
-                self.round_kernel_name,
-                self.structure,
-                algorithm="constant_state",
-                replicas=1,
-            )
-            if self.round_kernel_name is not None
-            else None
-        )
+        # The fused round kernel runs every ideal-model run of
+        # :func:`simulate_constant_state`; built on the first one.
+        self._fused: Optional[RoundKernel] = None
 
     def set_membership(self, in_mis: npt.ArrayLike) -> None:
         in_mis = np.asarray(in_mis, dtype=bool)
@@ -124,6 +107,32 @@ class ConstantStateEngine:
     def mis_vertices(self) -> FrozenSet[int]:
         return frozenset(int(v) for v in np.nonzero(self.in_mis)[0])
 
+    def _run_fused(self, max_rounds: int) -> VectorizedResult:  # repro: cold
+        """Run to the first MIS in the fused round kernel (in place).
+
+        Byte-identical to the :meth:`step` loop of
+        :func:`simulate_constant_state`, including the generator's
+        stream position afterwards.
+        """
+        if self._fused is None:
+            self._fused = RoundKernel(
+                self.kernel, algorithm="constant_state"
+            )
+        membership = self.in_mis.reshape(1, self.n)
+        draws = PerRoundDraws([self.rng], self.n)
+        outcomes, executed = self._fused.run_constant(
+            membership, draws, max_rounds
+        )
+        draws.finish()
+        self.round_index += executed
+        outcome = outcomes[0]
+        return VectorizedResult(
+            stabilized=outcome.stabilized,
+            rounds=outcome.rounds,
+            mis=outcome.mis,
+            final_levels=self.in_mis.astype(np.int64),
+        )
+
 
 def simulate_constant_state(
     graph: Graph,
@@ -133,13 +142,12 @@ def simulate_constant_state(
     kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
-    round_kernel: Optional[str] = None,
 ) -> VectorizedResult:
     """Run the two-state baseline to its first MIS configuration.
 
-    ``round_kernel`` opts into the fused-round tier; it engages only
-    under the ideal stress models (byte-identical trajectories either
-    way — see ``docs/performance.md``).
+    Under the perfect channel and synchronous scheduler the run goes
+    through the fused round kernel; otherwise through :meth:`step`.
+    The result is the same either way (``docs/performance.md``).
     """
     engine = ConstantStateEngine(
         graph,
@@ -147,25 +155,11 @@ def simulate_constant_state(
         kernel=kernel,
         channel=channel,
         scheduler=scheduler,
-        round_kernel=round_kernel,
     )
     if arbitrary_start:
         engine.randomize()
-    if engine._round_kernel is not None and engine._ideal:
-        membership = engine.in_mis.reshape(1, engine.n)
-        draws = PerRoundDraws([engine.rng], engine.n)
-        outcomes, executed = engine._round_kernel.run_constant(
-            membership, draws, max_rounds
-        )
-        draws.finish()
-        engine.round_index += executed
-        outcome = outcomes[0]
-        return VectorizedResult(
-            stabilized=outcome.stabilized,
-            rounds=outcome.rounds,
-            mis=outcome.mis,
-            final_levels=engine.in_mis.astype(np.int64),
-        )
+    if engine._ideal:
+        return engine._run_fused(max_rounds)
     executed = 0
     while not engine.is_legal():
         if executed >= max_rounds:

@@ -5,8 +5,7 @@ CLI) dispatch on an engine *name* rather than on hard-coded ``if``
 chains.  A backend is a callable with the uniform signature
 
     run(graph, policy, variant, seed, max_rounds, arbitrary_start,
-        collector=None, kernel=None, channel=None, scheduler=None,
-        round_kernel=None)
+        collector=None, kernel=None, channel=None, scheduler=None)
         -> outcome with .stabilized / .rounds / .mis
 
 (``collector`` is an optional trailing zero-perturbation observer — see
@@ -15,10 +14,8 @@ expects; ``kernel`` optionally names a hear kernel for backends that
 support one, ``None`` meaning the backend's default; ``channel`` /
 ``scheduler`` select the stress models of
 :mod:`repro.beeping.channels` / :mod:`repro.beeping.schedulers`,
-``None`` meaning the byte-identical perfect/synchronous defaults;
-``round_kernel`` optionally opts into the fused-round tier for backends
-that support it, ``None`` meaning the per-step loop; the contract
-checker only pins the six leading parameters.)
+``None`` meaning the byte-identical perfect/synchronous defaults; the
+contract checker only pins the six leading parameters.)
 
 Built-in backends:
 
@@ -127,7 +124,6 @@ def _run_vectorized(
     kernel: Optional[str] = None,
     channel: Any = None,
     scheduler: Any = None,
-    round_kernel: Optional[str] = None,
 ) -> Any:
     from .single import simulate_single
     from .two_channel import simulate_two_channel
@@ -143,7 +139,6 @@ def _run_vectorized(
         kernel=kernel or "auto",
         channel=channel,
         scheduler=scheduler,
-        round_kernel=round_kernel,
     )
 
 
@@ -158,12 +153,9 @@ def _run_reference(
     kernel: Optional[str] = None,
     channel: Any = None,
     scheduler: Any = None,
-    round_kernel: Optional[str] = None,
 ) -> Any:
     if kernel is not None and kernel != "auto":
         raise ValueError("the reference engine has no hear-kernel choice")
-    if round_kernel is not None:
-        raise ValueError("the reference engine has no round-kernel choice")
     if channel is not None and channel != "perfect":
         raise ValueError("the reference engine has no channel-model choice")
     if scheduler is not None and scheduler != "synchronous":
@@ -198,7 +190,6 @@ def _run_batched(
     kernel: Optional[str] = None,
     channel: Any = None,
     scheduler: Any = None,
-    round_kernel: Optional[str] = None,
 ) -> Any:
     from .batched import simulate_batched
 
@@ -215,7 +206,6 @@ def _run_batched(
         kernel=kernel or "auto",
         channel=channel,
         scheduler=scheduler,
-        round_kernel=round_kernel,
     )
     return outcome[0]
 

@@ -9,7 +9,7 @@ import numpy.typing as npt
 
 from ...graphs.graph import Graph
 from ..knowledge import EllMaxPolicy
-from .base import MAX_EXPONENT, EngineBase, SeedLike, VectorizedResult, drive
+from .base import MAX_EXPONENT, EngineBase, SeedLike, VectorizedResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...beeping.channels import ChannelLike
@@ -89,7 +89,6 @@ def simulate_single(
     kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
-    round_kernel: Optional[str] = None,
 ) -> VectorizedResult:
     """Run Algorithm 1 to stabilization on the vectorized engine.
 
@@ -102,9 +101,7 @@ def simulate_single(
     bit-identical for every kernel.  ``channel`` / ``scheduler`` select
     the stress models of :mod:`repro.beeping.channels` /
     :mod:`repro.beeping.schedulers`; the defaults reproduce the
-    historical trajectories byte for byte.  ``round_kernel`` opts into
-    the fused-round tier (byte-identical, engaged only when the
-    configuration is eligible — see ``docs/performance.md``).
+    historical trajectories byte for byte.
     """
     engine = SingleChannelEngine(
         graph,
@@ -113,10 +110,14 @@ def simulate_single(
         kernel=kernel,
         channel=channel,
         scheduler=scheduler,
-        round_kernel=round_kernel,
     )
     if initial_levels is not None:
         engine.set_levels(initial_levels)
     elif arbitrary_start:
         engine.randomize_levels()
-    return drive(engine, max_rounds, check_every, record_series, collector=collector)
+    return engine.until_stable(
+        max_rounds,
+        check_every=check_every,
+        record_series=record_series,
+        collector=collector,
+    )

@@ -9,7 +9,7 @@ import numpy.typing as npt
 
 from ...graphs.graph import Graph
 from ..knowledge import EllMaxPolicy
-from .base import MAX_EXPONENT, EngineBase, SeedLike, VectorizedResult, drive
+from .base import MAX_EXPONENT, EngineBase, SeedLike, VectorizedResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...beeping.channels import ChannelLike
@@ -86,12 +86,10 @@ def simulate_two_channel(
     kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
-    round_kernel: Optional[str] = None,
 ) -> VectorizedResult:
     """Run Algorithm 2 to stabilization on the vectorized engine.
 
-    ``round_kernel`` opts into the fused-round tier exactly as in
-    :func:`repro.core.engines.single.simulate_single`.
+    Parameters as in :func:`repro.core.engines.single.simulate_single`.
     """
     engine = TwoChannelEngine(
         graph,
@@ -100,10 +98,14 @@ def simulate_two_channel(
         kernel=kernel,
         channel=channel,
         scheduler=scheduler,
-        round_kernel=round_kernel,
     )
     if initial_levels is not None:
         engine.set_levels(initial_levels)
     elif arbitrary_start:
         engine.randomize_levels()
-    return drive(engine, max_rounds, check_every, record_series, collector=collector)
+    return engine.until_stable(
+        max_rounds,
+        check_every=check_every,
+        record_series=record_series,
+        collector=collector,
+    )

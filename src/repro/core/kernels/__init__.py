@@ -1,8 +1,9 @@
-"""Hear kernels and the shared graph-structure cache.
+"""Hear kernels, the fused round kernel, and the graph-structure cache.
 
 The execution engines delegate every "who heard ≥ 1 beep" aggregation —
 reception, the blocked/dominated tests, legality — to a pluggable
-:class:`HearKernel` chosen here, and share all derived adjacency forms
+:class:`HearKernel` chosen here, run every eligible stabilization
+through the :class:`RoundKernel`, and share all derived adjacency forms
 (CSR, dense, packed bitset) through one content-keyed
 :func:`structure_for` cache.  See ``docs/performance.md`` for the kernel
 selection heuristic, cache semantics, and the shared-memory sweep path.
@@ -18,20 +19,7 @@ from .hear import (
     make_kernel,
     resolve_kernel_name,
 )
-from .round import (
-    BlockDraws,
-    BlockOutcome,
-    FusedNumbaRoundKernel,
-    FusedNumpyRoundKernel,
-    FusedPackedRoundKernel,
-    PerRoundDraws,
-    ROUND_KERNEL_ALIASES,
-    RoundKernel,
-    RoundKernelUnavailable,
-    available_round_kernels,
-    get_round_kernel,
-    resolve_round_kernel_name,
-)
+from .round import BlockDraws, BlockOutcome, PerRoundDraws, RoundKernel
 from .shm import (
     SharedStructureManifest,
     SharedStructureSet,
@@ -64,17 +52,9 @@ __all__ = [
     "resolve_kernel_name",
     "make_kernel",
     "RoundKernel",
-    "FusedNumpyRoundKernel",
-    "FusedPackedRoundKernel",
-    "FusedNumbaRoundKernel",
-    "RoundKernelUnavailable",
     "BlockOutcome",
     "PerRoundDraws",
     "BlockDraws",
-    "ROUND_KERNEL_ALIASES",
-    "available_round_kernels",
-    "resolve_round_kernel_name",
-    "get_round_kernel",
     "GraphStructure",
     "structure_for",
     "seed_structure",

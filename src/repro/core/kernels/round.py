@@ -1,30 +1,23 @@
-"""Fused round kernels: whole-round execution for a block of replicas.
+"""The fused round kernel: whole-round execution for a block of replicas.
 
 The hear kernels (:mod:`repro.core.kernels.hear`) accelerate one
-*operation* of the round; the engines still assemble each round from a
-dozen separate numpy dispatches plus the run-loop bookkeeping around
-them.  At the n ≤ 1024 sizes the Theorem-2.1/2.2 sweeps actually run,
-that per-round dispatch overhead — not arithmetic — dominates wall
-time.  A :class:`RoundKernel` owns the *full* round (hear →
-beep-decision → level update → legality/retirement) for a ``(k, n)``
-block of replicas, behind the same named-registry pattern as the hear
-tier:
+*operation* of the round; a :class:`RoundKernel` owns the *full* round
+(hear → beep-decision → level update → legality/retirement) for a
+``(k, n)`` block of replicas, as one tight function per round over
+preallocated int32 planes with the hear delegated to the engine's own
+:class:`~repro.core.kernels.hear.HearKernel`.  At the sizes the
+Theorem-2.1/2.2 sweeps run, per-round dispatch overhead — not
+arithmetic — dominates wall time, which is what the fused loop removes.
 
-* ``fused_numpy`` — the portable baseline: one tight function per
-  round, every buffer preallocated, the hear delegated to a
-  :class:`~repro.core.kernels.hear.HearKernel`.
-* ``fused_packed`` — beep/heard masks packed 64 replicas per ``uint64``
-  word (replica-major: one word per vertex); hearing is a CSR gather +
-  segmented ``bitwise_or`` over words, and the per-round legality prune
-  is an AND-reduction over words — 64 replicas advance per word
-  operation.  Levels stay as int32 planes (the arithmetic blend is
-  exact there and memory-bound either way).
-* ``fused_numba`` — an optional ``@njit`` backend; registry-gated and
-  reported unavailable when numba is not installed.
+Every engine run that is *eligible* goes through this kernel: perfect
+channel, synchronous scheduler, no collector, no per-round series, and
+(batched engine only) aligned draw cursors.  Everything else runs the
+engines' ``step()`` loops.  There is no option to choose between the
+two: the result is the same either way, so the choice is the engines'.
 
 Byte-identity contract
 ----------------------
-Every backend reproduces the engines' trajectories **bit for bit**: the
+The kernel reproduces the step loops' trajectories **bit for bit**: the
 random draw layout is unchanged (one ``Generator.random(out=)`` fill of
 ``n`` doubles per replica per round, served through the same
 contiguous-prefix block discipline as the batched engine), beep
@@ -32,13 +25,13 @@ probabilities come from the same ``np.power`` values, hear masks equal
 ``(A @ beeps) > 0`` exactly, and the level select is the same integer
 blend the batched engine uses.  Per-row ``rounds``/``mis``/
 ``final_levels`` equal the step-loop results element for element —
-asserted by ``tests/test_round_kernels.py`` and the differential suite.
+asserted by the fused-kernel identity tests and the differential suite.
 
 Live-prefix compaction
 ----------------------
 The engines' step loops shrink work as replicas retire by gathering
 the active rows every round (``levels[active_idx]`` + scatter-back).
-A fused kernel gets the same shrinking work with **zero per-round
+The fused kernel gets the same shrinking work with **zero per-round
 cost**: rows ``[0, live)`` of the block are always the live replicas,
 and retiring row ``i`` *moves* the last live row into slot ``i`` (one
 row copy, once per retirement) — a permutation recorded so outcomes
@@ -54,25 +47,16 @@ the in-place result is identical to the engines'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
-from .hear import HearKernel, make_kernel
-from .structure import GraphStructure
+from .hear import HearKernel
 
 __all__ = [
     "BlockOutcome",
     "RoundKernel",
-    "FusedNumpyRoundKernel",
-    "FusedPackedRoundKernel",
-    "FusedNumbaRoundKernel",
-    "RoundKernelUnavailable",
-    "ROUND_KERNEL_ALIASES",
-    "available_round_kernels",
-    "resolve_round_kernel_name",
-    "get_round_kernel",
     "PerRoundDraws",
     "BlockDraws",
 ]
@@ -84,10 +68,6 @@ ROUND_ALGORITHMS = ("single", "two_channel", "constant_state")
 #: ``repro.core.engines.base.MAX_EXPONENT`` (kernels must not import the
 #: engines package; the engines' equivalence tests pin the two equal).
 _MAX_EXPONENT = 1023
-
-
-class RoundKernelUnavailable(RuntimeError):
-    """A registered backend cannot run here (e.g. numba not installed)."""
 
 
 @dataclass
@@ -136,13 +116,13 @@ class PerRoundDraws:
     def finish(self) -> None:
         """No reconciliation needed — the generators never run ahead."""
 
-    def move_row(self, dst: int, src: int) -> None:
-        """Compaction support: stream ``src`` takes over row ``dst``."""
-        self._fns[dst] = self._fns[src]
+    def retire(self, row: int) -> None:
+        """Compaction support: the last live stream takes over ``row``.
 
-    def shrink(self) -> None:
-        """Drop the last row; its generator freezes right here."""
+        The retired replica's generator freezes right here.
+        """
         self._nlive -= 1
+        self._fns[row] = self._fns[self._nlive]
 
 
 class BlockDraws:
@@ -162,9 +142,10 @@ class BlockDraws:
     replica still consumes a contiguous prefix of its own stream —
     uniform doubles are generated sequentially, so chunk size never
     changes a served value — which keeps trajectories byte-identical;
-    only the unobservable generator run-ahead shrinks.  :meth:`finish`
-    reconciles the engine cursor on exit so step-loop rounds can follow
-    a fused run without skipping or replaying a draw.
+    only the generator run-ahead shrinks.  :meth:`finish` hands every
+    replica's unserved pre-drawn values back to the engine on exit, so
+    step-loop rounds can follow a fused run without skipping or
+    replaying a draw.
     """
 
     __slots__ = (
@@ -176,7 +157,8 @@ class BlockDraws:
         "_pos",
         "_grow",
         "_nlive",
-        "_dirty",
+        "_ids",
+        "_tails",
     )
 
     def __init__(
@@ -197,7 +179,10 @@ class BlockDraws:
         self._chunk = self._block
         self._grow = min(min_chunk, self._block)
         self._nlive = blocks.shape[0]
-        self._dirty = False
+        #: Replica id of each block row (compaction permutes the rows).
+        self._ids = list(range(self._nlive))
+        #: Unserved pre-drawn values of each retired replica.
+        self._tails: Dict[int, npt.NDArray[np.float64]] = {}
 
     def aligned(self) -> bool:
         """True iff every replica cursor sits at the same position."""
@@ -223,46 +208,49 @@ class BlockDraws:
         self._pos = pos + 1
         return self._blocks[:, pos]
 
-    def move_row(self, dst: int, src: int) -> None:
-        """Compaction support: stream ``src`` takes over row ``dst``.
+    def retire(self, row: int) -> None:
+        """Compaction support: the last live stream takes over ``row``.
 
-        Copies the not-yet-served tail of ``src``'s pre-drawn stream
-        (one strided row copy, once per retirement) so the relocated
-        replica keeps consuming the exact values its generator already
-        produced.  The retired stream previously in ``dst`` is simply
-        dropped — its generator freezes at the retirement position,
-        exactly like the step loop's.
+        The retired replica's not-yet-served values are kept for
+        :meth:`finish` — its generator is frozen *after* them.  The
+        relocated replica's unserved values follow it into ``row`` (one
+        strided row copy, once per retirement), so it keeps consuming
+        the exact values its generator already produced.
         """
-        self._fns[dst] = self._fns[src]
         pos, chunk = self._pos, self._chunk
-        if pos < chunk:
-            self._blocks[dst, pos:chunk] = self._blocks[src, pos:chunk]
-
-    def shrink(self) -> None:
-        """Drop the last row from the refill set (post :meth:`move_row`).
-
-        Any retirement leaves *some* generator frozen behind the shared
-        cursor, so the block can no longer be described by one uniform
-        position — :meth:`finish` then marks it exhausted.
-        """
+        self._tails[self._ids[row]] = self._blocks[row, pos:chunk].copy()
         self._nlive -= 1
-        self._dirty = True
+        last = self._nlive
+        if row != last:
+            self._fns[row] = self._fns[last]
+            self._ids[row] = self._ids[last]
+            self._blocks[row, pos:chunk] = self._blocks[last, pos:chunk]
 
     def finish(self) -> None:
-        """Reconcile the engine cursor after a fused run.
+        """Hand the unserved pre-drawn values back to the engine.
 
         With a full-width serving window and no retirements the whole
-        block holds valid contiguous stream, so the engine can keep
-        consuming from ``pos``.  After a partial refill (stale tail) or
-        any retirement (a frozen generator behind the cursor), mark the
-        block exhausted so the engine's next step refills lazily from
-        the generators — each of which sits exactly where its replica's
-        stream left off.
+        block holds valid contiguous stream, so the engine keeps
+        consuming from ``pos``.  Otherwise each replica's unserved
+        values (retired replicas' from :meth:`retire`, live rows' from
+        the block) move to the end of its own engine row, with its
+        cursor at their start: the engine's next step serves them, then
+        refills from the generator — which sits right after them — so
+        every replica's stream continues exactly where the step loop
+        would have left it.  Cursors are then generally misaligned, and
+        the engine's next run takes the step loop.
         """
-        if self._chunk == self._block and not self._dirty:
-            self._cursor[:] = self._pos
-        else:
-            self._cursor[:] = self._block
+        pos, chunk, block = self._pos, self._chunk, self._block
+        if chunk == block and not self._tails:
+            self._cursor[:] = pos
+            return
+        tails = dict(self._tails)
+        for row in range(self._nlive):
+            tails[self._ids[row]] = self._blocks[row, pos:chunk].copy()
+        for replica, tail in tails.items():
+            start = block - tail.shape[0]
+            self._blocks[replica, start:] = tail
+            self._cursor[replica] = start
 
 
 # ----------------------------------------------------------------------
@@ -271,21 +259,20 @@ class BlockDraws:
 class RoundKernel:
     """Whole-round execution for a ``(k, n)`` replica block.
 
-    One instance is bound to a graph structure, an algorithm tag, an
-    ℓmax policy vector, and a replica count; engines construct it
-    through :func:`get_round_kernel` (lint rule RPR403) and delegate
-    their run loops via :meth:`run_block` / :meth:`run_constant` when
-    the configuration is eligible (see ``docs/performance.md``).
+    One instance is bound to an engine's hear kernel (and through it to
+    the graph structure), an algorithm tag, an ℓmax policy vector, and a
+    replica count.  Engines build it on their first eligible run,
+    delegate their run loops to :meth:`run_block` / :meth:`run_constant`,
+    and re-target it with :meth:`rebind` when their topology changes
+    (see ``docs/performance.md``, "Fused round kernel").
     """
-
-    name: str = "abstract"
 
     def __init__(
         self,
-        structure: GraphStructure,
+        hear: HearKernel,
         *,
         algorithm: str,
-        ell_max: npt.ArrayLike,
+        ell_max: npt.ArrayLike = None,
         replicas: int = 1,
     ):
         if algorithm not in ROUND_ALGORITHMS:
@@ -294,26 +281,26 @@ class RoundKernel:
             )
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        self.structure = structure
         self.algorithm = algorithm
-        self.n = structure.n
         self.replicas = replicas
-        k, n = replicas, structure.n
         self._single = algorithm == "single"
         self._two = algorithm == "two_channel"
         self._constant = algorithm == "constant_state"
-        #: The hear backend for the boolean aggregation sub-steps that
-        #: stay unpacked (legality confirms, the numpy baseline's hear).
-        self._hear: HearKernel = make_kernel(
-            "auto", structure, replicas=max(replicas, 1)
-        )
-        if self._constant:
-            self.ell_max = None
-            self._ell32 = None
-            self._floor32 = None
-            self._neg_ell32 = None
-            self._p_table = None
-        else:
+        self.n = -1
+        self._draws_source: "PerRoundDraws | BlockDraws | None" = None
+        self.rebind(hear, ell_max)
+
+    def rebind(self, hear: HearKernel, ell_max: npt.ArrayLike = None) -> None:
+        """Re-target the kernel at the engine's rebound hear kernel.
+
+        The policy tables are rebuilt from ``ell_max``; the per-round
+        scratch is reallocated only when the vertex count changed, so a
+        fixed-``n`` topology delta costs no allocation beyond the tables.
+        """
+        self._hear = hear
+        self.structure = hear.structure
+        n = hear.structure.n
+        if not self._constant:
             self.ell_max = np.asarray(ell_max, dtype=np.int64)
             if self.ell_max.shape not in ((), (n,)):
                 raise ValueError(f"ell_max must be scalar or shape ({n},)")
@@ -327,6 +314,10 @@ class RoundKernel:
             self._p_offset = (
                 int(self.ell_max.flat[0]) if self._p_table is not None else 0
             )
+        if n == self.n:
+            return
+        self.n = n
+        k = self.replicas
         # ---- per-round scratch, bound once (hot-path contract) -------
         self._p_buf = np.empty((k, n), dtype=np.float64)
         self._idx32 = np.empty((k, n), dtype=np.int32)
@@ -343,21 +334,6 @@ class RoundKernel:
         self._plane = np.empty((k, n), dtype=np.int32)
         self._cand = np.empty(k, dtype=bool)
         self._row_any = np.empty(k, dtype=bool)
-        self._cur_live = k
-        self._draws_source: "PerRoundDraws | BlockDraws | None" = None
-
-    # -- setup helpers (run once per construction / run, not per round)
-    def _begin_run(self, k: int) -> None:
-        """Per-run state reset (delegates to the shrink hook)."""
-        self._after_shrink(k)
-
-    def _after_shrink(self, live: int) -> None:
-        """Post-retirement hook: record the new live-prefix length.
-
-        The packed backend extends this by rebuilding its alive-prefix
-        word mask.  Runs once per retirement batch, not per round.
-        """
-        self._cur_live = live
 
     def _build_p_table(self) -> Optional[npt.NDArray[np.float64]]:
         """Beep-probability lookup for uniform-ℓmax policies.
@@ -409,17 +385,15 @@ class RoundKernel:
         outcomes: List[Optional[BlockOutcome]] = [None] * k
         perm = list(range(k))
         live = k
-        self._begin_run(k)
         cur = levels
         nxt = self._plane[:k]
         executed = 0
-        masks_fresh = False
         step = self._step_single if self._single else self._step_two
         while True:
             should_check = executed % check_every == 0 or executed >= max_rounds
             if should_check:
                 live = self._retire_legal(
-                    cur, live, perm, outcomes, executed, masks_fresh, draws
+                    cur, live, perm, outcomes, executed, draws
                 )
                 if live == 0:
                     break
@@ -438,7 +412,6 @@ class RoundKernel:
                 cur, nxt = nxt, cur
             else:
                 step(cur[:live], live)
-            masks_fresh = True
             executed += 1
         # Compaction permuted the block rows (and the single channel may
         # have ended on the scratch plane); every replica's ground truth
@@ -451,18 +424,12 @@ class RoundKernel:
     # Legality + retirement
     # ------------------------------------------------------------------
     def _candidate_rows(
-        self,
-        cur: npt.NDArray[np.int32],
-        masks_fresh: bool,
+        self, cur: npt.NDArray[np.int32]
     ) -> npt.NDArray[np.bool_]:
         """Live rows worth the full legality test (necessary prune).
 
-        ``cur`` is the live prefix.  The baseline prune is the
-        engines': a legal row holds only floor/ℓmax levels.  Backends
-        may override with a cheaper necessary condition (the packed
-        kernel prunes on last-step beep/heard words when
-        ``masks_fresh``); any sound prune yields the identical per-row
-        verdict because the full test decides.
+        ``cur`` is the live prefix.  The prune is the engines': a legal
+        row holds only floor/ℓmax levels; the full test decides.
         """
         k = cur.shape[0]
         eq = self._mask_a[:k]
@@ -481,7 +448,6 @@ class RoundKernel:
         perm: List[int],
         outcomes: List[Optional[BlockOutcome]],
         executed: int,
-        masks_fresh: bool,
         draws: "PerRoundDraws | BlockDraws",
     ) -> int:
         """Test-and-retire legal rows; returns the new live count.
@@ -492,7 +458,7 @@ class RoundKernel:
         ``[0, live)``.  Rows are processed in descending order so each
         move sources a still-live tail row.
         """
-        cand = self._candidate_rows(cur[:live], masks_fresh)
+        cand = self._candidate_rows(cur[:live])
         if not cand.any():
             return live
         # Candidate rows are rare (at/after convergence), so the full
@@ -520,14 +486,12 @@ class RoundKernel:
             if j != last:
                 np.copyto(cur[j], cur[last])
                 perm[j] = perm[last]
-                draws.move_row(j, last)
-            draws.shrink()
+            draws.retire(j)
             live = last
-        self._after_shrink(live)
         return live
 
     # ------------------------------------------------------------------
-    # Round bodies (numpy baseline; packed/numba backends override)
+    # Round bodies
     # ------------------------------------------------------------------
     def _probabilities(
         self, cur: npt.NDArray[np.int32], k: int
@@ -556,12 +520,6 @@ class RoundKernel:
             p[low] = 0.0
         return p
 
-    def _hear_block(
-        self, rows: npt.NDArray[np.bool_], out: npt.NDArray[np.bool_]
-    ) -> npt.NDArray[np.bool_]:
-        """Hear for the freshly computed beep block (backend hook)."""
-        return self._hear.hear_rows(rows, out=out)
-
     def _step_single(
         self,
         cur: npt.NDArray[np.int32],
@@ -583,7 +541,7 @@ class RoundKernel:
         p = self._probabilities(cur, k)
         beeps = self._beeps[:k]
         np.less(draws, p, out=beeps)
-        heard = self._hear_block(beeps, self._heard[:k])
+        heard = self._hear.hear_rows(beeps, self._heard[:k])
         np.subtract(cur, 1, out=nxt)
         np.maximum(nxt, 1, out=nxt)
         sel = self._sel[:k]
@@ -621,7 +579,7 @@ class RoundKernel:
         np.logical_and(beep1, band, out=beep1)
         beep2 = stacked[k:]
         np.equal(cur, 0, out=beep2)
-        heard = self._hear_block(stacked, self._heard[: 2 * k])
+        heard = self._hear.hear_rows(stacked, self._heard[: 2 * k])
         heard1 = heard[:k]
         heard2 = heard[k:]
         down = self._sel[:k]
@@ -666,7 +624,6 @@ class RoundKernel:
         outcomes: List[Optional[BlockOutcome]] = [None] * k
         perm = list(range(k))
         live = k
-        self._begin_run(k)
         executed = 0
         while True:
             live = self._retire_constant(
@@ -701,7 +658,7 @@ class RoundKernel:
         draws: "PerRoundDraws | BlockDraws",
     ) -> int:
         rows = in_mis[:live]
-        heard = self._hear_block(rows, self._heard[:live])
+        heard = self._hear.hear_rows(rows, self._heard[:live])
         clash = self._mask_a[:live]
         np.logical_and(rows, heard, out=clash)
         covered = self._mask_b[:live]
@@ -729,10 +686,8 @@ class RoundKernel:
             if j != last:
                 np.copyto(in_mis[j], in_mis[last])
                 perm[j] = perm[last]
-                draws.move_row(j, last)
-            draws.shrink()
+            draws.retire(j)
             live = last
-        self._after_shrink(live)
         return live
 
     def _step_constant(self, in_mis: npt.NDArray[np.bool_], k: int) -> None:
@@ -740,7 +695,7 @@ class RoundKernel:
         draws = self._serve()[:k]
         beeps = self._beeps[:k]
         np.copyto(beeps, in_mis)
-        heard = self._hear_block(beeps, self._heard[:k])
+        heard = self._hear.hear_rows(beeps, self._heard[:k])
         coin = self._mask_a[:k]
         np.less(draws, 0.5, out=coin)
         # stay = in & ~(heard & coin)   (== in & ~retreat)
@@ -760,400 +715,3 @@ class RoundKernel:
     # ------------------------------------------------------------------
     def _serve(self) -> npt.NDArray[np.float64]:
         return self._draws_source.serve()
-
-
-class FusedNumpyRoundKernel(RoundKernel):
-    """The portable single-pass baseline (numpy ufuncs + hear kernel)."""
-
-    name = "fused_numpy"
-
-
-class FusedPackedRoundKernel(RoundKernel):
-    """Bit-packed state: 64 replicas per ``uint64`` word.
-
-    Layout (replica-major — the transpose of the adjacency bitset): word
-    ``words[v, w]`` holds bit ``r − 64·w`` of replica ``r`` at vertex
-    ``v``, so *hearing all replicas at a vertex* is a single word OR.
-    One round packs the fresh beep block once
-    (``np.packbits(..., bitorder="little")``), gathers the neighbor
-    words through the CSR index array, OR-reduces each vertex's segment
-    (``np.bitwise_or.reduceat``), and unpacks the heard words back to
-    the boolean plane with three shift/mask ufuncs per 64-replica group.
-    The legality prune is word-parallel too: after a step, a row can
-    only be legal if every vertex beeped or heard (legal configurations
-    are exactly the fixed points), which is one AND-reduction over the
-    ``(n, W)`` word array instead of three passes over the ``(k, n)``
-    int32 planes.
-
-    The two-state baseline has no batched engine (k = 1), so this
-    backend inherits the unpacked constant-state path — with one replica
-    per word there is nothing to pack against.
-    """
-
-    name = "fused_packed"
-
-    def __init__(
-        self,
-        structure: GraphStructure,
-        *,
-        algorithm: str,
-        ell_max: npt.ArrayLike,
-        replicas: int = 1,
-    ):
-        super().__init__(
-            structure, algorithm=algorithm, ell_max=ell_max, replicas=replicas
-        )
-        k, n = self.replicas, self.n
-        csr = structure.csr
-        self._indptr = np.asarray(csr.indptr)
-        self._indices = np.asarray(csr.indices)
-        degrees = np.diff(self._indptr)
-        self._nonempty = np.flatnonzero(degrees > 0)
-        self._has_empty = self._nonempty.size != n
-        self._starts = self._indptr[self._nonempty]
-        # Packed planes for the stacked mask block: the single channel
-        # packs k beep rows; the two-channel algorithm packs 2k (both
-        # channels in one gather) with each channel's half starting at a
-        # word boundary, so word ``W1 + w`` of a vertex is the channel-2
-        # image of word ``w`` and the per-vertex cross-channel union the
-        # legality prune needs is a plain word OR.
-        rows = 2 * k if self._two else k
-        w1 = (k + 63) // 64
-        self._w1 = w1
-        words = 2 * w1 if self._two else w1
-        self._words = words
-        self._pad = np.zeros((n, 64 * words), dtype=bool)
-        self._beep_words = np.empty((n, words), dtype=np.uint64)
-        self._heard_words = np.zeros((n, words), dtype=np.uint64)
-        self._gather = np.empty((self._indices.size, words), dtype=np.uint64)
-        self._union_words = np.empty((n, words), dtype=np.uint64)
-        self._cross_words = np.empty((n, w1), dtype=np.uint64)
-        self._alive_words = np.empty(w1, dtype=np.uint64)
-        self._covered = np.empty(w1, dtype=np.uint64)
-        self._after_shrink(k)
-
-    def _hear_block(
-        self, rows: npt.NDArray[np.bool_], out: npt.NDArray[np.bool_]
-    ) -> npt.NDArray[np.bool_]:
-        """Word-parallel hear: pack → gather → segmented OR → unpack.
-
-        For every vertex ``v``, ``heard_words[v] = OR of beep_words[u]
-        over u ∈ N(v)`` — bit ``r`` of the result is exactly replica
-        ``r``'s ``(A @ beeps) > 0`` boolean, so the unpacked plane is
-        bit-identical to every hear kernel.
-        """
-        live = self._cur_live
-        if self._constant or rows.shape[0] != (2 * live if self._two else live):
-            # Legality confirms and the constant baseline hand in
-            # data-dependent row counts; route them through the
-            # unpacked hear kernel (identical booleans).
-            return self._hear.hear_rows(rows, out=out)
-        pad = self._pad
-        if self._two:
-            pad[:, :live] = rows[:live].T
-            pad[:, 64 * self._w1 : 64 * self._w1 + live] = rows[live:].T
-        else:
-            pad[:, :live] = rows.T
-        packed = np.packbits(pad, axis=1, bitorder="little")
-        beep_words = self._beep_words
-        np.copyto(beep_words, packed.view(np.uint64))
-        heard_words = self._heard_words
-        if self._starts.size:
-            gather = self._gather
-            np.take(beep_words, self._indices, axis=0, out=gather)
-            reduced = np.bitwise_or.reduceat(gather, self._starts, axis=0)
-            if self._has_empty:
-                # Isolated vertices hear nothing; their words stay the
-                # zeros they were initialized to.
-                heard_words[self._nonempty] = reduced
-            else:
-                np.copyto(heard_words, reduced)
-        self._unpack_words(heard_words, out)
-        return out
-
-    def _unpack_words(
-        self, words: npt.NDArray[np.uint64], out: npt.NDArray[np.bool_]
-    ) -> None:
-        """Unpack ``(n, W)`` words into the ``(rows, n)`` boolean plane.
-
-        ``np.unpackbits`` runs one C pass over the byte image and the
-        strided ``not_equal`` writes transpose straight into the
-        replica-major plane — measurably faster than per-word
-        shift/mask loops for every k.  Only live-prefix bits are
-        unpacked: the single channel needs the first ``live`` bits of
-        each vertex's words; the two-channel stack needs both
-        word-aligned halves, so it unpacks through the end of channel
-        2's live bits and slices the halves out.
-        """
-        live = self._cur_live
-        count = 64 * self._w1 + live if self._two else live
-        u = np.unpackbits(
-            words.view(np.uint8),  # repro: allow[RPR302] word reinterpret
-            axis=1,
-            bitorder="little",
-            count=count,
-        )
-        if self._two:
-            base = 64 * self._w1
-            np.not_equal(u[:, :live].T, 0, out=out[:live])
-            np.not_equal(u[:, base : base + live].T, 0, out=out[live:])
-        else:
-            np.not_equal(u[:, :live].T, 0, out=out)
-
-    def _candidate_rows(
-        self,
-        cur: npt.NDArray[np.int32],
-        masks_fresh: bool,
-    ) -> npt.NDArray[np.bool_]:
-        """Word-parallel prune on the last step's beep/heard words.
-
-        After a step, a vertex can sit at the floor only by beeping
-        unheard and at ℓmax only by hearing, so a legal row must have
-        ``beeped | heard`` at *every* vertex (two-channel: on either
-        channel).  That necessary condition is one AND-reduction over
-        the packed word array — 64 replicas per word op — and rows
-        failing it skip the int32 prune entirely.  When only a handful
-        of rows survive (the typical near-convergence round), the
-        level condition is confirmed row by row instead of over the
-        whole live block.  Sound prunes don't change verdicts: the
-        full test still decides every candidate.
-        """
-        if not masks_fresh:
-            return super()._candidate_rows(cur, masks_fresh)
-        k = cur.shape[0]
-        union = self._union_words
-        np.bitwise_or(self._beep_words, self._heard_words, out=union)
-        if self._two:
-            # Per-vertex cross-channel union: a legal row needs every
-            # vertex to have beeped or heard on *either* channel, and
-            # the word-aligned halves make that one word OR.
-            cross = self._cross_words
-            np.bitwise_or(
-                union[:, : self._w1], union[:, self._w1 :], out=cross
-            )
-            base = cross
-        else:
-            base = union
-        covered = self._covered
-        np.bitwise_and.reduce(base, axis=0, out=covered)
-        np.bitwise_and(covered, self._alive_words, out=covered)
-        if not covered.any():
-            # The common pre-convergence round: four word ops, no
-            # unpack, no pass over the int32 level planes.
-            cand = self._cand[:k]
-            cand[:] = False
-            return cand
-        bits = np.unpackbits(
-            covered.view(np.uint8),  # repro: allow[RPR302] word reinterpret
-            bitorder="little",
-            count=k,
-        )
-        idx = np.flatnonzero(bits)
-        if idx.size > 4:
-            # Coverage is block-wide (e.g. a dense near-converged
-            # block): the vectorized level prune over all live rows is
-            # cheaper than many per-row passes.
-            return super()._candidate_rows(cur, masks_fresh)
-        cand = self._cand[:k]
-        cand[:] = False
-        eq = self._mask_a[0]
-        other = self._mask_b[0]
-        for i in idx.tolist():
-            row = cur[i]
-            np.equal(row, self._floor32, out=eq)
-            np.equal(row, self._ell32, out=other)
-            np.logical_or(eq, other, out=eq)
-            cand[i] = bool(eq.all())
-        return cand
-
-    def _after_shrink(self, live: int) -> None:
-        super()._after_shrink(live)
-        words = self._alive_words
-        words[:] = 0
-        full, rem = divmod(live, 64)
-        if full:
-            words[:full] = ~np.uint64(0)
-        if rem:
-            words[full] = np.uint64((1 << rem) - 1)
-
-
-class FusedNumbaRoundKernel(FusedNumpyRoundKernel):
-    """Optional ``@njit`` backend (registry-gated).
-
-    Compiles the single-channel round body to one nopython function
-    (beep decision, CSR hear, and level select in a single pass over
-    the block); the other algorithms inherit the numpy bodies.  The
-    backend registers unconditionally but construction raises
-    :class:`RoundKernelUnavailable` when numba is not importable, which
-    is how callers (and tests) skip it cleanly.  Requires a uniform
-    ℓmax policy (the p-table form); non-uniform policies fall back to
-    the inherited numpy body.
-    """
-
-    name = "fused_numba"
-
-    def __init__(
-        self,
-        structure: GraphStructure,
-        *,
-        algorithm: str,
-        ell_max: npt.ArrayLike,
-        replicas: int = 1,
-    ):
-        if not numba_available():
-            raise RoundKernelUnavailable(
-                "round kernel 'fused_numba' requires numba, which is not "
-                "installed; use 'fused_packed' or 'fused_numpy'"
-            )
-        super().__init__(
-            structure, algorithm=algorithm, ell_max=ell_max, replicas=replicas
-        )
-        csr = structure.csr
-        self._nb_indptr = np.asarray(csr.indptr, dtype=np.int64)
-        self._nb_indices = np.asarray(csr.indices, dtype=np.int64)
-        self._nb_round = _compile_single_round() if self._single else None
-
-    def _step_single(
-        self,
-        cur: npt.NDArray[np.int32],
-        nxt: npt.NDArray[np.int32],
-        k: int,
-    ) -> None:
-        table = self._p_table
-        if self._nb_round is None or table is None:
-            super()._step_single(cur, nxt, k)
-            return
-        draws = self._serve()[:k]
-        self._nb_round(
-            cur,
-            nxt,
-            np.ascontiguousarray(draws),
-            table,
-            np.int32(self._ell32.flat[0]),
-            self._nb_indptr,
-            self._nb_indices,
-            self._beeps[:k],
-            self._heard[:k],
-        )
-        # Keep the packed/legality mask state coherent for _retire.
-
-
-def numba_available() -> bool:
-    """True iff the optional numba dependency can be imported."""
-    try:  # pragma: no cover - environment-dependent
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True  # pragma: no cover - numba-present environments only
-
-
-def _compile_single_round():  # pragma: no cover - requires numba
-    """Compile the Algorithm-1 round body (called once per process)."""
-    from numba import njit
-
-    @njit(cache=True)
-    def single_round(
-        cur, nxt, draws, table, ell, indptr, indices, beeps, heard
-    ):
-        k, n = cur.shape
-        for r in range(k):
-            for v in range(n):
-                beeps[r, v] = draws[r, v] < table[cur[r, v] + ell]
-        for r in range(k):
-            for v in range(n):
-                h = False
-                for j in range(indptr[v], indptr[v + 1]):
-                    if beeps[r, indices[j]]:
-                        h = True
-                        break
-                heard[r, v] = h
-        for r in range(k):
-            for v in range(n):
-                level = cur[r, v]
-                if heard[r, v]:
-                    nl = level + 1
-                    if nl > ell:
-                        nl = ell
-                elif beeps[r, v]:
-                    nl = -ell
-                else:
-                    nl = level - 1
-                    if nl < 1:
-                        nl = 1
-                nxt[r, v] = nl
-
-    return single_round
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_ROUND_KERNELS: Dict[str, Type[RoundKernel]] = {
-    FusedNumpyRoundKernel.name: FusedNumpyRoundKernel,
-    FusedPackedRoundKernel.name: FusedPackedRoundKernel,
-    FusedNumbaRoundKernel.name: FusedNumbaRoundKernel,
-}
-
-#: CLI-friendly short names (plus ``auto``).
-ROUND_KERNEL_ALIASES: Dict[str, str] = {
-    "numpy": FusedNumpyRoundKernel.name,
-    "packed": FusedPackedRoundKernel.name,
-    "numba": FusedNumbaRoundKernel.name,
-}
-
-
-def available_round_kernels() -> Tuple[str, ...]:
-    """Registered *runnable* round-kernel names, sorted.
-
-    ``fused_numba`` is listed only when numba is importable — the
-    registry gate that lets callers skip the optional backend cleanly.
-    """
-    names = [
-        name
-        for name in _ROUND_KERNELS
-        if name != FusedNumbaRoundKernel.name or numba_available()
-    ]
-    return tuple(sorted(names))
-
-
-def resolve_round_kernel_name(name: str) -> str:
-    """Canonical round-kernel name (aliases and ``auto`` resolved).
-
-    ``auto`` picks ``fused_packed`` — the word-parallel backend wins or
-    ties everywhere the fused tier is eligible, and unlike
-    ``fused_numba`` it has no optional dependency.  Requesting
-    ``fused_numba`` without numba raises
-    :class:`RoundKernelUnavailable` at construction, not here, so the
-    name stays resolvable for registry listings.
-    """
-    name = ROUND_KERNEL_ALIASES.get(name, name)
-    if name == "auto":
-        return FusedPackedRoundKernel.name
-    if name not in _ROUND_KERNELS:
-        choices = ("auto",) + tuple(ROUND_KERNEL_ALIASES) + tuple(sorted(_ROUND_KERNELS))
-        raise ValueError(
-            f"unknown round kernel {name!r}; choose one of {sorted(set(choices))}"
-        )
-    return name
-
-
-def get_round_kernel(
-    name: str,
-    structure: GraphStructure,
-    *,
-    algorithm: str,
-    ell_max: npt.ArrayLike = None,
-    replicas: int = 1,
-) -> RoundKernel:
-    """Instantiate the (resolved) round kernel ``name``.
-
-    This is the one blessed construction point: engines must route
-    round-kernel creation through here rather than instantiating the
-    ``Fused*RoundKernel`` classes directly (lint rule RPR403), so the
-    registry gate — including the numba availability check — is never
-    bypassed.
-    """
-    resolved = resolve_round_kernel_name(name)
-    return _ROUND_KERNELS[resolved](
-        structure, algorithm=algorithm, ell_max=ell_max, replicas=replicas
-    )

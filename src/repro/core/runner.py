@@ -120,7 +120,6 @@ def compute_mis(
     kernel: Optional[str] = None,
     channel: Optional[object] = None,
     scheduler: Optional[object] = None,
-    round_kernel: Optional[str] = None,
 ) -> MISResult:
     """Compute a certified MIS of ``graph`` with the paper's algorithm.
 
@@ -160,13 +159,6 @@ def compute_mis(
         backend's default.  Trajectories are bit-identical for every
         kernel, so this is purely a performance knob.  Forwarded only
         when set, as with ``collector``.
-    round_kernel:
-        Fused-round tier name (``"auto"``/``"fused_numpy"``/
-        ``"fused_packed"``/``"fused_numba"``, see
-        :mod:`repro.core.kernels`); ``None`` keeps the per-step loop.
-        Byte-identical on eligible configurations and silently falls
-        back to the step loop otherwise — another pure performance
-        knob.  Forwarded only when set, as with ``collector``.
     channel, scheduler:
         Stress models — a spec string (``"lossy:0.05"``,
         ``"drift:0.1"``, …) or a model instance from
@@ -207,8 +199,6 @@ def compute_mis(
         extra["channel"] = channel
     if scheduler is not None:
         extra["scheduler"] = scheduler
-    if round_kernel is not None:
-        extra["round_kernel"] = round_kernel
     outcome = backend.run(
         graph, policy, variant, seed, max_rounds, arbitrary_start, **extra
     )

@@ -253,58 +253,55 @@ def run_allocation_audit(
 
 
 def _fused_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
-    """Fused-round-tier combos: each audit step is one short run_block.
+    """Fused round kernel combos: each audit step is one short run_block.
 
-    The fused tier owns the whole loop, so the per-round unit the other
-    combos audit does not exist here; instead each step resets the state
-    block in place and runs an 8-round fused run.  Everything a run
-    creates (outcome records, the draw adapter, final-level copies) must
-    die with it — the net-retained metric then polices the same class of
-    regressions as the per-step combos, at run granularity.
+    The fused kernel owns the whole loop, so the per-round unit the
+    other combos audit does not exist here; instead each step resets
+    the state block in place and runs an 8-round fused run.  Everything
+    a run creates (outcome records, the draw adapter, final-level
+    copies) must die with it — the net-retained metric then polices the
+    same class of regressions as the per-step combos, at run
+    granularity.
     """
-    from ...core.kernels import PerRoundDraws, get_round_kernel, structure_for
+    from ...core.kernels import PerRoundDraws, RoundKernel, make_kernel, structure_for
     from ...core.knowledge import uniform_policy
 
     policy = uniform_policy(graph, ell_max=6)
     structure = structure_for(graph)
     n = graph.num_vertices
     replicas = 4
-    for backend in ("fused_numpy", "fused_packed"):
-        for algo in ("single", "two_channel", "constant_state"):
-            constant = algo == "constant_state"
-            kern = get_round_kernel(
-                backend,
-                structure,
-                algorithm=algo,
-                ell_max=None if constant else policy.ell_max,
-                replicas=replicas,
-            )
-            rng = np.random.default_rng(_AUDIT_SEED)
+    for algo in ("single", "two_channel", "constant_state"):
+        constant = algo == "constant_state"
+        kern = RoundKernel(
+            make_kernel("auto", structure, replicas=replicas),
+            algorithm=algo,
+            ell_max=None if constant else policy.ell_max,
+            replicas=replicas,
+        )
+        rng = np.random.default_rng(_AUDIT_SEED)
+        if constant:
+            init = rng.integers(0, 2, size=(replicas, n)).astype(bool)
+        else:
+            low = -6 if algo == "single" else 0
+            init = rng.integers(low, 7, size=(replicas, n)).astype(np.int32)
+        state = init.copy()
+
+        def step(
+            kern: Any = kern,
+            init: Any = init,
+            state: Any = state,
+            rng: Any = rng,
+            constant: bool = constant,
+        ) -> object:
+            np.copyto(state, init)
+            draws = PerRoundDraws([rng] * state.shape[0], state.shape[1])
             if constant:
-                init = rng.integers(0, 2, size=(replicas, n)).astype(bool)
+                _, executed = kern.run_constant(state, draws, 8)
             else:
-                low = -6 if algo == "single" else 0
-                init = rng.integers(
-                    low, 7, size=(replicas, n)
-                ).astype(np.int32)
-            state = init.copy()
+                _, executed = kern.run_block(state, draws, 8, 1)
+            return executed
 
-            def step(
-                kern: Any = kern,
-                init: Any = init,
-                state: Any = state,
-                rng: Any = rng,
-                constant: bool = constant,
-            ) -> object:
-                np.copyto(state, init)
-                draws = PerRoundDraws([rng] * state.shape[0], state.shape[1])
-                if constant:
-                    _, executed = kern.run_constant(state, draws, 8)
-                else:
-                    _, executed = kern.run_block(state, draws, 8, 1)
-                return executed
-
-            yield f"fused:{algo}×{backend}", step
+        yield f"fused:{algo}", step
 
 
 def _all_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:

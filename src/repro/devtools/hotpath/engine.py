@@ -3,10 +3,11 @@
 The RPR6xx engine tracks *values* and the RPR7xx engine tracks
 *resources*; this engine tracks **allocation frequency**.  It first
 infers the *hot region* — every function reachable, through the
-project call graph, from the per-round roots (``drive``,
-``EngineBase.until_stable``/``BatchedEngine.run``/``step``, the
-registered hear-kernel entry points, ``update_structure``, and the
-channel/scheduler/collector per-round methods) — and then checks each
+project call graph, from the per-round roots
+(``EngineBase.until_stable``/``BatchedEngine.run``/``step``, the fused
+round kernel's run loops and round bodies, the registered hear-kernel
+entry points, ``update_structure``, and the channel/scheduler/collector
+per-round methods) — and then checks each
 hot function against the round-frequency allocation contract
 (:mod:`.rules`).
 
@@ -15,7 +16,7 @@ Three scoping devices keep the region honest:
 * **setup escapes** — ``__init__``/``rebind``/``randomize_levels`` and
   friends are construction-time by contract; calls into them are never
   traversed, so buffers bound there are exactly the blessed ones;
-* **driver bodies** — ``run``/``until_stable``/``drive`` contain both
+* **driver bodies** — ``run``/``until_stable``/``run_block`` contain both
   the per-round loop *and* one-time prologue/epilogue work.  Their
   calls are traversed (the loop body is reached through them), but
   findings inside a driver are reported only for statements lexically
@@ -52,7 +53,7 @@ __all__ = ["HotpathAnalyzer"]
 #: flagged only inside ``for``/``while`` bodies (their prologue is
 #: one-time work).
 _DRIVER_NAMES = frozenset({
-    "run", "until_stable", "drive", "run_block", "run_constant",
+    "run", "until_stable", "run_block", "run_constant",
 })
 
 #: Construction/rebind-time methods: never traversed, never flagged —
@@ -65,7 +66,7 @@ _SETUP_NAMES = frozenset({
 })
 
 #: Module-level functions that are hot roots wherever they are defined.
-_ROOT_FUNCTIONS = frozenset({"drive", "update_structure"})
+_ROOT_FUNCTIONS = frozenset({"update_structure"})
 
 #: Allocator calls RPR801 recognizes (fully qualified numpy names):
 #: the fixed-shape constructors and whole-array copies — exactly the
@@ -209,8 +210,8 @@ class HotpathAnalyzer:
             })
         if cls_name == "StructureView":
             return frozenset({"hear", "hear_rows", "received", "received_rows"})
-        if cls_name.endswith("RoundKernel"):
-            # The fused tier owns the whole round: the run loops are
+        if cls_name == "RoundKernel":
+            # The fused kernel owns the whole round: the run loops are
             # drivers (loop bodies only), and the per-round step bodies
             # are roots of their own because the loops dispatch through
             # a local ``step = self._step_…`` binding the call-graph
@@ -218,9 +219,6 @@ class HotpathAnalyzer:
             return frozenset({
                 "run_block", "run_constant",
                 "_step_single", "_step_two", "_step_constant",
-                # Packed-backend overrides: static dispatch resolves the
-                # base-class bodies, so the overrides must root themselves.
-                "_hear_block", "_candidate_rows", "_unpack_words",
             })
         if cls_name.endswith("Kernel"):
             return frozenset({"hear", "hear_rows", "__call__"})

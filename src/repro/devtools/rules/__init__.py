@@ -110,11 +110,7 @@ class Rule:
 def _build_registry() -> Tuple[Rule, ...]:
     # Imported here (not at module top) so the rule modules can import
     # the base types from this package without a cycle.
-    from .contract import (
-        EngineContractRule,
-        GraphMutationRule,
-        RoundKernelRegistryRule,
-    )
+    from .contract import EngineContractRule, GraphMutationRule
     from .determinism import UnorderedSetIterationRule, WallClockRule
     from .numeric import FloatEqualityRule, SmallIntDtypeRule
     from .profiling import AdHocTimerRule
@@ -138,7 +134,6 @@ def _build_registry() -> Tuple[Rule, ...]:
         SmallIntDtypeRule(),
         EngineContractRule(),
         GraphMutationRule(),
-        RoundKernelRegistryRule(),
         AdHocTimerRule(),
     )
 

@@ -8,7 +8,6 @@ a failing class name and line number beat a failing golden test.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from . import FileContext, Rule, Violation
@@ -16,7 +15,6 @@ from . import FileContext, Rule, Violation
 __all__ = [
     "EngineContractRule",
     "GraphMutationRule",
-    "RoundKernelRegistryRule",
 ]
 
 
@@ -122,47 +120,3 @@ class GraphMutationRule(Rule):
                             "engine-local arrays instead",
                         )
 
-
-class RoundKernelRegistryRule(Rule):
-    """RPR403: round kernels are constructed through the registry only."""
-
-    rule_id = "RPR403"
-    title = "round kernel constructed outside the registry"
-    rationale = (
-        "get_round_kernel() is the one blessed construction point of the "
-        "fused-round tier: it resolves aliases, applies the numba "
-        "availability gate, and keeps every engine's fast path "
-        "byte-identical to the step loop it replaces.  An engine that "
-        "instantiates a Fused*RoundKernel directly (or open-codes a "
-        "second fused loop around one) forks the tier — the registry "
-        "gate, the differential oracles and the hot-path audit all stop "
-        "covering it."
-    )
-
-    #: Class names whose direct instantiation is reserved for the
-    #: registry: the abstract base and every fused backend.
-    _KERNEL_CLASS = re.compile(r"^(RoundKernel|Fused\w*RoundKernel)$")
-
-    #: The home package: the registry itself (and the kernel module it
-    #: lives in) obviously constructs the classes.
-    _HOME_PREFIX = "repro.core.kernels"
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Violation]:
-        if (
-            ctx.module == self._HOME_PREFIX
-            or ctx.module.startswith(self._HOME_PREFIX + ".")
-        ):
-            return
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = self.dotted_name(node.func).rsplit(".", 1)[-1]
-            if self._KERNEL_CLASS.match(callee):
-                yield ctx.violation(
-                    self,
-                    node,
-                    f"direct {callee}(...) construction; round kernels "
-                    "are built via get_round_kernel() so the registry "
-                    "gate (aliases, numba availability, byte-identity "
-                    "coverage) applies",
-                )

@@ -171,7 +171,6 @@ def _fixture_graphs() -> List[Tuple[str, Any]]:
 
 def check_engine_numerics() -> SanitizerResult:
     """Engines + batched sweep fixtures under errstate and frozen arrays."""
-    from ..core.engines.base import drive
     from ..core.engines.batched import BatchedEngine
     from ..core.engines.single import SingleChannelEngine
     from ..core.engines.two_channel import TwoChannelEngine
@@ -182,9 +181,11 @@ def check_engine_numerics() -> SanitizerResult:
             policy = max_degree_policy(graph)
             for engine_cls in (SingleChannelEngine, TwoChannelEngine):
                 engine = engine_cls(graph, policy, _AUDIT_SEED)
-                engine.randomize_levels()
                 with errstate_guard(), frozen_arrays(engine_shared_arrays(engine)):
-                    drive(engine, 10_000, 1, False)
+                    # Fused run, then the step loop (record_series).
+                    for record_series in (False, True):
+                        engine.randomize_levels()
+                        engine.until_stable(10_000, record_series=record_series)
             batched = BatchedEngine(graph, policy, replicas=3, seed=_AUDIT_SEED)
             batched.randomize_levels()
             with errstate_guard(), frozen_arrays(engine_shared_arrays(batched)):

@@ -25,9 +25,10 @@ the run loops then *reuse* the collector's verdict instead of evaluating
 legality twice, which is what keeps metrics-on overhead small (the two
 sparse matvecs per round are shared, not duplicated).
 
-Record convention (matches ``drive()`` / :class:`TraceRecorder`): a
-record describes a round that was actually *executed* — structure at the
-start of the round plus the beeps sent during it.  The final legal
+Record convention (matches ``EngineBase.until_stable`` /
+:class:`TraceRecorder`): a record describes a round that was actually
+*executed* — structure at the start of the round plus the beeps sent
+during it.  The final legal
 configuration terminates the run before stepping and is therefore not a
 record, so a run that stabilizes after ``r`` rounds yields records
 ``0 … r−1``.

@@ -114,3 +114,73 @@ def small_graph_zoo():
         ("ba25", generators.barabasi_albert(25, 2, seed=5)),
         ("bipartite", generators.complete_bipartite(3, 4)),
     ]
+
+
+# ----------------------------------------------------------------------
+# Hand-driven step loops: the reference the fused round kernel is
+# compared against.  Engines run every eligible stabilization through
+# the fused kernel, so the per-round ``step()`` path is driven here
+# directly, with the same legality cadence as the engines' run loops.
+# ----------------------------------------------------------------------
+def step_until_stable(engine, max_rounds, check_every=1):
+    """Drive a solo engine through ``step()`` until it is legal."""
+    from repro.core.engines import VectorizedResult
+
+    executed = 0
+    while True:
+        should_check = executed % check_every == 0 or executed >= max_rounds
+        if should_check and engine.is_legal():
+            return VectorizedResult(
+                True, executed, engine.mis_vertices(), engine.levels.copy()
+            )
+        if executed >= max_rounds:
+            return VectorizedResult(
+                False, executed, frozenset(), engine.levels.copy()
+            )
+        engine.step()
+        executed += 1
+
+
+def step_batched(engine, max_rounds, check_every=1):
+    """Drive a ``BatchedEngine`` through ``step()``, retiring legal rows."""
+    from repro.core.engines import VectorizedResult
+
+    results = [None] * engine.replicas
+    active = np.ones(engine.replicas, dtype=bool)
+    executed = 0
+    while active.any():
+        if executed % check_every == 0 or executed >= max_rounds:
+            legal = engine.legal_mask()
+            for r in np.flatnonzero(active & legal).tolist():
+                results[r] = VectorizedResult(
+                    True, executed, engine.mis_vertices(r),
+                    engine.levels[r].copy(),
+                )
+                active[r] = False
+        if executed >= max_rounds:
+            for r in np.flatnonzero(active).tolist():
+                results[r] = VectorizedResult(
+                    False, executed, frozenset(), engine.levels[r].copy()
+                )
+            break
+        if active.any():
+            engine.step(active)
+        executed += 1
+    return results
+
+
+def step_constant_state(engine, max_rounds):
+    """Drive a ``ConstantStateEngine`` through ``step()`` to an MIS."""
+    from repro.core.engines import VectorizedResult
+
+    executed = 0
+    while not engine.is_legal():
+        if executed >= max_rounds:
+            return VectorizedResult(
+                False, executed, frozenset(), engine.in_mis.astype(np.int64)
+            )
+        engine.step()
+        executed += 1
+    return VectorizedResult(
+        True, executed, engine.mis_vertices(), engine.in_mis.astype(np.int64)
+    )

@@ -269,30 +269,6 @@ def test_rpr402_passes_reads_and_local_state():
     assert not flagged(good, "RPR402")
 
 
-def test_rpr403_flags_direct_round_kernel_construction():
-    for bad in (
-        "kern = FusedPackedRoundKernel(structure, algorithm='single')\n",
-        "kern = FusedNumpyRoundKernel(structure)\n",
-        "kern = FusedNumbaRoundKernel(structure)\n",
-        "kern = RoundKernel(structure)\n",
-        "self._rk = round.FusedPackedRoundKernel(structure)\n",
-    ):
-        assert flagged(bad, "RPR403"), bad
-
-
-def test_rpr403_passes_registry_construction_and_home_package():
-    good = (
-        "kern = get_round_kernel('auto', structure, algorithm='single')\n"
-        "name = resolve_round_kernel_name('packed')\n"
-        "cls = FusedPackedRoundKernel\n"  # a reference, not a call
-        "ok = isinstance(kern, RoundKernel)\n"
-    )
-    assert not flagged(good, "RPR403")
-    # The registry's own module constructs the classes by design.
-    bad = "kern = FusedPackedRoundKernel(structure)\n"
-    assert not flagged(bad, "RPR403", module="repro.core.kernels.round")
-
-
 # ----------------------------------------------------------------------
 # RPR5xx — profiling discipline
 # ----------------------------------------------------------------------
@@ -410,7 +386,7 @@ def test_rule_catalogue_is_complete():
     assert set(ids) == {
         "RPR101", "RPR102", "RPR103", "RPR104", "RPR105",
         "RPR201", "RPR202", "RPR301", "RPR302",
-        "RPR401", "RPR402", "RPR403", "RPR501",
+        "RPR401", "RPR402", "RPR501",
     }
     for rule_id, title, rationale in rows:
         assert title and rationale, rule_id

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.instrumentation import Configuration
 from repro.core.knowledge import explicit_policy, max_degree_policy
 from repro.core.stability import legal_single, legal_two_channel, stable_sets_single
-from repro.core.vectorized import SingleChannelEngine, TwoChannelEngine
+from repro.core.engines import SingleChannelEngine, TwoChannelEngine
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 
@@ -140,7 +140,7 @@ class TestGoldenTrajectories:
 
     def test_stabilization_round_pin(self):
         graph = gen.erdos_renyi_mean_degree(64, 6.0, seed=5)
-        from repro.core.vectorized import simulate_single
+        from repro.core.engines import simulate_single
 
         policy = max_degree_policy(graph, c1=4)
         result = simulate_single(graph, policy, seed=2024, arbitrary_start=True)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.instrumentation import Configuration, PlatinumTracker
 from repro.core.knowledge import max_degree_policy
-from repro.core.vectorized import SingleChannelEngine
+from repro.core.engines import SingleChannelEngine
 from repro.graphs import generators as gen
 
 

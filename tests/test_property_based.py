@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.knowledge import explicit_policy
 from repro.core.levels import update_level, update_level_two_channel
-from repro.core.vectorized import (
+from repro.core.engines import (
     SingleChannelEngine,
     simulate_single,
     simulate_two_channel,

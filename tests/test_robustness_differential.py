@@ -19,6 +19,7 @@ three ways:
 import numpy as np
 import pytest
 
+from conftest import step_batched, step_constant_state, step_until_stable
 from repro.analysis.measurements import StabilizationRounds
 from repro.analysis.sweep import run_sweep
 from repro.core.engines import (
@@ -30,7 +31,11 @@ from repro.core.engines import (
 from repro.core.engines.constant_state import simulate_constant_state
 from repro.core.engines.base import MAX_EXPONENT
 from repro.core.kernels import structure_for
-from repro.core.runner import compute_mis, policy_for_variant
+from repro.core.runner import (
+    compute_mis,
+    default_round_budget,
+    policy_for_variant,
+)
 from repro.devtools.seeding import spawn_children
 from repro.graphs.generators import by_name
 from repro.obs import RunCollector, StructureView
@@ -287,12 +292,12 @@ def test_collector_does_not_perturb_stressed_runs():
 
 
 # ----------------------------------------------------------------------
-# Round-kernel ineligibility → silent step-loop fallback (byte identity)
+# Fused-kernel ineligibility → step loop (byte identity)
 # ----------------------------------------------------------------------
-# The fused-round tier engages only on the perfect channel + synchronous
-# scheduler with metrics off (docs/performance.md, eligibility matrix).
-# Every other combination must silently run the historical step loop:
-# passing ``round_kernel=`` there must not perturb a single byte.
+# The fused round kernel runs only on the perfect channel + synchronous
+# scheduler with metrics off (docs/performance.md, eligibility table).
+# Every other combination runs the step loop, and must match the same
+# engine driven by hand through ``step()`` byte for byte.
 _INELIGIBLE_STRESS = (
     {"channel": "lossy:0.05"},
     {"scheduler": "drift:0.1"},
@@ -302,96 +307,88 @@ _INELIGIBLE_STRESS = (
 
 @pytest.mark.parametrize("stress", _INELIGIBLE_STRESS)
 @pytest.mark.parametrize("variant", ("max_degree", "two_channel"))
-def test_round_kernel_silent_fallback_under_stress(variant, stress):
+def test_step_loop_fallback_under_stress(variant, stress):
     graph = _graph(40)
-    baseline = compute_mis(
+    policy = policy_for_variant(graph, variant)
+    default = compute_mis(
         graph, variant=variant, seed=19, arbitrary_start=True, **stress
     )
-    fused = compute_mis(
-        graph, variant=variant, seed=19, arbitrary_start=True,
-        round_kernel="fused_packed", **stress,
-    )
-    assert fused.rounds == baseline.rounds
-    assert fused.mis == baseline.mis
+    engine_cls = TwoChannelEngine if variant == "two_channel" else SingleChannelEngine
+    engine = engine_cls(graph, policy, seed=19, **stress)
+    engine.randomize_levels()
+    step = step_until_stable(engine, default_round_budget(graph, policy))
+    assert default.rounds == step.rounds
+    assert default.mis == step.mis
 
 
 @pytest.mark.parametrize("stress", _INELIGIBLE_STRESS)
-def test_round_kernel_silent_fallback_constant_state(stress):
+def test_step_loop_fallback_constant_state(stress):
     graph = _graph(40)
-    baseline = simulate_constant_state(
+    default = simulate_constant_state(
         graph, seed=19, arbitrary_start=True, **stress
     )
-    fused = simulate_constant_state(
-        graph, seed=19, arbitrary_start=True,
-        round_kernel="fused_packed", **stress,
-    )
-    assert fused.rounds == baseline.rounds
-    assert fused.mis == baseline.mis
-    np.testing.assert_array_equal(fused.final_levels, baseline.final_levels)
+    engine = ConstantStateEngine(graph, seed=19, **stress)
+    engine.randomize()
+    step = step_constant_state(engine, max_rounds=1_000_000)
+    assert default.rounds == step.rounds
+    assert default.mis == step.mis
+    np.testing.assert_array_equal(default.final_levels, step.final_levels)
 
 
 @pytest.mark.parametrize("stress", _INELIGIBLE_STRESS)
-def test_round_kernel_silent_fallback_batched(stress):
+def test_step_loop_fallback_batched(stress):
     graph = _graph(40)
     policy = policy_for_variant(graph, "max_degree")
-    runs = {}
-    for key, extra in (
-        ("baseline", {}),
-        ("fused", {"round_kernel": "fused_packed"}),
-    ):
-        engine = BatchedEngine(
-            graph, policy, replicas=3, seed=19, **stress, **extra
-        )
+    engines = []
+    for _ in range(2):
+        engine = BatchedEngine(graph, policy, replicas=3, seed=19, **stress)
         engine.randomize_levels()
-        runs[key] = engine.run(max_rounds=50_000)
-    assert [r.rounds for r in runs["fused"]] == [
-        r.rounds for r in runs["baseline"]
-    ]
-    for fused, baseline in zip(runs["fused"], runs["baseline"]):
-        np.testing.assert_array_equal(fused.final_levels, baseline.final_levels)
+        engines.append(engine)
+    default = engines[0].run(max_rounds=50_000)
+    assert engines[0]._fused is None
+    step = step_batched(engines[1], max_rounds=50_000)
+    assert [r.rounds for r in default] == [r.rounds for r in step]
+    for default_r, step_r in zip(default, step):
+        np.testing.assert_array_equal(default_r.final_levels, step_r.final_levels)
 
 
-def test_round_kernel_silent_fallback_with_collector():
+def test_step_loop_fallback_with_collector():
     # Metrics attached (a collector) is the third ineligibility axis —
     # even on the perfect defaults the step loop must run so every
     # per-round record is emitted, unperturbed.
     graph = _graph(40)
     policy = policy_for_variant(graph, "max_degree")
-    results, collectors = {}, {}
-    for key, extra in (
-        ("baseline", {}),
-        ("fused", {"round_kernel": "fused_packed"}),
-    ):
-        engine = SingleChannelEngine(graph, policy, seed=6, **extra)
-        engine.randomize_levels()
-        collector = RunCollector(StructureView.from_engine(engine))
-        results[key] = engine.until_stable(
-            max_rounds=50_000, collector=collector
-        )
-        collectors[key] = collector
-    assert results["fused"].rounds == results["baseline"].rounds
-    np.testing.assert_array_equal(
-        results["fused"].final_levels, results["baseline"].final_levels
-    )
-    assert len(collectors["fused"].records) == len(collectors["baseline"].records)
-    assert len(collectors["fused"].records) == results["fused"].rounds
+    engine = SingleChannelEngine(graph, policy, seed=6)
+    engine.randomize_levels()
+    collector = RunCollector(StructureView.from_engine(engine))
+    default = engine.until_stable(max_rounds=50_000, collector=collector)
+    assert engine._fused is None
+    twin = SingleChannelEngine(graph, policy, seed=6)
+    twin.randomize_levels()
+    step = step_until_stable(twin, max_rounds=50_000)
+    assert default.rounds == step.rounds
+    np.testing.assert_array_equal(default.final_levels, step.final_levels)
+    assert len(collector.records) == step.rounds
+    assert len(collector.records) == default.rounds
 
 
-def test_round_kernel_silent_fallback_with_record_series():
-    # record_series needs the per-round loop; the fused tier must bow out.
+def test_step_loop_fallback_with_record_series():
+    # record_series needs the per-round loop; the fused kernel bows out.
     graph = _graph(40)
     policy = policy_for_variant(graph, "max_degree")
-    results = {}
-    for key, extra in (
-        ("baseline", {}),
-        ("fused", {"round_kernel": "fused_packed"}),
-    ):
-        engine = SingleChannelEngine(graph, policy, seed=6, **extra)
-        engine.randomize_levels()
-        results[key] = engine.until_stable(max_rounds=50_000, record_series=True)
-    assert results["fused"].rounds == results["baseline"].rounds
-    assert results["fused"].beep_series == results["baseline"].beep_series
-    assert results["fused"].stable_series == results["baseline"].stable_series
+    engine = SingleChannelEngine(graph, policy, seed=6)
+    engine.randomize_levels()
+    default = engine.until_stable(max_rounds=50_000, record_series=True)
+    assert engine._fused is None
+    twin = SingleChannelEngine(graph, policy, seed=6)
+    twin.randomize_levels()
+    beep_series, stable_series = [], []
+    while not twin.is_legal():
+        stable_series.append(int(twin.stable_mask().sum()))
+        beep_series.append(int(twin.step().sum()))
+    assert default.rounds == len(beep_series)
+    assert default.beep_series == beep_series
+    assert default.stable_series == stable_series
 
 
 def test_perfect_channel_records_keep_historical_shape():

@@ -1,225 +1,259 @@
-"""Fused-round-kernel tier: registry, byte-identity, and fallbacks.
+"""The fused round kernel: byte-identity with the step loop, and fallbacks.
 
-The tier's contract (docs/performance.md, "Fused round tier"): opting
-in via ``round_kernel=`` is a pure performance knob — on every eligible
-configuration the fused loop reproduces the per-step loop *byte for
-byte*, including the position of every RNG stream afterwards, and on
-every ineligible configuration the engine silently runs the historical
-step loop.  These tests pin the registry surface, the identity on all
-three algorithms across both always-available backends, the numba
-gate, the batched draw-cursor fallback, and survival across a
-topology ``rebind``.
+The contract (docs/performance.md, "Fused round kernel"): every eligible
+run — perfect channel, synchronous scheduler, no collector, no
+per-round series, aligned batched draw cursors — goes through the
+:class:`~repro.core.kernels.RoundKernel`, and reproduces the per-step
+loop *byte for byte*, including where every RNG stream continues
+afterwards.  The reference here is the same engine driven by
+hand through ``step()`` (the helpers in ``conftest.py``).  These tests
+pin the identity on all three algorithms, solo and batched, the check
+cadence, survival across a topology ``rebind``, the batched
+draw-cursor fallback, and that the fused path hears through the
+engine's own hear kernel.
 """
 
 import numpy as np
 import pytest
 
+from conftest import step_batched, step_constant_state, step_until_stable
 from repro.core.engines.batched import BatchedEngine
-from repro.core.engines.constant_state import simulate_constant_state
+from repro.core.engines.constant_state import (
+    ConstantStateEngine,
+    simulate_constant_state,
+)
 from repro.core.engines.single import SingleChannelEngine
 from repro.core.engines.two_channel import TwoChannelEngine
-from repro.core.kernels import (
-    BlockDraws,
-    RoundKernelUnavailable,
-    available_round_kernels,
-    get_round_kernel,
-    resolve_round_kernel_name,
-    structure_for,
-)
-from repro.core.kernels.round import numba_available
+from repro.core.kernels import BlockDraws, structure_for
+from repro.core.kernels.hear import BitsetKernel, DenseBoolKernel, SparseInt32Kernel
 from repro.core.runner import compute_mis, policy_for_variant
 from repro.graphs.generators import by_name
 
-BACKENDS = ("fused_numpy", "fused_packed")
+SOLO = [(SingleChannelEngine, "max_degree"), (TwoChannelEngine, "two_channel")]
 
 
 def _graph(n=48, seed=0):
     return by_name("er", n, seed=seed)
 
 
-# ----------------------------------------------------------------------
-# Registry surface
-# ----------------------------------------------------------------------
-def test_auto_resolves_to_packed():
-    assert resolve_round_kernel_name("auto") == "fused_packed"
-
-
-@pytest.mark.parametrize(
-    "alias, canonical",
-    [("numpy", "fused_numpy"), ("packed", "fused_packed")],
-)
-def test_aliases_resolve(alias, canonical):
-    assert resolve_round_kernel_name(alias) == canonical
-    assert resolve_round_kernel_name(canonical) == canonical
-
-
-def test_unknown_name_lists_choices():
-    with pytest.raises(ValueError, match="auto"):
-        resolve_round_kernel_name("fused_simd")
-
-
-def test_always_available_backends_listed():
-    names = available_round_kernels()
-    assert "fused_numpy" in names
-    assert "fused_packed" in names
-
-
-def test_numba_backend_is_registry_gated():
-    if numba_available():  # pragma: no cover - numba not in CI image
-        structure = structure_for(_graph())
-        kern = get_round_kernel(
-            "fused_numba", structure, algorithm="single", ell_max=6
-        )
-        assert kern is not None
-        return
-    # Without numba the name is hidden from the availability listing and
-    # construction fails with the dedicated, catchable error.
-    assert "fused_numba" not in available_round_kernels()
-    with pytest.raises(RoundKernelUnavailable, match="numba"):
-        get_round_kernel(
-            "fused_numba", structure_for(_graph()), algorithm="single", ell_max=6
-        )
-
-
-def test_reference_engine_rejects_round_kernel():
-    with pytest.raises(ValueError, match="round-kernel"):
-        compute_mis(
-            _graph(12), engine="reference", seed=0, round_kernel="fused_packed"
-        )
-
-
-# ----------------------------------------------------------------------
-# Byte-identity on eligible configurations (incl. RNG stream position)
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize(
-    "engine_cls, variant",
-    [(SingleChannelEngine, "max_degree"), (TwoChannelEngine, "two_channel")],
-)
-def test_solo_fused_run_is_byte_identical(engine_cls, variant, backend):
-    graph = _graph()
-    policy = policy_for_variant(graph, variant)
-    results = {}
-    engines = {}
-    for key, extra in (("step", {}), ("fused", {"round_kernel": backend})):
-        engine = engine_cls(graph, policy, seed=13, **extra)
-        engine.randomize_levels()
-        engines[key] = engine
-        results[key] = engine.until_stable(max_rounds=50_000)
-    assert results["fused"].rounds == results["step"].rounds
-    assert results["fused"].mis == results["step"].mis
-    assert results["fused"].final_levels.dtype == np.int64
-    np.testing.assert_array_equal(
-        results["fused"].final_levels, results["step"].final_levels
-    )
-    np.testing.assert_array_equal(
-        engines["fused"].levels, engines["step"].levels
-    )
-    # Stream-position identity: the fused run consumed exactly the
-    # draws the step loop would have, so the generators now agree.
-    np.testing.assert_array_equal(
-        engines["fused"].rng.random(4), engines["step"].rng.random(4)
-    )
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("check_every", (1, 7))
-def test_solo_fused_honors_check_cadence(backend, check_every):
-    graph = _graph(40, seed=3)
-    policy = policy_for_variant(graph, "max_degree")
-    results = {}
-    for key, extra in (("step", {}), ("fused", {"round_kernel": backend})):
-        engine = SingleChannelEngine(graph, policy, seed=5, **extra)
-        engine.randomize_levels()
-        results[key] = engine.until_stable(
-            max_rounds=50_000, check_every=check_every
-        )
-    assert results["fused"].rounds == results["step"].rounds
-    assert results["fused"].mis == results["step"].mis
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_constant_state_fused_run_is_byte_identical(backend):
-    graph = _graph()
-    step = simulate_constant_state(graph, seed=8, arbitrary_start=True)
-    fused = simulate_constant_state(
-        graph, seed=8, arbitrary_start=True, round_kernel=backend
-    )
+def _assert_same(fused, step):
+    assert fused.stabilized == step.stabilized
     assert fused.rounds == step.rounds
     assert fused.mis == step.mis
     np.testing.assert_array_equal(fused.final_levels, step.final_levels)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
-def test_batched_fused_run_is_byte_identical(backend, algorithm):
-    graph = _graph(40, seed=2)
-    variant = "two_channel" if algorithm == "two_channel" else "max_degree"
+# ----------------------------------------------------------------------
+# Solo engines (incl. RNG stream position)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine_cls, variant", SOLO)
+def test_solo_fused_run_is_byte_identical(engine_cls, variant):
+    graph = _graph()
     policy = policy_for_variant(graph, variant)
-    runs = {}
-    for key, extra in (("step", {}), ("fused", {"round_kernel": backend})):
-        engine = BatchedEngine(
-            graph, policy, replicas=5, seed=17, algorithm=algorithm, **extra
-        )
-        engine.randomize_levels()
-        runs[key] = engine.run(max_rounds=50_000)
-    assert [r.rounds for r in runs["fused"]] == [r.rounds for r in runs["step"]]
-    for fused, step in zip(runs["fused"], runs["step"]):
-        assert fused.mis == step.mis
-        np.testing.assert_array_equal(fused.final_levels, step.final_levels)
+    fused_engine = engine_cls(graph, policy, seed=13)
+    step_engine = engine_cls(graph, policy, seed=13)
+    fused_engine.randomize_levels()
+    step_engine.randomize_levels()
+    fused = fused_engine.until_stable(max_rounds=50_000)
+    step = step_until_stable(step_engine, max_rounds=50_000)
+    assert fused_engine._fused is not None  # the fused kernel ran
+    _assert_same(fused, step)
+    assert fused.final_levels.dtype == np.int64
+    np.testing.assert_array_equal(fused_engine.levels, step_engine.levels)
+    assert fused_engine.round_index == step_engine.round_index
+    # Stream-position identity: the fused run consumed exactly the
+    # draws the step loop did, so the generators now agree.
+    np.testing.assert_array_equal(
+        fused_engine.rng.random(4), step_engine.rng.random(4)
+    )
+
+
+@pytest.mark.parametrize("check_every", (1, 7))
+def test_solo_fused_honors_check_cadence(check_every):
+    graph = _graph(40, seed=3)
+    policy = policy_for_variant(graph, "max_degree")
+    fused_engine = SingleChannelEngine(graph, policy, seed=5)
+    step_engine = SingleChannelEngine(graph, policy, seed=5)
+    fused_engine.randomize_levels()
+    step_engine.randomize_levels()
+    fused = fused_engine.until_stable(max_rounds=50_000, check_every=check_every)
+    step = step_until_stable(step_engine, 50_000, check_every=check_every)
+    _assert_same(fused, step)
+
+
+@pytest.mark.parametrize("engine_cls, variant", SOLO)
+def test_solo_fused_budget_exhaustion_matches(engine_cls, variant):
+    graph = _graph()
+    policy = policy_for_variant(graph, variant)
+    fused_engine = engine_cls(graph, policy, seed=2)
+    step_engine = engine_cls(graph, policy, seed=2)
+    fused_engine.randomize_levels()
+    step_engine.randomize_levels()
+    fused = fused_engine.until_stable(max_rounds=3)
+    step = step_until_stable(step_engine, max_rounds=3)
+    assert not fused.stabilized
+    _assert_same(fused, step)
 
 
 def test_solo_fused_matches_via_compute_mis():
+    # The default vectorized backend (fused) against the reference
+    # engine, the semantic oracle, at the same integer seed.
     graph = _graph()
     for variant in ("max_degree", "own_degree", "two_channel"):
-        default = compute_mis(graph, variant=variant, seed=23, arbitrary_start=True)
-        fused = compute_mis(
+        fused = compute_mis(graph, variant=variant, seed=23, arbitrary_start=True)
+        oracle = compute_mis(
             graph, variant=variant, seed=23, arbitrary_start=True,
-            round_kernel="auto",
+            engine="reference",
         )
-        assert fused.rounds == default.rounds
-        assert fused.mis == default.mis
+        assert fused.rounds == oracle.rounds
+        assert fused.mis == oracle.mis
 
 
 # ----------------------------------------------------------------------
-# Batched draw-cursor fallback and topology rebind
+# Constant-state baseline
 # ----------------------------------------------------------------------
+def test_constant_state_fused_run_is_byte_identical():
+    graph = _graph()
+    fused = simulate_constant_state(graph, seed=8, arbitrary_start=True)
+    engine = ConstantStateEngine(graph, seed=8)
+    engine.randomize()
+    step = step_constant_state(engine, max_rounds=1_000_000)
+    _assert_same(fused, step)
+
+
+# ----------------------------------------------------------------------
+# Batched engine
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("check_every", (1, 5))
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+def test_batched_fused_run_is_byte_identical(algorithm, check_every):
+    graph = _graph(40, seed=2)
+    variant = "two_channel" if algorithm == "two_channel" else "max_degree"
+    policy = policy_for_variant(graph, variant)
+    engines = [
+        BatchedEngine(graph, policy, replicas=5, seed=17, algorithm=algorithm)
+        for _ in range(2)
+    ]
+    for engine in engines:
+        engine.randomize_levels()
+    fused = engines[0].run(max_rounds=50_000, check_every=check_every)
+    step = step_batched(engines[1], 50_000, check_every=check_every)
+    assert engines[0]._fused is not None
+    assert len(fused) == len(step)
+    for fused_r, step_r in zip(fused, step):
+        _assert_same(fused_r, step_r)
+
+
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+def test_batched_fused_run_leaves_streams_where_the_step_loop_does(algorithm):
+    # Each replica's unserved pre-drawn uniforms go back to the engine,
+    # so a second run (here after a fixed-n rebind) continues every
+    # stream exactly where the step loop would have left it.
+    graph = _graph(60, seed=1)
+    patched = _graph(60, seed=8)
+    variant = "two_channel" if algorithm == "two_channel" else "max_degree"
+    policy = policy_for_variant(graph, variant)
+    engines = [
+        BatchedEngine(graph, policy, replicas=4, seed=3, algorithm=algorithm)
+        for _ in range(2)
+    ]
+    for engine in engines:
+        engine.randomize_levels()
+    engines[0].run(max_rounds=50_000)
+    step_batched(engines[1], max_rounds=50_000)
+    start = np.ones((4, graph.num_vertices), dtype=np.int64)
+    for engine in engines:
+        engine.rebind(structure_for(patched))
+        engine.set_levels(start)
+    again = engines[0].run(max_rounds=50_000)
+    step = step_batched(engines[1], max_rounds=50_000)
+    for again_r, step_r in zip(again, step):
+        _assert_same(again_r, step_r)
+
+
 def test_batched_misaligned_cursors_fall_back_byte_identically():
     graph = _graph(36, seed=4)
     policy = policy_for_variant(graph, "max_degree")
-    engines = {}
-    for key, extra in (("step", {}), ("fused", {"round_kernel": "fused_packed"})):
-        engine = BatchedEngine(graph, policy, replicas=4, seed=9, **extra)
+    engines = []
+    for _ in range(2):
+        engine = BatchedEngine(graph, policy, replicas=4, seed=9)
         engine.randomize_levels()
         # Step replicas 1..3 a few rounds while replica 0 sits out: its
         # pre-draw cursor stops advancing, so the block cursors diverge.
         active = np.array([False, True, True, True])
-        active_idx = np.nonzero(active)[0]
         for _ in range(3):
-            engine.step(active, active_idx=active_idx)
-        engines[key] = engine
-    fused = engines["fused"]
-    draws = BlockDraws(fused._blocks, fused._cursor, fused._draw_fns)
+            engine.step(active)
+        engines.append(engine)
+    default = engines[0]
+    draws = BlockDraws(default._blocks, default._cursor, default._draw_fns)
     assert not draws.aligned()  # the fused precondition really is violated
-    runs = {key: engine.run(max_rounds=50_000) for key, engine in engines.items()}
-    assert [r.rounds for r in runs["fused"]] == [r.rounds for r in runs["step"]]
-    for fused_r, step_r in zip(runs["fused"], runs["step"]):
-        np.testing.assert_array_equal(fused_r.final_levels, step_r.final_levels)
+    result = default.run(max_rounds=50_000)
+    assert default._fused is None  # the step loop ran
+    step = step_batched(engines[1], max_rounds=50_000)
+    for default_r, step_r in zip(result, step):
+        _assert_same(default_r, step_r)
+
+
+# ----------------------------------------------------------------------
+# Topology rebind: the kernel is re-targeted, not rebuilt
+# ----------------------------------------------------------------------
+def _rebind_twins(patched, new_policy=None):
+    graph = _graph(44, seed=6)
+    policy = policy_for_variant(graph, "max_degree")
+    fused_engine = SingleChannelEngine(graph, policy, seed=31)
+    step_engine = SingleChannelEngine(graph, policy, seed=31)
+    for engine in (fused_engine, step_engine):
+        engine.randomize_levels()
+    fused_engine.until_stable(max_rounds=50_000)
+    step_until_stable(step_engine, max_rounds=50_000)
+    kernel = fused_engine._fused
+    fused_engine.rebind(structure_for(patched), new_policy)
+    step_engine.rebind(structure_for(patched), new_policy)
+    assert fused_engine._fused is kernel
+    assert kernel.n == patched.num_vertices
+    fused = fused_engine.until_stable(max_rounds=50_000)
+    step = step_until_stable(step_engine, max_rounds=50_000)
+    _assert_same(fused, step)
 
 
 def test_solo_fused_survives_rebind():
-    graph = _graph(44, seed=6)
-    patched = _graph(44, seed=7)
+    _rebind_twins(_graph(44, seed=7))
+
+
+def test_solo_fused_survives_rebind_that_grows_the_id_space():
+    patched = _graph(52, seed=7)
+    _rebind_twins(patched, policy_for_variant(patched, "max_degree"))
+
+
+# ----------------------------------------------------------------------
+# The fused path hears through the engine's own hear kernel
+# ----------------------------------------------------------------------
+def _count_hear_calls(monkeypatch):
+    calls = {}
+    for cls in (SparseInt32Kernel, DenseBoolKernel, BitsetKernel):
+        for method in ("hear", "hear_rows"):
+            original = getattr(cls, method)
+
+            def counted(self, *args, _orig=original, _name=cls.name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _orig(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", ("sparse_int32", "dense_bool", "bitset"))
+def test_fused_run_uses_the_engines_hear_kernel(monkeypatch, kernel):
+    graph = _graph(48, seed=1)
     policy = policy_for_variant(graph, "max_degree")
-    results = {}
-    for key, extra in (("step", {}), ("fused", {"round_kernel": "fused_packed"})):
-        engine = SingleChannelEngine(graph, policy, seed=31, **extra)
+    solo = SingleChannelEngine(graph, policy, seed=3, kernel=kernel)
+    batched = BatchedEngine(graph, policy, replicas=4, seed=3, kernel=kernel)
+    for engine in (solo, batched):
         engine.randomize_levels()
-        engine.until_stable(max_rounds=50_000)
-        engine.rebind(structure_for(patched))
-        results[key] = engine.until_stable(max_rounds=50_000)
-    assert results["fused"].rounds == results["step"].rounds
-    assert results["fused"].mis == results["step"].mis
-    np.testing.assert_array_equal(
-        results["fused"].final_levels, results["step"].final_levels
-    )
+    calls = _count_hear_calls(monkeypatch)
+    solo.until_stable(max_rounds=50_000)
+    batched.run(max_rounds=50_000)
+    assert solo._fused._hear is solo.kernel
+    assert batched._fused._hear is batched.kernel
+    assert set(calls) == {kernel}
+    assert calls[kernel] > 0

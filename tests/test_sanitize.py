@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.engines.base import drive
 from repro.core.engines.single import SingleChannelEngine
 from repro.core.knowledge import max_degree_policy
 from repro.devtools.sanitize import (
@@ -76,7 +75,7 @@ def test_engine_runs_clean_under_both_traps():
     engine = make_engine()
     engine.randomize_levels()
     with errstate_guard(), frozen_arrays(engine_shared_arrays(engine)):
-        result = drive(engine, 10_000, 1, False)
+        result = engine.until_stable(10_000)
     assert result.stabilized
 
 

@@ -10,7 +10,7 @@ from repro.core.stability import (
     stable_sets_single,
     stable_sets_two_channel,
 )
-from repro.core.vectorized import SingleChannelEngine, TwoChannelEngine
+from repro.core.engines import SingleChannelEngine, TwoChannelEngine
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 

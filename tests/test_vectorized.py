@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.knowledge import max_degree_policy, uniform_policy
-from repro.core.vectorized import (
+from repro.core.engines import (
     SingleChannelEngine,
     TwoChannelEngine,
     simulate_single,
@@ -97,14 +97,14 @@ class TestTwoChannelEngine:
 
 class TestConstantStateEngine:
     def test_membership_shape_validated(self, path4):
-        from repro.core.vectorized import ConstantStateEngine
+        from repro.core.engines import ConstantStateEngine
 
         engine = ConstantStateEngine(path4)
         with pytest.raises(ValueError):
             engine.set_membership(np.array([True, False]))
 
     def test_legality_is_mis_predicate(self, path4):
-        from repro.core.vectorized import ConstantStateEngine
+        from repro.core.engines import ConstantStateEngine
 
         engine = ConstantStateEngine(path4)
         engine.set_membership(np.array([True, False, True, False]))
@@ -115,7 +115,7 @@ class TestConstantStateEngine:
         assert not engine.is_legal()
 
     def test_legal_configuration_absorbing(self, er_graph):
-        from repro.core.vectorized import ConstantStateEngine
+        from repro.core.engines import ConstantStateEngine
         from repro.graphs.mis import greedy_mis
 
         engine = ConstantStateEngine(er_graph, seed=1)
@@ -129,7 +129,7 @@ class TestConstantStateEngine:
         assert (engine.in_mis == before).all()
 
     def test_simulation_produces_valid_mis(self):
-        from repro.core.vectorized import simulate_constant_state
+        from repro.core.engines import simulate_constant_state
 
         graph = gen.cycle(40)
         result = simulate_constant_state(graph, seed=2, arbitrary_start=True)
@@ -137,7 +137,7 @@ class TestConstantStateEngine:
         assert check_mis(graph, result.mis) is None
 
     def test_budget_exhaustion_reported(self, er_graph):
-        from repro.core.vectorized import simulate_constant_state
+        from repro.core.engines import simulate_constant_state
 
         result = simulate_constant_state(er_graph, seed=3, max_rounds=0)
         # Fresh start (all IN) on a graph with edges is not an MIS.
