@@ -9,14 +9,21 @@ contract — are mechanically detectable, and this package detects them:
 
 * :mod:`~repro.devtools.seeding` — the single blessed seed-coercion
   helper (:func:`resolve_rng`) shared by every subsystem.
-* :mod:`~repro.devtools.lint` + :mod:`~repro.devtools.rules` — a custom
-  AST linter with repo-specific rules (RNG discipline, determinism,
-  numeric safety, engine-contract conformance).  Rule catalogue:
+* :mod:`~repro.devtools.pipeline` — one static-analysis pass: every
+  file parsed once, the per-line rules of :mod:`~repro.devtools.rules`
+  (RNG discipline, determinism, numeric safety, profiling discipline)
+  in one walk per module, and the :mod:`~repro.devtools.dataflow`,
+  :mod:`~repro.devtools.concurrency` and :mod:`~repro.devtools.hotpath`
+  families on one interprocedural driver.  Rule catalogue:
   ``docs/linting.md``.
 * :mod:`~repro.devtools.contract` — the *runtime* engine-contract
-  checker behind lint rule RPR401 and the registry regression tests.
+  checker (``EngineBase`` surface, Graph immutability) behind
+  ``repro check`` and the registry regression tests.
+* :mod:`~repro.devtools.sanitize` — the runtime sanitizers behind
+  ``repro check --sanitize``.
 * :mod:`~repro.devtools.check` — the ``repro check`` CI gate: ruff +
-  mypy + the custom linter, with human and JSON output.
+  mypy + the static pass + the contract sweep, with human and JSON
+  output.
 """
 
 from typing import Any
@@ -38,10 +45,10 @@ __all__ = [
 
 #: Lazily re-exported names: ``contract`` imports ``repro.core.engines``,
 #: which itself imports :mod:`repro.devtools.seeding` — an eager import
-#: here would cycle.  ``lint`` rides along for symmetry.
+#: here would cycle.  ``rules`` rides along for symmetry.
 _LAZY = {
-    "lint_paths": ("repro.devtools.lint", "lint_paths"),
-    "LintReport": ("repro.devtools.lint", "LintReport"),
+    "lint_paths": ("repro.devtools.rules", "lint_paths"),
+    "LintReport": ("repro.devtools.rules", "LintReport"),
     "verify_engine_class": ("repro.devtools.contract", "verify_engine_class"),
     "verify_backend": ("repro.devtools.contract", "verify_backend"),
     "verify_registry": ("repro.devtools.contract", "verify_registry"),

@@ -3,52 +3,41 @@
 Covers: the fixture corpus (one flagging and one clean file per rule,
 with the RPR801 helper chain split across a module boundary and a two-hop
 interprocedural flag case), hot-region scoping (setup escapes, driver
-loop bodies, ``# repro: cold``), escape analysis, pragma handling at
-both granularities, baseline round-trips, SARIF output, the ``repro
-check`` integration, catalogue/docs sync, the wall-time budget on the
-real tree, and the runtime steady-state allocation audit (tiny combo
-unconditionally, the full grid under ``REPRO_SANITIZE=1``).
+loop bodies, ``# repro: cold``), escape analysis, the runtime
+steady-state allocation audit (tiny combo unconditionally, the full grid
+under ``REPRO_SANITIZE=1``), and — through the shared
+:mod:`analysis_cases` checks — pragma handling at both granularities,
+baseline round-trips, SARIF output, the ``repro check`` integration,
+catalogue/docs sync, and the wall-time budget on the real tree.
 """
 
 import importlib.util
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.dataflow.baseline import (
-    apply_baseline,
-    load_baseline,
-    save_baseline,
-)
-from repro.devtools.dataflow.sarif import to_sarif
-from repro.devtools.hotpath import (
-    HOTPATH_RULES,
-    analyze_paths,
-    analyze_sources,
-    hotpath_catalogue,
-)
+import analysis_cases as cases
+from repro.devtools.hotpath import analyze_paths, analyze_sources
 from repro.devtools.hotpath.audit import (
     DEFAULT_THRESHOLD_BYTES,
     allocation_summary,
     run_allocation_audit,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
-FIXTURES = REPO_ROOT / "tests" / "dataflow_fixtures"
+REPO_ROOT = cases.REPO_ROOT
 
-ALL_RULE_IDS = ("RPR801", "RPR802", "RPR803", "RPR804", "RPR805")
+
+CASE = cases.HOTPATH
+ALL_RULE_IDS = CASE.rule_ids
 
 _SANITIZE = bool(os.environ.get("REPRO_SANITIZE"))
 
 
 @pytest.fixture(scope="module")
 def corpus_report():
-    return analyze_paths([str(FIXTURES)], root=REPO_ROOT)
+    return analyze_paths([str(cases.FIXTURES)], root=REPO_ROOT)
 
 
 def rules_in(report, path_fragment):
@@ -237,182 +226,22 @@ def test_rpr805_flags_the_profile_decorator():
 
 
 # ----------------------------------------------------------------------
-# Pragmas
+# Shared infrastructure checks (tests/analysis_cases.py)
 # ----------------------------------------------------------------------
-def test_line_pragma_suppresses_a_hotpath_finding():
-    report = analyze_sources({
-        "m": (
-            "import numpy as np\n"
-            "class ToyEngine:\n"
-            "    def step(self):\n"
-            "        tmp = np.zeros(8)  # repro: allow[RPR801]\n"
-            "        tmp += 1\n"
-            "        return None\n"
-        )
-    })
-    assert report.violations == []
-
-
-def test_file_pragma_is_rule_specific():
-    report = analyze_sources({
-        "m": (
-            "# repro: allow-file[RPR801]\n"
-            "import numpy as np\n"
-            "class ToyEngine:\n"
-            "    def step(self):\n"
-            "        tmp = np.zeros(8)\n"
-            "        tmp += 1\n"
-            "        cast = self.levels.astype(np.float64)\n"
-            "        return float(cast[0])\n"
-        )
-    })
-    assert [v.rule for v in report.violations] == ["RPR802"]
-
-
-# ----------------------------------------------------------------------
-# Baseline round-trip (shared plumbing with the dataflow analyzer)
-# ----------------------------------------------------------------------
-def test_baseline_round_trip_suppresses_known_findings(tmp_path, corpus_report):
-    baseline_path = tmp_path / "baseline.json"
-    save_baseline(baseline_path, corpus_report.violations)
-    fingerprints = load_baseline(baseline_path)
-    assert apply_baseline(corpus_report.violations, fingerprints) == []
-    fresh = analyze_sources({
-        "other": (
-            "import numpy as np\n"
-            "class NewEngine:\n"
-            "    def step(self):\n"
-            "        tmp = np.zeros(8)\n"
-            "        tmp += 1\n"
-            "        return None\n"
-        )
-    }).violations
-    assert apply_baseline(fresh, fingerprints) == fresh
-
-
-# ----------------------------------------------------------------------
-# SARIF
-# ----------------------------------------------------------------------
-def test_sarif_includes_the_hotpath_catalogue(corpus_report):
-    log = to_sarif([v.to_json() for v in corpus_report.violations])
-    [run] = log["runs"]
-    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert set(ALL_RULE_IDS) <= rule_ids
-    assert len(run["results"]) == len(corpus_report.violations)
-    for result in run["results"]:
-        assert result["ruleIndex"] >= 0  # every RPR8xx is catalogued
-
-
-# ----------------------------------------------------------------------
-# Catalogue / docs sync
-# ----------------------------------------------------------------------
-def test_hotpath_catalogue_is_complete():
-    rows = hotpath_catalogue()
-    ids = [rule_id for rule_id, _, _ in rows]
-    assert ids == sorted(ids)
-    assert tuple(ids) == ALL_RULE_IDS
-    for rule_id, title, rationale in rows:
-        assert title and rationale, rule_id
-    assert len(HOTPATH_RULES) == len(ALL_RULE_IDS)
-
-
-def test_docs_cover_every_hotpath_rule():
-    docs = (REPO_ROOT / "docs" / "linting.md").read_text(encoding="utf-8")
-    for rule_id, title, _ in hotpath_catalogue():
-        assert rule_id in docs, f"{rule_id} missing from docs/linting.md"
-        assert title in docs, f"title of {rule_id} missing from docs/linting.md"
-    assert "allocation audit" in docs
-    perf = (REPO_ROOT / "docs" / "performance.md").read_text(encoding="utf-8")
-    assert "hot-path contract" in perf
-    assert "RPR801" in perf
-
-
-# ----------------------------------------------------------------------
-# The real tree and the repro check integration
-# ----------------------------------------------------------------------
-def test_real_source_tree_is_hotpath_clean():
-    report = analyze_paths([str(SRC / "repro")], root=REPO_ROOT)
-    assert report.errors == []
-    assert report.violations == [], "\n".join(
-        v.format() for v in report.violations
-    )
-
-
-def test_analyzer_wall_time_budget():
-    import time
-
-    start = time.perf_counter()
-    analyze_paths([str(SRC / "repro")], root=REPO_ROOT)
-    assert time.perf_counter() - start < 10.0
-
-
-def test_check_json_payload_reports_hotpath_timing():
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "check", "--no-external",
-         "--no-contract", "--format", "json"],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["ok"] is True
-    [hot] = [t for t in payload["tools"] if t["name"] == "repro-hotpath"]
-    assert hot["status"] == "passed"
-    assert hot["data"]["elapsed_s"] < 10.0
-    assert hot["data"]["modules"] > 50
-
-
-def test_check_flags_baselines_and_exports_a_seeded_allocation(tmp_path):
-    bad = tmp_path / "pkg"
-    bad.mkdir()
-    (bad / "churn.py").write_text(
-        "import numpy as np\n"
-        "class LeakyEngine:\n"
-        "    def step(self):\n"
-        "        tmp = np.zeros(8)\n"
-        "        tmp += 1\n"
-        "        return None\n",
-        encoding="utf-8",
-    )
-    sarif_path = tmp_path / "out.sarif"
-
-    def check(*extra):
-        return subprocess.run(
-            [sys.executable, "-m", "repro", "check", str(bad),
-             "--no-external", "--no-contract", "--format", "json", *extra],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-        )
-
-    proc = check("--sarif", str(sarif_path))
-    assert proc.returncode == 1
-    payload = json.loads(proc.stdout)
-    [hot] = [t for t in payload["tools"] if t["name"] == "repro-hotpath"]
-    [violation] = hot["violations"]
-    assert violation["rule"] == "RPR801"
-    sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
-    assert [r["ruleId"] for r in sarif["runs"][0]["results"]] == ["RPR801"]
-
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(
-        json.dumps({
-            "version": 1,
-            "suppressions": [{
-                "rule": violation["rule"],
-                "path": violation["path"],
-                "symbol": violation["symbol"],
-            }],
-        }),
-        encoding="utf-8",
-    )
-    proc = check("--baseline", str(baseline_path))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    [hot] = [t for t in payload["tools"] if t["name"] == "repro-hotpath"]
-    assert hot["violations"] == []
-    assert hot["data"]["suppressed_by_baseline"] == 1
+test_line_pragma_suppresses_a_hotpath_finding = cases.line_pragma_suppresses(CASE)
+test_file_pragma_is_rule_specific = cases.file_pragma_is_rule_specific(CASE)
+test_baseline_round_trip_suppresses_known_findings = cases.baseline_round_trip(CASE)
+test_sarif_includes_the_hotpath_catalogue = cases.sarif_includes_the_catalogue(CASE)
+test_hotpath_catalogue_is_complete = cases.catalogue_is_complete(CASE)
+test_docs_cover_every_hotpath_rule = cases.docs_cover_every_rule(
+    CASE, linting=("allocation audit",), performance=("hot-path contract", "RPR801")
+)
+test_real_source_tree_is_hotpath_clean = cases.real_source_tree_is_clean(CASE)
+test_analyzer_wall_time_budget = cases.wall_time_budget(CASE)
+test_check_json_payload_reports_hotpath_timing = cases.check_json_reports_timing(CASE)
+test_check_flags_baselines_and_exports_a_seeded_allocation = (
+    cases.check_flags_baselines_and_exports(CASE)
+)
 
 
 # ----------------------------------------------------------------------

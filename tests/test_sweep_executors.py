@@ -158,6 +158,38 @@ def test_invalid_jobs_and_repetitions():
 
 
 # ----------------------------------------------------------------------
+# Unpicklable measurements fail loudly at submit
+# ----------------------------------------------------------------------
+def test_unpicklable_measurement_fails_at_submit_and_shuts_the_pool_down(
+    monkeypatch,
+):
+    """A lambda handed to the process executor raises PicklingError
+    instead of hanging, and the owned pool is shut down afterwards."""
+    import pickle
+
+    import repro.analysis.sweep as sweep_module
+
+    pools = []
+
+    class RecordingPool(sweep_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", RecordingPool)
+    # Pickling a local object raises AttributeError before Python 3.14
+    # and PicklingError from 3.14 on.
+    with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+        run_sweep(
+            [{"n": 4}], lambda config, rng: 0.0,
+            repetitions=4, jobs=2, executor="process",
+        )
+    [pool] = pools
+    with pytest.raises(RuntimeError, match="shutdown"):
+        pool.submit(int)
+
+
+# ----------------------------------------------------------------------
 # Worker-crash recovery (satellite: the runtime twin of RPR704)
 # ----------------------------------------------------------------------
 def _crash_on_flag(config, rng):
