@@ -105,6 +105,37 @@ def test_engine_classes_satisfy_the_class_contract():
     assert any("step" in p for p in verify_engine_class(Broken))
 
 
+def test_verify_engine_class_rejects_a_seedless_constructor():
+    from repro.core.engines.base import EngineBase
+    from repro.devtools.contract import verify_engine_class
+
+    class Seedless(EngineBase):
+        def __init__(self, graph):
+            pass
+
+        def step(self):
+            pass
+
+    assert any("'seed'" in p for p in verify_engine_class(Seedless))
+
+
+def test_every_engine_base_subclass_satisfies_the_class_contract():
+    """Every EngineBase subclass the package defines, not a fixed list."""
+    import repro.core.engines  # noqa: F401 - imports every engine module
+    from repro.core.engines.base import EngineBase
+    from repro.devtools.contract import verify_engine_class
+
+    checked = []
+    pending = list(EngineBase.__subclasses__())
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if cls.__module__.startswith("repro."):
+            assert verify_engine_class(cls) == [], cls
+            checked.append(cls.__name__)
+    assert {"SingleChannelEngine", "TwoChannelEngine"} <= set(checked)
+
+
 def test_verify_backend_rejects_graph_mutators():
     from repro.core.engines.registry import EngineBackend
     from repro.devtools.contract import verify_backend
