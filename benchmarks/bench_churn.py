@@ -20,7 +20,9 @@ rounds-to-restabilize (the engine trajectory does not depend on how the
 structure was produced), with the incremental mode several times faster
 per single-edge delta — the restabilization itself is cheap (a local
 change usually leaves the configuration legal), so structure
-invalidation dominates the op latency.
+invalidation dominates the op latency.  QUERY_MIS reads the MIS the
+last re-stabilization built, so its p50 must stay below ADD_EDGE's in
+incremental mode (asserted, also under ``--smoke``).
 
 The historical fraction-sweep (rounds to re-stabilize after rewiring x%
 of the edges of an already-stable network) is kept as a cross-check of
@@ -150,6 +152,17 @@ def run_serve_bench(full: bool = False) -> list:
         f"single-edge delta median latency: incremental "
         f"{inc_edge * 1e6:.1f}µs vs rebuild {cold_edge * 1e6:.1f}µs "
         f"→ {speedup:.1f}x"
+    )
+    # Read-path gate: QUERY_MIS serves the MIS the last re-stabilization
+    # already built, so a read must cost less than a mutation.  Relative,
+    # so it holds on any host.
+    p50 = {r["op"]: r["latency_p50_us"] for r in rows if r["mode"] == "incremental"}
+    print(
+        f"QUERY_MIS p50 {p50['QUERY_MIS']:.1f}µs vs ADD_EDGE p50 "
+        f"{p50['ADD_EDGE']:.1f}µs (incremental)"
+    )
+    assert p50["QUERY_MIS"] < p50["ADD_EDGE"], (
+        "QUERY_MIS p50 must be below ADD_EDGE p50 in incremental mode"
     )
     path = save_bench_rows(
         "serve",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .graph import Graph, _normalize_edge
 
@@ -172,6 +172,14 @@ class MutableTopology:
     def live_vertices(self) -> Tuple[int, ...]:
         """Sorted ids of all live vertices."""
         return tuple(v for v in range(self._n) if self._live[v])
+
+    def tombstones(self) -> FrozenSet[int]:
+        """Ids freed by :meth:`remove_node` and not yet recycled.
+
+        O(#tombstones) — usually empty — where :meth:`live_vertices`
+        scans the whole id space.
+        """
+        return frozenset(self._free)
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         """All edges as sorted canonical ``(u, v)`` pairs, ``u < v``."""

@@ -19,7 +19,12 @@ predicate holds again.  Self-stabilization is what makes the carry
 sound: any configuration is a valid starting point, so the rounds spent
 re-stabilizing scale with the damage, not with ``n``.
 
-Reads never touch engine state.  Metrics are pure observation — a
+Reads never touch engine state.  A legal configuration is a fixed point
+of the algorithm, so the MIS the final legality pass of a
+re-stabilization built is the answer until the next mutation: the
+service keeps it, and QUERY_MIS drops tombstoned ids and sorts it once
+per topology version, then returns that same tuple — no hear-kernel
+call and no id-space scan per read.  Metrics are pure observation — a
 service with a registry attached serves byte-identical outcomes to one
 without (asserted by ``tests/test_serve.py``).
 """
@@ -27,13 +32,20 @@ without (asserted by ``tests/test_serve.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union,
+)
 
 import numpy as np
 
 from ..core.engines import BatchedEngine, SingleChannelEngine, TwoChannelEngine
 from ..core.engines.base import EngineBase
-from ..core.kernels import GraphStructure, structure_for, update_structure
+from ..core.kernels import (
+    GraphStructure,
+    should_rebuild,
+    structure_for,
+    update_structure,
+)
 from ..core.knowledge import EllMaxPolicy, explicit_policy, max_degree_policy
 from ..core.runner import default_round_budget
 from ..devtools.seeding import SeedLike
@@ -226,8 +238,7 @@ class MISService:
         self._ell = policy.max_ell_max
         self._policy = policy
         self._budget = default_round_budget(graph, policy)
-        self._batched = engine == "batched"
-        if self._batched:
+        if engine == "batched":
             self._engine: Union[EngineBase, BatchedEngine] = BatchedEngine(
                 graph, policy, replicas=1, seed=seed,
                 algorithm=algorithm, kernel=kernel,
@@ -243,21 +254,31 @@ class MISService:
                 graph, policy, seed=seed, kernel=kernel,
                 channel=channel, scheduler=scheduler,
             )
+        # (topology version, full MIS) the last re-stabilization left, and
+        # the live-restricted answer memoized for one version.
+        self._served: Tuple[int, FrozenSet[int]] = (-1, frozenset())
+        self._answer: Tuple[int, Tuple[int, ...]] = (-1, ())
         self._stabilize()  # serve a legal MIS from the very first op
 
     # ------------------------------------------------------------------
-    # Engine adapters (solo and batched expose slightly different runs)
+    # Re-stabilization and the served MIS
     # ------------------------------------------------------------------
     def _stabilize(self) -> int:
-        """Run rounds until legality; returns the rounds executed."""
-        if self._batched:
-            engine = self._engine
-            assert isinstance(engine, BatchedEngine)
+        """Run rounds until legality; returns the rounds executed.
+
+        Keeps the MIS the final legality pass built as the served full
+        MIS: a legal configuration is a fixed point, so it stays the
+        answer until the next mutation.  On failure the levels the run
+        stopped at are served instead, never the pre-mutation answer.
+        """
+        engine = self._engine
+        if isinstance(engine, BatchedEngine):
             outcome = engine.run(max_rounds=self._budget)[0]
+            full = outcome.mis if outcome.stabilized else engine.mis_vertices(0)
         else:
-            engine = self._engine
-            assert isinstance(engine, EngineBase)
             outcome = engine.until_stable(self._budget)
+            full = outcome.mis if outcome.stabilized else engine.mis_vertices()
+        self._served = (self.topology.version, full)
         if not outcome.stabilized:
             raise ServeError(
                 f"failed to re-stabilize within {self._budget} rounds "
@@ -265,37 +286,32 @@ class MISService:
             )
         return int(outcome.rounds)
 
-    def _mis_full(self) -> Tuple[int, ...]:
-        """Current MIS over the whole id space (tombstones included)."""
-        if self._batched:
-            engine = self._engine
-            assert isinstance(engine, BatchedEngine)
-            members = engine.mis_vertices(0)
-        else:
-            engine = self._engine
-            assert isinstance(engine, EngineBase)
-            members = engine.mis_vertices()
-        return tuple(sorted(members))
-
     @property
     def structure(self) -> GraphStructure:
         return self._engine.structure
 
     def mis(self) -> Tuple[int, ...]:
-        """The served MIS: current members restricted to live vertices."""
-        live = self.topology.live_vertices()
-        return tuple(v for v in self._mis_full() if v in set(live))
+        """The served MIS: current members restricted to live vertices.
+
+        Built once per topology version from the MIS the last
+        re-stabilization computed, then returned as the same tuple.
+        """
+        version, full = self._served
+        if self._answer[0] != version:
+            members = full - self.topology.tombstones()
+            self._answer = (version, tuple(sorted(members)))
+        return self._answer[1]
 
     def verify_legal(self) -> bool:
         """Cross-check the served MIS against the graph-theoretic oracle.
 
         O(n + m) — a test/debug hook, not part of the serving path.  The
-        full MIS (tombstones included — a tombstoned id is an isolated
-        vertex, trivially in any maximal independent set) must be maximal
-        independent on the snapshot.
+        served full MIS (tombstones included — a tombstoned id is an
+        isolated vertex, trivially in any maximal independent set) must
+        be maximal independent on the snapshot.
         """
         return is_maximal_independent_set(
-            self.topology.snapshot(), set(self._mis_full())
+            self.topology.snapshot(), self._served[1]
         )
 
     # ------------------------------------------------------------------
@@ -340,8 +356,6 @@ class MISService:
             # Growth rebuilds every form anyway; route through the shared
             # cache so the (rare) grown structure is reusable.
             return structure_for(self.topology.snapshot()), True
-        from ..core.kernels import should_rebuild
-
         rebuilt = should_rebuild(self._engine.structure, delta)
         return update_structure(self._engine.structure, delta), rebuilt
 

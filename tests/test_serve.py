@@ -9,6 +9,9 @@ Covers the contracts ``docs/serving.md`` documents:
 * deterministic replay — same seed + stream → byte-identical served
   outcomes (including the full MIS history);
 * metrics-on/off byte-identity — observability never changes outcomes;
+* the served MIS is the one the engine's levels give after every op,
+  shared as one tuple between mutations, and never stale after a
+  ``ServeError``;
 * the incremental-vs-rebuild latency claim at n = 512 (the acceptance
   number recorded in ``results/BENCH_serve.json``).
 """
@@ -18,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.engines import BatchedEngine
 from repro.graphs import Graph, MutableTopology, TopologyError
 from repro.graphs.generators import erdos_renyi
 from repro.obs import InMemorySink, MetricsRegistry
@@ -25,6 +29,7 @@ from repro.serve import (
     MISService,
     Op,
     OpError,
+    ServeError,
     ServeReport,
     format_op,
     generate_ops,
@@ -258,6 +263,75 @@ def test_growth_extends_policy_and_stays_legal():
     # The new vertex is covered: in the MIS or dominated by a neighbor.
     mis = set(service.mis())
     assert new_id in mis or mis & set(service.topology.neighbors(new_id))
+
+
+def _engine_answer(service):
+    """The answer recomputed from the engine's current levels."""
+    engine = service._engine
+    if isinstance(engine, BatchedEngine):
+        members = engine.mis_vertices(0)
+    else:
+        members = engine.mis_vertices()
+    return tuple(sorted(v for v in members if service.topology.is_live(v)))
+
+
+@pytest.mark.parametrize("mix", ["churn-heavy", "burst"])
+@pytest.mark.parametrize("algorithm,engine,channel", [
+    ("single", "vectorized", None),
+    ("two_channel", "vectorized", None),
+    ("single", "batched", None),
+    ("single", "vectorized", "lossy:0.05"),  # step() loop, not fused
+])
+def test_served_mis_matches_engine_after_every_op(mix, algorithm, engine, channel):
+    graph = _graph()
+    cap = graph.max_degree() + 2
+    ops = generate_ops(mix, 300, 4, graph, degree_cap=cap)
+    service = MISService(
+        graph, degree_cap=cap, seed=4, algorithm=algorithm, engine=engine,
+        channel=channel,
+    )
+    seen = {"DEL_NODE": 0, "reuse": 0, "growth": 0}
+    for op in ops:
+        before = service.topology.num_vertices
+        result = service.apply(op)
+        assert result.status == "ok"
+        if op.kind == "DEL_NODE":
+            seen["DEL_NODE"] += 1
+        elif op.kind == "ADD_NODE":
+            seen["reuse" if result.node < before else "growth"] += 1
+        assert service.mis() == _engine_answer(service)
+    assert all(seen.values()), seen
+    assert service.verify_legal()
+    fused = service._engine._fused
+    assert (fused is None) == (channel is not None)
+
+
+def test_reads_share_one_tuple_until_a_mutation():
+    graph = _graph()
+    service = MISService(graph, degree_cap=graph.max_degree(), seed=0)
+    first = service.apply(Op("QUERY_MIS")).mis
+    assert service.apply(Op("QUERY_MIS")).mis is first
+    u, v = service.topology.edges()[0]
+    assert service.apply(Op("ADD_EDGE", u=u, v=v)).status == "rejected"
+    assert service.apply(Op("QUERY_MIS")).mis is first
+    assert service.apply(Op("DEL_EDGE", u=u, v=v)).status == "ok"
+    assert service.mis() == _engine_answer(service)
+
+
+def test_serve_error_never_serves_the_pre_mutation_answer():
+    graph = _graph()
+    cap = graph.max_degree() + 2
+    service = MISService(graph, degree_cap=cap, seed=0)
+    before = service.mis()
+    u, v = before[0], before[1]  # MIS members: never adjacent
+    service._budget = 0  # no rounds: the new conflict cannot resolve
+    with pytest.raises(ServeError):
+        service.apply(Op("ADD_EDGE", u=u, v=v))
+    served = service.mis()
+    assert served != before
+    assert served == _engine_answer(service)
+    assert u not in served and v not in served
+    assert not service.verify_legal()
 
 
 def test_incremental_beats_rebuild_at_n512():
