@@ -50,7 +50,7 @@ RESULTS_DIR = os.path.join(
 
 
 def allocation_audit_summary():
-    """Measured steady-state bytes/round per engine × kernel combo.
+    """Measured steady-state bytes/round per engine combo.
 
     Runs :func:`repro.devtools.hotpath.audit.run_allocation_audit` (the
     runtime twin of the RPR8xx hot-path rules) and returns its
@@ -74,8 +74,8 @@ def save_bench_rows(
     :meth:`repro.obs.PhaseProfiler.snapshot` dict) is embedded under
     ``parameters["profile"]`` so benchmark artifacts carry their own
     timing breakdown.  Unless ``audit_allocations`` is disabled, the
-    steady-state allocation audit summary (bytes/round per engine ×
-    kernel combo plus its pass/fail verdict) is embedded under
+    steady-state allocation audit summary (bytes/round per engine
+    combo plus its pass/fail verdict) is embedded under
     ``parameters["allocation"]``, so every artifact records the
     allocation health of the engines that produced it.  Returns the
     written path.

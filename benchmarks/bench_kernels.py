@@ -1,74 +1,40 @@
-"""E10 — hear-kernel engineering: kernel grid + structure-cache + shm sweep.
+"""E10 — hear-kernel engineering: structure cache + shm sweep speedup.
 
-Two artifacts, both written to ``results/BENCH_kernels.json``:
+One artifact, written to ``results/BENCH_kernels.json``: the
+**Theorem-2.1 smoke sweep** (6 sizes × 20 seeds, batched executor)
+timed on the pre-kernel path — faithfully reconstructed below as
+:class:`LegacyBatchedEngine` — versus the batched engine's step loop,
+and versus the default path (every run through the fused round kernel,
+in-process and through a shared-memory
+:class:`~repro.analysis.sweep.SweepPool`).  The engines run every
+eligible sweep through the fused kernel, so the legacy and step-loop
+baselines are driven by hand through ``BatchedEngine.step()``
+(:func:`step_loop`).  Samples must be byte-identical across all paths.
+The default-vs-step-loop ratio is gated in CI against regression.
 
-* a **kernel × engine × size grid** timing each registered hear kernel
-  under every engine: engine *construction* with the structure cache
-  cold (cleared first) and warm — the cache's win is that column gap —
-  plus the steady-state *stepping* cost, timed separately.  (Earlier
-  revisions timed construction and stepping as one cell, which buried
-  the sub-ms cache delta under run jitter and produced nonsensical
-  ``warm > cold`` rows; see docs/performance.md, "Noise floor".)
-* the **Theorem-2.1 smoke sweep** (6 sizes × 20 seeds, batched
-  executor) timed on the pre-kernel ``sparse_int32`` path — faithfully
-  reconstructed below as :class:`LegacyBatchedEngine` — versus the
-  batched engine's ``bitset`` step loop, and versus the default path
-  (every run through the fused round kernel, in-process and through a
-  shared-memory :class:`~repro.analysis.sweep.SweepPool`).  The engines
-  run every eligible sweep through the fused kernel, so the legacy and
-  step-loop baselines are driven by hand through ``BatchedEngine.step()``
-  (:func:`step_loop`).  Samples must be byte-identical across all
-  paths.  The acceptance bar is a ≥ 2× wall-clock speedup for each path
-  over the legacy one it replaced; the default-vs-step-loop ratio is
-  gated in CI against regression.
-
-Methodology: every *ratio* is a *median of adjacent pairs* — baseline
-and candidate run back-to-back, repeatedly, and the median per-pair
-ratio is reported.  Scheduler drift cancels within a pair, and the
-median is robust to an occasional stolen quantum in a way best-of-N
-minima are not.  Absolute grid cell times, by contrast, take the *min*
-over repetitions: there the quantity of interest is the clean-run cost
-and noise is strictly additive (see ``docs/performance.md``, "Noise
-floor").
+Methodology: every ratio is a *median over adjacent quads* — the four
+paths run back-to-back, repeatedly, and the median per-quad ratio is
+reported.  Scheduler drift cancels within a quad, and the median is
+robust to an occasional stolen quantum in a way best-of-N minima are
+not (see ``docs/performance.md``, "Noise floor").
 """
 
 import time
 
 import numpy as np
-from _harness import print_header, save_bench_rows, seed_for
+from _harness import print_header, save_bench_rows
 
 from repro.analysis.measurements import StabilizationRounds, graph_for_config
 from repro.analysis.sweep import SweepPool, run_sweep
-from repro.analysis.tables import format_table
-from repro.core import max_degree_policy
 from repro.core.engines import VectorizedResult
 from repro.core.engines.base import MAX_EXPONENT
 from repro.core.engines.batched import BatchedEngine
-from repro.core.engines.single import SingleChannelEngine
-from repro.core.engines.two_channel import TwoChannelEngine
-from repro.core.kernels import available_kernels, clear_structure_cache
-from repro.graphs.generators import by_name
 from repro.graphs.io import to_sparse_adjacency
 
 #: The Theorem-2.1 smoke sweep (same shape as bench_engines.py).
 SPEEDUP_SIZES = (32, 64, 128, 256, 512, 1024)
 SPEEDUP_REPS = 20
 MASTER_SEED = 2024
-
-GRID_SIZES_SMOKE = (64, 256)
-GRID_SIZES_FULL = (64, 256, 1024)
-#: 400 rounds × 5 repetitions, min-aggregated, construction timed
-#: apart from stepping.  The previous 100-round / 3-pair grid timed
-#: construction + run as one cell and took per-column medians, so the
-#: ~0.15–0.3 ms cache delta drowned in the ~0.5 ms jitter of a
-#: multi-ms cell and the warm column occasionally landed *above* cold
-#: (e.g. two_channel × bitset at n=64).  Separating the phases and
-#: taking mins (noise is strictly additive for absolute times) puts
-#: both cache columns well above the noise floor; see
-#: docs/performance.md, "Noise floor".
-GRID_ROUNDS = 400
-GRID_PAIRS = 5
-GRID_REPLICAS = 8
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +171,6 @@ class StepLoopStabilizationRounds(StabilizationRounds):
             self._policy(config, graph),
             seed_sequences=list(seed_sequences),
             algorithm="two_channel" if self.variant == "two_channel" else "single",
-            kernel=self.kernel,
         )
         if self.arbitrary_start:
             engine.randomize_levels()
@@ -217,85 +182,6 @@ class LegacyStabilizationRounds(StepLoopStabilizationRounds):
     """The step-loop batch path on :class:`LegacyBatchedEngine`."""
 
     engine_cls = LegacyBatchedEngine
-
-
-# ----------------------------------------------------------------------
-# Kernel × engine × size grid (structure cache cold vs warm)
-# ----------------------------------------------------------------------
-def _grid_construct(engine_label, kernel, graph, policy):
-    if engine_label == "batched":
-        return BatchedEngine(
-            graph, policy, replicas=GRID_REPLICAS, seed=1, kernel=kernel
-        )
-    cls = SingleChannelEngine if engine_label == "single" else TwoChannelEngine
-    return cls(graph, policy, seed=1, kernel=kernel)
-
-
-def _grid_step(engine):
-    for _ in range(GRID_ROUNDS):
-        engine.step()
-
-
-def kernel_grid(sizes, pairs=GRID_PAIRS):
-    """Construction (cache cold/warm) + stepping cost per grid cell.
-
-    All three timings are mins over ``pairs`` repetitions — these are
-    absolute times, not ratios, and timing noise only ever adds, so the
-    min is the clean-run estimate (see the ``GRID_ROUNDS`` note).
-    """
-    rows = []
-    for n in sizes:
-        graph = by_name("er", n, seed=seed_for("E10g", n))
-        policy = max_degree_policy(graph, c1=8)
-        for engine_label in ("single", "two_channel", "batched"):
-            for kernel in available_kernels():
-                _grid_step(  # warmup
-                    _grid_construct(engine_label, kernel, graph, policy)
-                )
-                cold, warm, stepping = [], [], []
-                for _ in range(pairs):
-                    clear_structure_cache()
-                    start = time.perf_counter()
-                    engine = _grid_construct(engine_label, kernel, graph, policy)
-                    cold.append(time.perf_counter() - start)
-                    start = time.perf_counter()
-                    _grid_step(engine)
-                    stepping.append(time.perf_counter() - start)
-                    start = time.perf_counter()
-                    _grid_construct(engine_label, kernel, graph, policy)
-                    warm.append(time.perf_counter() - start)
-                rows.append(
-                    {
-                        "bench": "grid",
-                        "engine": engine_label,
-                        "kernel": kernel,
-                        "n": n,
-                        "rounds": GRID_ROUNDS,
-                        "construct_cold_ms": round(1e3 * min(cold), 3),
-                        "construct_warm_ms": round(1e3 * min(warm), 3),
-                        "step_ms": round(1e3 * min(stepping), 3),
-                    }
-                )
-    return rows
-
-
-def grid_table(rows):
-    body = [
-        [
-            r["engine"], r["kernel"], r["n"],
-            f"{r['construct_cold_ms']:.3f}", f"{r['construct_warm_ms']:.3f}",
-            f"{r['step_ms']:.2f}",
-        ]
-        for r in rows
-    ]
-    return format_table(
-        [
-            "engine", "kernel", "n",
-            "construct cold ms", "construct warm ms", "step ms",
-        ],
-        body,
-        title=f"hear-kernel grid ({GRID_ROUNDS} rounds/cell)",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -319,15 +205,15 @@ def _timed_sweep(measure, pool=None):
 def sweep_speedup(pairs=3):
     """Smoke-sweep rows + speedups for the step loop and the default path.
 
-    Adjacent *quads* — legacy, bitset step loop, default (fused),
+    Adjacent *quads* — legacy, step loop, default (fused),
     default + shm pool — run back to back, ``pairs`` times; every
     reported ratio is the median of per-quad ratios, and the samples of
     all four paths must be byte-identical.
     """
     configs = [{"family": "er", "n": n} for n in SPEEDUP_SIZES]
     legacy_measure = LegacyStabilizationRounds(variant="max_degree")
-    step_measure = StepLoopStabilizationRounds(variant="max_degree", kernel="bitset")
-    default_measure = StabilizationRounds(variant="max_degree", kernel="bitset")
+    step_measure = StepLoopStabilizationRounds(variant="max_degree")
+    default_measure = StabilizationRounds(variant="max_degree")
     graphs = [graph_for_config(config) for config in configs]
 
     with SweepPool(jobs=1, graphs=graphs) as pool:
@@ -363,13 +249,13 @@ def sweep_speedup(pairs=3):
     rows = [
         {
             "bench": "thm21_sweep",
-            "path": "legacy_sparse_int32",
+            "path": "legacy",
             "wall_seconds": round(median[0], 4),
             "samples": samples_total,
         },
         {
             "bench": "thm21_sweep",
-            "path": "batched_bitset_step_loop",
+            "path": "batched_step_loop",
             "wall_seconds": round(median[1], 4),
             "samples": samples_total,
             "speedup_vs_legacy": round(speedups["step"], 2),
@@ -377,7 +263,7 @@ def sweep_speedup(pairs=3):
         },
         {
             "bench": "thm21_sweep",
-            "path": "batched_bitset_default",
+            "path": "batched_default",
             "wall_seconds": round(median[2], 4),
             "samples": samples_total,
             "speedup_vs_legacy": round(speedups["default"], 2),
@@ -386,7 +272,7 @@ def sweep_speedup(pairs=3):
         },
         {
             "bench": "thm21_sweep",
-            "path": "batched_bitset_default_shm_pool",
+            "path": "batched_default_shm_pool",
             "wall_seconds": round(median[3], 4),
             "samples": samples_total,
             "speedup_vs_legacy": round(speedups["shm"], 2),
@@ -397,54 +283,29 @@ def sweep_speedup(pairs=3):
 
 
 # ----------------------------------------------------------------------
-# pytest-benchmark smoke entry
-# ----------------------------------------------------------------------
-def bench_bitset_hear_rows(benchmark):
-    """Smoke: one bitset hear_rows block on the n=256 grid graph."""
-    from repro.core.kernels import make_kernel, structure_for
-
-    graph = by_name("er", 256, seed=seed_for("E10g", 256))
-    structure = structure_for(graph)
-    kernel = make_kernel("bitset", structure)
-    rng = np.random.default_rng(0)
-    rows = rng.random((GRID_REPLICAS, structure.n)) < 0.25
-    out = np.empty_like(rows)
-    heard = benchmark(lambda: kernel.hear_rows(rows, out=out))
-    benchmark.extra_info["n"] = structure.n
-    benchmark.extra_info["replicas"] = GRID_REPLICAS
-    assert out.flags.c_contiguous
-
-
-# ----------------------------------------------------------------------
-def run_experiment(full: bool = False) -> None:
+def run_experiment() -> None:
     print_header(
-        "E10 (kernels)",
-        "hear-kernel grid + structure cache + shared-memory sweep speedup",
+        "E10 (kernels)", "structure cache + shared-memory sweep speedup"
     )
-    sizes = GRID_SIZES_FULL if full else GRID_SIZES_SMOKE
-    grid_rows = kernel_grid(sizes)
-    print(grid_table(grid_rows))
-    print()
-
     sweep_rows, speedups, identical = sweep_speedup()
     legacy_s, step_s, default_s, shm_s = (r["wall_seconds"] for r in sweep_rows)
     print(
         f"Theorem-2.1 smoke sweep ({len(SPEEDUP_SIZES)} sizes × "
         f"{SPEEDUP_REPS} seeds, batched executor):"
     )
-    print(f"  legacy sparse_int32 path  : {legacy_s:.3f}s")
-    print(f"  bitset step loop          : {step_s:.3f}s  ({speedups['step']:.1f}x)")
+    print(f"  legacy path               : {legacy_s:.3f}s")
+    print(f"  step loop                 : {step_s:.3f}s  ({speedups['step']:.1f}x)")
     print(f"  default (fused round)     : {default_s:.3f}s  ({speedups['default']:.1f}x)")
     print(f"  default + shm worker pool : {shm_s:.3f}s  ({speedups['shm']:.1f}x)")
     print(f"sweep outputs byte-identical across paths: {'PASS' if identical else 'FAIL'}")
     bar_ok = speedups["step"] >= 2.0
     print(
-        f"bitset step-loop speedup vs legacy sparse path: {speedups['step']:.1f}x — "
+        f"step-loop speedup vs legacy path: {speedups['step']:.1f}x — "
         f"{'PASS' if bar_ok else 'FAIL'} (bar: >= 2x)"
     )
     default_ok = speedups["default"] >= 2.0
     print(
-        f"default speedup vs legacy sparse path: {speedups['default']:.1f}x — "
+        f"default speedup vs legacy path: {speedups['default']:.1f}x — "
         f"{'PASS' if default_ok else 'FAIL'} (bar: >= 2x)"
     )
     regress_ok = speedups["default_vs_step"] >= 0.9
@@ -455,31 +316,16 @@ def run_experiment(full: bool = False) -> None:
 
     path = save_bench_rows(
         "kernels",
-        grid_rows + sweep_rows,
+        sweep_rows,
         parameters={
-            "grid_sizes": list(sizes),
-            "grid_rounds": GRID_ROUNDS,
-            "grid_pairs": GRID_PAIRS,
-            "grid_replicas": GRID_REPLICAS,
             "speedup_sizes": list(SPEEDUP_SIZES),
             "speedup_reps": SPEEDUP_REPS,
             "master_seed": MASTER_SEED,
-            "methodology": (
-                "ratios: median of adjacent pairs; "
-                "grid absolute times: min of repetitions"
-            ),
+            "methodology": "ratios: median of adjacent quads",
         },
     )
     print(f"rows written to {path}")
 
 
-def main() -> None:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true", help="full grid sizes")
-    run_experiment(full=parser.parse_args().full)
-
-
 if __name__ == "__main__":
-    main()
+    run_experiment()

@@ -77,9 +77,6 @@ class StabilizationRounds:
     slack: float = 1.0
     max_rounds: int = 200_000
     arbitrary_start: bool = True
-    #: Hear-kernel name forwarded to every engine (bit-identical across
-    #: kernels, so this is a pure performance knob).
-    kernel: str = "auto"
     #: Channel/scheduler stress specs (docs/robustness.md); the defaults
     #: keep trajectories byte-identical to the historical path.  Spec
     #: strings (not model objects) so the measurement stays picklable.
@@ -116,7 +113,6 @@ class StabilizationRounds:
             seed=rng,
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,
-            kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
         )
@@ -137,7 +133,6 @@ class StabilizationRounds:
             algorithm=algorithm,
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,
-            kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
         )
@@ -173,7 +168,6 @@ class StabilizationRounds:
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,
             collector=collector,
-            kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
         )
@@ -204,7 +198,6 @@ class StabilizationRounds:
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,
             collector=collector,
-            kernel=self.kernel,
             channel=self.channel,
             scheduler=self.scheduler,
         )
@@ -230,8 +223,6 @@ class FaultRecoveryRounds:
     fault: str = "random"
     engine: str = "reference"
     max_rounds: int = 200_000
-    #: Hear kernel for the vectorized path (the reference path has none).
-    kernel: str = "auto"
 
     def __call__(self, config: Mapping[str, Any], rng: np.random.Generator) -> float:
         graph = graph_for_config(config)
@@ -288,7 +279,7 @@ class FaultRecoveryRounds:
         engine_cls = (
             TwoChannelEngine if self.variant == "two_channel" else SingleChannelEngine
         )
-        engine = engine_cls(graph, policy, seed=rng, kernel=self.kernel)
+        engine = engine_cls(graph, policy, seed=rng)
         first = engine.until_stable(self.max_rounds)
         if not first.stabilized:
             raise RuntimeError(f"initial stabilization failed: {dict(config)}")

@@ -47,8 +47,8 @@ Shared-memory workers
 ---------------------
 The parallel executors regenerate each configuration's graph inside
 every worker.  ``shared_graphs=True`` (or an explicit :class:`SweepPool`)
-instead exports each *distinct* graph's derived structure — edge list,
-CSR, packed bitset — into ``multiprocessing.shared_memory`` once, and a
+instead exports each *distinct* graph's derived structure — edge list
+and CSR — into ``multiprocessing.shared_memory`` once, and a
 pool initializer seeds every worker's structure cache with zero-copy
 views (:mod:`repro.core.kernels.shm`).  A :class:`SweepPool` also makes
 the pool *persistent*: several ``run_sweep`` calls reuse the same

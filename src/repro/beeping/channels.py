@@ -6,8 +6,8 @@ beeping-MIS line (Afek et al.'s "extremely harsh broadcast model",
 Cornejo-Haeupler-Kuhn's beep-only MIS) targets channels that drop and
 fabricate carrier-sense bits, which is exactly the stress regime
 ROADMAP item 5 asks about.  This module supplies those channels as
-small value objects behind a registry mirroring the engine/kernel
-registries, applied vectorized by every engine between the hear-matvec
+small value objects behind a registry mirroring the engine
+registry, applied vectorized by every engine between the hear-matvec
 and the level update.
 
 Semantics
@@ -341,7 +341,7 @@ class BoundChannel:
 
 
 # ----------------------------------------------------------------------
-# Registry (mirrors the engine/kernel registries)
+# Registry (mirrors the engine registry)
 # ----------------------------------------------------------------------
 ChannelLike = Union[str, ChannelModel, None]
 

@@ -304,7 +304,7 @@ class AdversarialScheduler(Scheduler):
 
 
 # ----------------------------------------------------------------------
-# Registry (mirrors the engine/kernel/channel registries)
+# Registry (mirrors the engine/channel registries)
 # ----------------------------------------------------------------------
 SchedulerLike = Union[str, Scheduler, None]
 

@@ -120,9 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="boot from level 1 instead of an arbitrary configuration")
     run_p.add_argument("--engine", choices=available_engines(), default="vectorized",
                        help="execution backend (registered engines)")
-    run_p.add_argument("--kernel", choices=["auto", "sparse", "dense", "bitset"],
-                       default="auto",
-                       help="hear kernel (bit-identical results; perf only)")
     run_p.add_argument("--reps", type=int, default=1,
                        help="independent repetitions; > 1 prints a summary")
     run_p.add_argument("--jobs", type=int, default=1,
@@ -146,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "vectorized: solo runs (parallel with --jobs)")
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the sweep executor")
-    sweep_p.add_argument("--kernel", choices=["auto", "sparse", "dense", "bitset"],
-                         default="auto",
-                         help="hear kernel (bit-identical results; perf only)")
     sweep_p.add_argument("--shared-graphs", action="store_true",
                          help="ship graph structures to workers via shared "
                               "memory (parallel executors only)")
@@ -185,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--engine", choices=("vectorized", "batched"),
                          default="vectorized",
                          help="resumable execution engine")
-    serve_p.add_argument("--kernel", choices=["auto", "sparse", "dense", "bitset"],
-                         default="auto",
-                         help="hear kernel (bit-identical results; perf only)")
     serve_p.add_argument("--rebuild-per-op", action="store_true",
                          help="baseline mode: rebuild the full derived "
                               "structure on every mutation instead of "
@@ -340,7 +331,6 @@ def _cmd_run(args) -> int:
                 engine=args.engine,
                 policy=policy,
                 collector=collector,
-                kernel=None if args.kernel == "auto" else args.kernel,
                 channel=channel,
                 scheduler=scheduler,
             )
@@ -353,7 +343,6 @@ def _cmd_run(args) -> int:
             arbitrary_start=not args.fresh_start,
             c1=args.c1,
             engine=args.engine,
-            kernel=None if args.kernel == "auto" else args.kernel,
             channel=channel,
             scheduler=scheduler,
         )
@@ -379,7 +368,7 @@ def _cmd_run_repeated(args, graph) -> int:
         return 2
     measure = StabilizationRounds(
         variant=args.variant, c1=args.c1,
-        arbitrary_start=not args.fresh_start, kernel=args.kernel,
+        arbitrary_start=not args.fresh_start,
         channel=args.channel, scheduler=args.scheduler,
     )
     config = {"family": args.family, "n": args.n, "graph_seed": args.graph_seed}
@@ -408,8 +397,7 @@ def _cmd_run_watch(args, graph, channel=None, scheduler=None) -> int:
         TwoChannelEngine if args.variant == "two_channel" else SingleChannelEngine
     )
     engine = engine_cls(
-        graph, policy, seed=args.seed, kernel=args.kernel,
-        channel=channel, scheduler=scheduler,
+        graph, policy, seed=args.seed, channel=channel, scheduler=scheduler,
     )
     if not args.fresh_start:
         engine.randomize_levels()
@@ -439,7 +427,7 @@ def _cmd_sweep(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     measure = StabilizationRounds(
-        variant=args.variant, c1=args.c1, kernel=args.kernel,
+        variant=args.variant, c1=args.c1,
         channel=args.channel, scheduler=args.scheduler,
     )
     executor = "batched" if args.engine == "batched" else (
@@ -522,7 +510,6 @@ def _cmd_serve(args) -> int:
         degree_cap=cap,
         algorithm=args.algorithm,
         engine=args.engine,
-        kernel=args.kernel,
         channel=channel,
         scheduler=scheduler,
         seed=rng_from_sequence(engine_seq),

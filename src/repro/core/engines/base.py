@@ -34,8 +34,6 @@ from ..kernels import (
     HearKernel,
     PerRoundDraws,
     RoundKernel,
-    make_kernel,
-    resolve_kernel_name,
     structure_for,
 )
 from ..knowledge import EllMaxPolicy
@@ -241,7 +239,6 @@ class EngineBase:
         graph: Graph,
         policy: EllMaxPolicy,
         seed: SeedLike = None,
-        kernel: str = "auto",
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
     ):
@@ -255,12 +252,7 @@ class EngineBase:
         # are read-only by contract.
         self.structure = structure_for(graph)
         self.adjacency = self.structure.csr
-        # The *resolved* kernel name is pinned at construction so that a
-        # later ``rebind`` keeps the same kernel implementation even if
-        # the ``auto`` heuristic would now pick a different one (swapping
-        # mid-run would keep trajectories identical but perturb timing).
-        self.kernel_name = resolve_kernel_name(kernel, self.structure)
-        self.kernel: HearKernel = make_kernel(self.kernel_name, self.structure)
+        self.kernel = HearKernel(self.structure)
         self.ell_max: npt.NDArray[np.int64] = np.asarray(
             policy.ell_max, dtype=np.int64
         )
@@ -358,7 +350,7 @@ class EngineBase:
         self.graph = structure.graph
         self.n = structure.n
         self.adjacency = structure.csr
-        self.kernel = make_kernel(self.kernel_name, structure)
+        self.kernel = HearKernel(structure)
         if self._fused is not None:
             self._fused.rebind(self.kernel, self.ell_max)
         self._floor = (

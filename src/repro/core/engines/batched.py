@@ -19,8 +19,7 @@ of a solo :func:`~repro.core.engines.single.simulate_single` /
 :func:`~repro.core.engines.two_channel.simulate_two_channel` run seeded
 with ``np.random.default_rng(children[k])`` — asserted by
 ``tests/test_batched_engine.py``.  This is what makes the batched sweep
-executor byte-identical to the serial one.  The same contract holds for
-every registered hear kernel (``tests/test_kernels.py``).
+executor byte-identical to the serial one.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from ..kernels import (
     GraphStructure,
     HearKernel,
     RoundKernel,
-    make_kernel,
-    resolve_kernel_name,
     structure_for,
 )
 from ..knowledge import EllMaxPolicy
@@ -99,10 +96,6 @@ class BatchedEngine:
         *same* children to batched and solo paths.
     algorithm:
         ``"single"`` (Algorithm 1) or ``"two_channel"`` (Algorithm 2).
-    kernel:
-        Hear-kernel name (:mod:`repro.core.kernels`); ``"auto"`` picks
-        by graph size/density and the replica count.  Trajectories are
-        bit-identical for every kernel.
     channel, scheduler:
         Stress models (:mod:`repro.beeping.channels` /
         :mod:`repro.beeping.schedulers`).  Each replica binds its own
@@ -121,7 +114,6 @@ class BatchedEngine:
         seed: SeedSpec = None,
         seed_sequences: Optional[Sequence[np.random.SeedSequence]] = None,
         algorithm: str = "single",
-        kernel: str = "auto",
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
     ):
@@ -149,14 +141,7 @@ class BatchedEngine:
         self.structure = structure_for(graph)
         self.adjacency = self.structure.csr
         self._adj_t = self.structure.csr_t
-        # Pinned at construction so ``rebind`` keeps the same kernel
-        # implementation across topology deltas (see EngineBase).
-        self.kernel_name = resolve_kernel_name(
-            kernel, self.structure, self.replicas
-        )
-        self.kernel: HearKernel = make_kernel(
-            self.kernel_name, self.structure, replicas=self.replicas
-        )
+        self.kernel = HearKernel(self.structure)
         self.ell_max = np.asarray(policy.ell_max, dtype=np.int64)
         self.rngs = [rng_from_sequence(s) for s in seed_sequences]
         # Per-replica stress models: the derivation draw (if any)
@@ -305,9 +290,7 @@ class BatchedEngine:
         self.n = structure.n
         self.adjacency = structure.csr
         self._adj_t = structure.csr_t
-        self.kernel = make_kernel(
-            self.kernel_name, structure, replicas=self.replicas
-        )
+        self.kernel = HearKernel(structure)
         self.ell_max = new_ell
         self._floor = (
             -self.ell_max if self._single else np.zeros_like(self.ell_max)
@@ -383,7 +366,7 @@ class BatchedEngine:
     def _received(self, rows: npt.NDArray[np.int32]) -> npt.NDArray[np.int32]:
         """``rows @ A`` for an (R', n) int block, C-contiguous output.
 
-        Back-compat count interface (the kernels return booleans); the
+        Back-compat count interface (the hear kernel returns booleans); the
         transpose happens *before* the sparse product so the result needs
         no trailing copy.
         """
@@ -813,7 +796,6 @@ def simulate_batched(
     arbitrary_start: bool = False,
     check_every: int = 1,
     collector: Optional["BatchedCollector"] = None,
-    kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
 ) -> BatchedResult:
@@ -825,7 +807,6 @@ def simulate_batched(
         seed=seed,
         seed_sequences=seed_sequences,
         algorithm=algorithm,
-        kernel=kernel,
         channel=channel,
         scheduler=scheduler,
     )

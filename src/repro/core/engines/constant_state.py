@@ -19,7 +19,6 @@ from ..kernels import (
     HearKernel,
     PerRoundDraws,
     RoundKernel,
-    make_kernel,
     structure_for,
 )
 from .base import VectorizedResult, bind_stress_models
@@ -38,7 +37,6 @@ class ConstantStateEngine:
         self,
         graph: Graph,
         seed: SeedLike = None,
-        kernel: str = "auto",
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
     ):
@@ -46,7 +44,7 @@ class ConstantStateEngine:
         self.n = graph.num_vertices
         self.structure = structure_for(graph)
         self.adjacency = self.structure.csr
-        self.kernel: HearKernel = make_kernel(kernel, self.structure)
+        self.kernel = HearKernel(self.structure)
         self.rng = resolve_rng(seed)
         # Stress models (docs/robustness.md); the defaults draw nothing
         # and keep the historical step path byte for byte.
@@ -139,7 +137,6 @@ def simulate_constant_state(
     seed: SeedLike = None,
     max_rounds: int = 1_000_000,
     arbitrary_start: bool = False,
-    kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
 ) -> VectorizedResult:
@@ -152,7 +149,6 @@ def simulate_constant_state(
     engine = ConstantStateEngine(
         graph,
         seed,
-        kernel=kernel,
         channel=channel,
         scheduler=scheduler,
     )

@@ -5,14 +5,12 @@ CLI) dispatch on an engine *name* rather than on hard-coded ``if``
 chains.  A backend is a callable with the uniform signature
 
     run(graph, policy, variant, seed, max_rounds, arbitrary_start,
-        collector=None, kernel=None, channel=None, scheduler=None)
+        collector=None, channel=None, scheduler=None)
         -> outcome with .stabilized / .rounds / .mis
 
 (``collector`` is an optional trailing zero-perturbation observer — see
 :func:`repro.obs.collector_for_backend` for the shape each backend
-expects; ``kernel`` optionally names a hear kernel for backends that
-support one, ``None`` meaning the backend's default; ``channel`` /
-``scheduler`` select the stress models of
+expects; ``channel`` / ``scheduler`` select the stress models of
 :mod:`repro.beeping.channels` / :mod:`repro.beeping.schedulers`,
 ``None`` meaning the byte-identical perfect/synchronous defaults; the
 contract checker only pins the six leading parameters.)
@@ -121,7 +119,6 @@ def _run_vectorized(
     max_rounds: int,
     arbitrary_start: bool,
     collector: Any = None,
-    kernel: Optional[str] = None,
     channel: Any = None,
     scheduler: Any = None,
 ) -> Any:
@@ -136,7 +133,6 @@ def _run_vectorized(
         max_rounds=max_rounds,
         arbitrary_start=arbitrary_start,
         collector=collector,
-        kernel=kernel or "auto",
         channel=channel,
         scheduler=scheduler,
     )
@@ -150,12 +146,9 @@ def _run_reference(
     max_rounds: int,
     arbitrary_start: bool,
     collector: Any = None,
-    kernel: Optional[str] = None,
     channel: Any = None,
     scheduler: Any = None,
 ) -> Any:
-    if kernel is not None and kernel != "auto":
-        raise ValueError("the reference engine has no hear-kernel choice")
     if channel is not None and channel != "perfect":
         raise ValueError("the reference engine has no channel-model choice")
     if scheduler is not None and scheduler != "synchronous":
@@ -187,7 +180,6 @@ def _run_batched(
     max_rounds: int,
     arbitrary_start: bool,
     collector: Any = None,
-    kernel: Optional[str] = None,
     channel: Any = None,
     scheduler: Any = None,
 ) -> Any:
@@ -203,7 +195,6 @@ def _run_batched(
         max_rounds=max_rounds,
         arbitrary_start=arbitrary_start,
         collector=collector,
-        kernel=kernel or "auto",
         channel=channel,
         scheduler=scheduler,
     )

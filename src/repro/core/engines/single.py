@@ -86,7 +86,6 @@ def simulate_single(
     check_every: int = 1,
     record_series: bool = False,
     collector: Optional["RunCollector"] = None,
-    kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
 ) -> VectorizedResult:
@@ -96,9 +95,8 @@ def simulate_single(
     configuration (the self-stabilization setting); otherwise the run
     starts from the fresh level-1 configuration, unless
     ``initial_levels`` overrides it.  ``collector`` attaches a
-    zero-perturbation :class:`repro.obs.RunCollector`.  ``kernel`` picks
-    the hear kernel (:mod:`repro.core.kernels`) — trajectories are
-    bit-identical for every kernel.  ``channel`` / ``scheduler`` select
+    zero-perturbation :class:`repro.obs.RunCollector`.  ``channel`` /
+    ``scheduler`` select
     the stress models of :mod:`repro.beeping.channels` /
     :mod:`repro.beeping.schedulers`; the defaults reproduce the
     historical trajectories byte for byte.
@@ -107,7 +105,6 @@ def simulate_single(
         graph,
         policy,
         seed,
-        kernel=kernel,
         channel=channel,
         scheduler=scheduler,
     )

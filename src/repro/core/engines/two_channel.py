@@ -83,7 +83,6 @@ def simulate_two_channel(
     check_every: int = 1,
     record_series: bool = False,
     collector: Optional["RunCollector"] = None,
-    kernel: str = "auto",
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
 ) -> VectorizedResult:
@@ -95,7 +94,6 @@ def simulate_two_channel(
         graph,
         policy,
         seed,
-        kernel=kernel,
         channel=channel,
         scheduler=scheduler,
     )

@@ -1,24 +1,15 @@
-"""Hear kernels, the fused round kernel, and the graph-structure cache.
+"""The hear kernel, the fused round kernel, and the graph-structure cache.
 
 The execution engines delegate every "who heard ≥ 1 beep" aggregation —
-reception, the blocked/dominated tests, legality — to a pluggable
-:class:`HearKernel` chosen here, run every eligible stabilization
-through the :class:`RoundKernel`, and share all derived adjacency forms
-(CSR, dense, packed bitset) through one content-keyed
-:func:`structure_for` cache.  See ``docs/performance.md`` for the kernel
-selection heuristic, cache semantics, and the shared-memory sweep path.
+reception, the blocked/dominated tests, legality — to one
+:class:`HearKernel` (an int32 CSR product), run every eligible
+stabilization through the :class:`RoundKernel`, and share the derived
+adjacency forms (canonical edge array, CSR) through one content-keyed
+:func:`structure_for` cache.  See ``docs/performance.md`` for the cache
+semantics and the shared-memory sweep path.
 """
 
-from .hear import (
-    BitsetKernel,
-    DenseBoolKernel,
-    HearKernel,
-    KERNEL_ALIASES,
-    SparseInt32Kernel,
-    available_kernels,
-    make_kernel,
-    resolve_kernel_name,
-)
+from .hear import HearKernel
 from .round import BlockDraws, BlockOutcome, PerRoundDraws, RoundKernel
 from .shm import (
     SharedStructureManifest,
@@ -44,13 +35,6 @@ __all__ = [
     "export_structures",
     "seed_worker_structures",
     "HearKernel",
-    "SparseInt32Kernel",
-    "DenseBoolKernel",
-    "BitsetKernel",
-    "KERNEL_ALIASES",
-    "available_kernels",
-    "resolve_kernel_name",
-    "make_kernel",
     "RoundKernel",
     "BlockOutcome",
     "PerRoundDraws",

@@ -1,10 +1,10 @@
-"""Pluggable hear kernels: "who heard ≥ 1 beep", three ways.
+"""The hear kernel: "who heard ≥ 1 beep" as one int32 CSR product.
 
 The beeping model's entire communication step is the boolean
 neighborhood aggregation ``heard = (A @ beeps) > 0``.  Every predicate
 the engines evaluate — reception, the blocked test inside ``I_t``, the
 dominated test inside ``S_t`` and legality — is an instance of it, so
-one :class:`HearKernel` protocol covers all of them:
+one :class:`HearKernel` covers all of them:
 
 ``hear(active)``
     ``(n,)`` bool → ``(n,)`` bool: vertices with an active neighbor.
@@ -12,44 +12,23 @@ one :class:`HearKernel` protocol covers all of them:
     ``(R, n)`` bool → ``(R, n)`` bool, **C-contiguous**, row ``r``
     independent of every other row (the batched replicas).
 
-Hear is deterministic given the beep mask, so every kernel returns
-*bit-identical* output for any input — asserted across ≥ 8 graph
-families by ``tests/test_kernels.py`` — and engines may switch kernels
-without perturbing a single trajectory.
-
-Registered kernels:
-
-* ``sparse_int32`` — the reference: scipy CSR int32 matvec, exactly the
-  pre-kernel engine formula.
-* ``dense_bool`` — numpy boolean matmul (the OR-AND semiring); wins on
-  small or dense graphs where BLAS-free dense beats CSR overhead.
-* ``bitset`` — adjacency rows packed 64 bits per uint64 word; hearing
-  is a gather + ``bitwise_or`` reduction over the beeping rows followed
-  by one unpack.  Wins when beeps are sparse or the graph is dense.
-
-``auto`` picks by ``(n, density, replicas)`` — see
-:func:`resolve_kernel_name` and ``docs/performance.md``.
+Both run the canonical int32 CSR adjacency of the graph's
+:class:`~repro.core.kernels.structure.GraphStructure`; the kernel hides
+that format from the engines and owns the scratch buffers the products
+reuse across rounds.  ``tests/test_kernels.py`` checks both entry points
+against an edge-list oracle on ≥ 8 graph families.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from .structure import GraphStructure
 
-__all__ = [
-    "HearKernel",
-    "SparseInt32Kernel",
-    "DenseBoolKernel",
-    "BitsetKernel",
-    "KERNEL_ALIASES",
-    "available_kernels",
-    "resolve_kernel_name",
-    "make_kernel",
-]
+__all__ = ["HearKernel"]
 
 BoolVector = npt.NDArray[np.bool_]
 BoolMatrix = npt.NDArray[np.bool_]
@@ -60,65 +39,21 @@ except ImportError:  # pragma: no cover - future scipy layout changes
     _csr_matvecs = None
 
 
-def _csr_hear_block(
-    csr: "object",
-    rows: BoolMatrix,
-    out: Optional[BoolMatrix],
-    scratch: Dict[int, Tuple[npt.NDArray[np.int32], npt.NDArray[np.int32]]],
-) -> BoolMatrix:
-    """``(rows @ A) > 0`` through the CSR int32 product, C-contiguous.
-
-    The transpose happens *before* the sparse product (one C-ordered
-    cast instead of two non-contiguous intermediates).  When available,
-    the multiply calls scipy's ``csr_matvecs`` routine directly — the
-    exact C kernel ``csr.dot`` dispatches to, so the counts (and hence
-    the boolean result) are bit-identical — skipping the per-call
-    Python dispatch overhead that dominates at small sizes.  ``scratch``
-    (required: a per-kernel dict keyed by block height, every kernel
-    owns one) recycles the two int32 intermediates across rounds
-    instead of re-faulting fresh pages — the hot-path allocation
-    contract of docs/performance.md.
-    """
-    k, n = rows.shape
-    buffers = scratch.get(k)
-    if buffers is None:
-        buffers = (
-            np.empty((n, k), dtype=np.int32),
-            np.empty((n, k), dtype=np.int32),
-        )
-        scratch[k] = buffers
-    cols, received = buffers
-    cols[...] = rows.T
-    received.fill(0)
-    if _csr_matvecs is None:
-        received = csr.dot(cols)  # type: ignore[attr-defined]
-    else:
-        _csr_matvecs(
-            n,
-            n,
-            k,
-            csr.indptr,  # type: ignore[attr-defined]
-            csr.indices,  # type: ignore[attr-defined]
-            csr.data,  # type: ignore[attr-defined]
-            cols.ravel(),
-            received.ravel(),
-        )
-    if out is None:
-        out = np.empty(rows.shape, dtype=bool)
-    np.greater(received.T, 0, out=out)
-    return out
-
-
 class HearKernel:
-    """Base protocol: one graph structure, two hear entry points."""
+    """Hear against one graph structure: int32 CSR matvec, ``> 0``.
 
-    name: str = "abstract"
+    ``hear`` computes ``adjacency.dot(mask.astype(int32)) > 0`` — the
+    int32 cast lands in a reused scratch vector, which changes no count.
+    ``hear_rows`` transposes *before* the product (one C-ordered cast
+    instead of two non-contiguous intermediates), so the output block is
+    C-contiguous without a trailing copy.
+    """
 
     def __init__(self, structure: GraphStructure):
         self.structure = structure
         self.n = structure.n
-        #: Reused int32 intermediates for the CSR block product, keyed
-        #: by block height (see :func:`_csr_hear_block`).
+        #: Reused int32 intermediates for the block product, keyed by
+        #: block height (see :meth:`hear_rows`).
         self._csr_scratch: Dict[
             int, Tuple[npt.NDArray[np.int32], npt.NDArray[np.int32]]
         ] = {}
@@ -131,7 +66,9 @@ class HearKernel:
 
     def hear(self, active: BoolVector) -> BoolVector:
         """``(n,)`` bool mask of vertices with ≥ 1 active neighbor."""
-        raise NotImplementedError  # pragma: no cover - interface
+        np.copyto(self._active_i32, active)
+        counts = self.structure.csr.dot(self._active_i32)
+        return counts > 0  # type: ignore[no-any-return]
 
     def hear_rows(
         self, rows: BoolMatrix, out: Optional[BoolMatrix] = None
@@ -140,235 +77,34 @@ class HearKernel:
 
         ``out`` (optional, ``(R, n)`` bool, C-contiguous) receives the
         result in place — the batched engine reuses one buffer per round.
+        When available, the multiply calls scipy's ``csr_matvecs``
+        routine directly — the exact C kernel ``csr.dot`` dispatches to,
+        so the counts are bit-identical — skipping the per-call Python
+        dispatch overhead that dominates at small sizes.  The two int32
+        intermediates are recycled per block height instead of
+        re-faulting fresh pages (the hot-path allocation contract of
+        ``docs/performance.md``).
         """
-        raise NotImplementedError  # pragma: no cover - interface
-
-
-class SparseInt32Kernel(HearKernel):
-    """The reference kernel: int32 CSR matvec, ``> 0`` threshold.
-
-    ``hear`` computes the pre-kernel engine formula
-    ``adjacency.dot(mask.astype(int32)) > 0`` — the int32 cast lands in
-    a reused scratch vector, which changes no count — and the other
-    kernels are proven against it.  ``hear_rows`` produces the same values as the old
-    ``adj_t.dot(rows.T).T`` but transposes *before* the product (one
-    C-ordered cast instead of two non-contiguous intermediates) so the
-    output block is C-contiguous without a trailing copy.
-    """
-
-    name = "sparse_int32"
-
-    def hear(self, active: BoolVector) -> BoolVector:
-        np.copyto(self._active_i32, active)
-        counts = self.structure.csr.dot(self._active_i32)
-        return counts > 0  # type: ignore[no-any-return]
-
-    def hear_rows(
-        self, rows: BoolMatrix, out: Optional[BoolMatrix] = None
-    ) -> BoolMatrix:
-        return _csr_hear_block(self.structure.csr_t, rows, out, self._csr_scratch)
-
-
-class DenseBoolKernel(HearKernel):
-    """Boolean dense matmul: ``A @ beeps`` on the OR-AND semiring.
-
-    numpy evaluates bool×bool matmul with logical AND/OR, which equals
-    ``(int matmul) > 0`` exactly — no counts, no overflow class at all.
-    """
-
-    name = "dense_bool"
-
-    def hear(self, active: BoolVector) -> BoolVector:
-        return self.structure.dense @ active  # type: ignore[no-any-return]
-
-    def hear_rows(
-        self, rows: BoolMatrix, out: Optional[BoolMatrix] = None
-    ) -> BoolMatrix:
-        # A is symmetric, so rows @ A == (A @ rows.T).T; matmul output is
-        # C-contiguous already.
-        heard = rows @ self.structure.dense
-        if out is None:
-            return heard  # type: ignore[no-any-return]
-        np.copyto(out, heard)
-        return out
-
-
-class BitsetKernel(HearKernel):
-    """Packed-word kernel: hearing as a union of neighborhood bitsets.
-
-    The heard set is exactly ``⋃_{u beeping} N(u)``; with adjacency rows
-    packed 64 bits per word that union is a gather of the beeping rows
-    plus one ``bitwise_or`` reduction, then a single unpack back to a
-    boolean mask.  Cost scales with ``(#beepers) · words`` instead of
-    ``nnz`` — independent of how *many* neighbors beeped, which is what
-    makes it fast while beeps are sparse.
-
-    The kernel is *adaptive*: the gather cost crosses the CSR matvec's
-    (``∝ nnz``) once roughly ``#beepers · n/64 > 2m``, so dense masks —
-    the legality checks' ``levels != ℓmax``, which is nearly all-ones
-    until convergence — are routed through the same int32 CSR product
-    the reference kernel uses.  Both branches compute the identical
-    boolean answer, so the switch is invisible to trajectories.
-    """
-
-    name = "bitset"
-
-    #: Cost-model constants calibrated on the repro benchmark host: the
-    #: gather branch costs ≈ ``GATHER_SLOPE · beeps · words`` index units
-    #: plus a fixed Python-dispatch overhead of ``FIXED_GAP`` units more
-    #: than the CSR branch, whose compute is ≈ ``nnz · replicas`` units.
-    #: Gather is chosen only when its modeled saving clears the gap.
-    _GATHER_SLOPE = 4
-    _FIXED_GAP = 24_000
-
-    def __init__(self, structure: GraphStructure):
-        super().__init__(structure)
-        self._nnz = 2 * structure.num_edges
-        #: Reused gather-branch intermediates for :meth:`hear_rows`,
-        #: keyed by block height: the packed word block and the
-        #: reduceat segment starts.
-        self._word_scratch: Dict[
-            int, Tuple[npt.NDArray[np.uint64], npt.NDArray[np.intp]]
-        ] = {}
-
-    def _use_gather(self, beeps: int, replicas: int) -> bool:
-        return (
-            self._nnz * replicas
-            - self._GATHER_SLOPE * beeps * self.structure.words
-            > self._FIXED_GAP
-        )
-
-    def hear(self, active: BoolVector) -> BoolVector:
-        packed = self.structure.packed
-        beeping = np.flatnonzero(active)
-        if beeping.size == 0:
-            return np.zeros(self.n, dtype=bool)
-        if not self._use_gather(beeping.size, 1):
-            np.copyto(self._active_i32, active)
-            counts = self.structure.csr.dot(self._active_i32)
-            return counts > 0  # type: ignore[no-any-return]
-        words = np.bitwise_or.reduce(packed[beeping], axis=0)
-        # Pure byte reinterpretation feeding unpackbits — no arithmetic
-        # happens at byte width, so the overflow class can't apply.
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")  # repro: allow[RPR302]
-        return bits[: self.n].view(np.bool_)
-
-    def hear_rows(
-        self, rows: BoolMatrix, out: Optional[BoolMatrix] = None
-    ) -> BoolMatrix:
-        packed = self.structure.packed
-        replicas = rows.shape[0]
-        # Per-row popcounts are an order of magnitude cheaper than
-        # materializing np.nonzero's index pair, and they both pick the
-        # branch and provide the reduceat segment boundaries.
-        counts = np.count_nonzero(rows, axis=1)
-        total = int(counts.sum())
-        if not self._use_gather(total, replicas):
-            # Dense block (or tiny CSR): the matvec beats row gathers.
-            return _csr_hear_block(
-                self.structure.csr_t, rows, out, self._csr_scratch
-            )
-        buffers = self._word_scratch.get(replicas)
+        csr = self.structure.csr_t
+        k, n = rows.shape
+        buffers = self._csr_scratch.get(k)
         if buffers is None:
             buffers = (
-                np.empty((replicas, self.structure.words), dtype=np.uint64),
-                np.empty(replicas, dtype=np.intp),
+                np.empty((n, k), dtype=np.int32),
+                np.empty((n, k), dtype=np.int32),
             )
-            self._word_scratch[replicas] = buffers
-        word_block, starts = buffers
-        word_block.fill(0)
-        if total:
-            # One segmented OR-reduction for the whole block: ravelled
-            # flat indices are row-major, so the gathered bitset rows are
-            # grouped by replica (column id = flat index mod n); empty
-            # replicas contribute no elements, so each nonempty replica's
-            # segment ends exactly at the next nonempty replica's start
-            # (or the end of the gather).
-            beep_cols = np.flatnonzero(rows) % self.n
-            nonempty = counts > 0
-            starts[0] = 0
-            np.cumsum(counts[:-1], out=starts[1:])
-            word_block[nonempty] = np.bitwise_or.reduceat(
-                packed[beep_cols], starts[nonempty], axis=0
+            self._csr_scratch[k] = buffers
+        cols, received = buffers
+        cols[...] = rows.T
+        received.fill(0)
+        if _csr_matvecs is None:
+            received = csr.dot(cols)
+        else:
+            _csr_matvecs(
+                n, n, k, csr.indptr, csr.indices, csr.data,
+                cols.ravel(), received.ravel(),
             )
-        # One unpack for the whole block (byte view, no byte arithmetic).
-        bits = np.unpackbits(word_block.view(np.uint8), axis=1, bitorder="little")  # repro: allow[RPR302]
-        heard = bits[:, : self.n].view(np.bool_)
         if out is None:
-            return np.ascontiguousarray(heard)
-        np.copyto(out, heard)
+            out = np.empty(rows.shape, dtype=bool)
+        np.greater(received.T, 0, out=out)
         return out
-
-
-# ----------------------------------------------------------------------
-# Registry + auto heuristic
-# ----------------------------------------------------------------------
-_KERNELS: Dict[str, Type[HearKernel]] = {
-    SparseInt32Kernel.name: SparseInt32Kernel,
-    DenseBoolKernel.name: DenseBoolKernel,
-    BitsetKernel.name: BitsetKernel,
-}
-
-#: CLI-friendly short names (plus ``auto``, resolved per structure).
-KERNEL_ALIASES: Dict[str, str] = {
-    "sparse": SparseInt32Kernel.name,
-    "dense": DenseBoolKernel.name,
-}
-
-#: Below this size the dense boolean matmul beats every sparse form —
-#: the whole matrix fits in cache and there is no index indirection.
-_DENSE_N_CUTOFF = 128
-
-#: Bitset pays off once an average packed row carries ≥ 1 set bit per
-#: uint64 word (density ≥ 1/64): the OR-reduction then touches no more
-#: memory than the CSR indices would.
-_BITSET_DENSITY = 1.0 / 64.0
-
-
-def available_kernels() -> Tuple[str, ...]:
-    """Registered kernel names, sorted (aliases and ``auto`` excluded)."""
-    return tuple(sorted(_KERNELS))
-
-
-def resolve_kernel_name(
-    name: str,
-    structure: Optional[GraphStructure] = None,
-    replicas: int = 1,
-) -> str:
-    """Canonical kernel name for ``name`` (aliases and ``auto`` resolved).
-
-    The ``auto`` heuristic, on ``(n, density, replicas)``:
-
-    * ``n ≤ 128`` → ``dense_bool`` (cache-resident dense matmul);
-    * ``density ≥ 1/64`` → ``bitset`` (≥ 1 bit per packed word);
-    * batched blocks (``replicas ≥ 8``) at moderate density ≥ 1/256 →
-      ``bitset`` (the per-round gather amortizes over the block);
-    * otherwise → ``sparse_int32``.
-    """
-    name = KERNEL_ALIASES.get(name, name)
-    if name == "auto":
-        if structure is None:
-            return SparseInt32Kernel.name
-        if structure.n <= _DENSE_N_CUTOFF:
-            return DenseBoolKernel.name
-        density = structure.density
-        if density >= _BITSET_DENSITY:
-            return BitsetKernel.name
-        if replicas >= 8 and density >= _BITSET_DENSITY / 4.0:
-            return BitsetKernel.name
-        return SparseInt32Kernel.name
-    if name not in _KERNELS:
-        choices = ("auto",) + tuple(KERNEL_ALIASES) + available_kernels()
-        raise ValueError(
-            f"unknown hear kernel {name!r}; choose one of {sorted(set(choices))}"
-        )
-    return name
-
-
-def make_kernel(
-    name: str,
-    structure: GraphStructure,
-    replicas: int = 1,
-) -> HearKernel:
-    """Instantiate the (resolved) kernel ``name`` over ``structure``."""
-    return _KERNELS[resolve_kernel_name(name, structure, replicas)](structure)

@@ -3,8 +3,8 @@
 The sweep executors regenerate each configuration's graph inside every
 worker process and then (pre-kernel) rebuilt its CSR per engine
 instance.  This module ships each *distinct* graph's derived structure
-once instead: the parent exports the big arrays (edge list, CSR parts,
-packed bitset) into one ``multiprocessing.shared_memory`` segment per
+once instead: the parent exports the big arrays (edge list and CSR parts)
+into one ``multiprocessing.shared_memory`` segment per
 graph, workers attach at pool-initializer time and seed their local
 structure cache with zero-copy views onto the segment.
 
@@ -90,13 +90,12 @@ def _release_segments(segments: List[shared_memory.SharedMemory]) -> None:
         _LIVE_EXPORTS.discard(segment.name)
 
 #: (field name, dtype string) layout of one exported structure, in
-#: segment order.  Shapes are derived from ``n``/``m``/``words``.
+#: segment order.  Shapes are derived from ``n``/``m``.
 _FIELDS: Tuple[Tuple[str, str], ...] = (
     ("edges", "int64"),
     ("csr_data", "int32"),
     ("csr_indices", "int32"),
     ("csr_indptr", "int32"),
-    ("packed", "uint64"),
 )
 
 
@@ -105,7 +104,7 @@ class SharedStructureManifest:
     """Everything a worker needs to attach one graph's structure.
 
     ``offsets`` maps field name → byte offset inside the segment; shapes
-    are recomputed from ``n``/``m``/``words`` so the manifest stays a few
+    are recomputed from ``n``/``m`` so the manifest stays a few
     hundred bytes regardless of graph size.
     """
 
@@ -113,18 +112,16 @@ class SharedStructureManifest:
     digest: str
     n: int
     m: int
-    words: int
     offsets: Dict[str, int]
     total_bytes: int
 
 
-def _field_shapes(n: int, m: int, words: int) -> Dict[str, Tuple[int, ...]]:
+def _field_shapes(n: int, m: int) -> Dict[str, Tuple[int, ...]]:
     return {
         "edges": (m, 2),
         "csr_data": (2 * m,),
         "csr_indices": (2 * m,),
         "csr_indptr": (n + 1,),
-        "packed": (n, words),
     }
 
 
@@ -176,14 +173,13 @@ def export_structures(graphs: Sequence[Graph]) -> SharedStructureSet:
 def _export_one(
     structure: GraphStructure,
 ) -> Tuple[SharedStructureManifest, shared_memory.SharedMemory]:
-    n, m, words = structure.n, structure.num_edges, structure.words
-    shapes = _field_shapes(n, m, words)
+    n, m = structure.n, structure.num_edges
+    shapes = _field_shapes(n, m)
     arrays = {
         "edges": structure.edge_array,
         "csr_data": structure.csr.data,
         "csr_indices": structure.csr.indices,
         "csr_indptr": structure.csr.indptr,
-        "packed": structure.packed,
     }
     offsets: Dict[str, int] = {}
     cursor = 0
@@ -204,7 +200,6 @@ def _export_one(
         digest=structure.digest,
         n=n,
         m=m,
-        words=words,
         offsets=offsets,
         total_bytes=total,
     )
@@ -256,7 +251,7 @@ def attach_structure(
     import scipy.sparse as sp
 
     segment = _attach_segment(manifest.segment, untrack)
-    shapes = _field_shapes(manifest.n, manifest.m, manifest.words)
+    shapes = _field_shapes(manifest.n, manifest.m)
     views: Dict[str, np.ndarray] = {}
     for field, dtype in _FIELDS:
         view = np.ndarray(
@@ -277,7 +272,6 @@ def attach_structure(
             (views["csr_data"], views["csr_indices"], views["csr_indptr"]),
             shape=(manifest.n, manifest.n),
         )
-    structure._packed = views["packed"]
     structure._segments = (segment,)
     return structure
 

@@ -2,21 +2,21 @@
 
 Every engine round reduces to the boolean question "which vertices heard
 at least one beep" — a neighborhood aggregation against a *fixed*
-adjacency.  :class:`GraphStructure` bundles every derived form of that
-adjacency the hear kernels consume:
+adjacency.  :class:`GraphStructure` bundles the two derived forms of
+that adjacency:
 
-* ``csr`` — the canonical int32 CSR matrix (identical, entry for entry,
-  to :func:`repro.graphs.io.to_sparse_adjacency`; the symmetric matrix
+* ``edge_array`` — the canonical ``(m, 2)`` int64 edge list (sorted,
+  u < v), which keys the content digest and the shared-memory export;
+* ``csr`` — the canonical int32 CSR matrix the hear kernel multiplies
+  against (identical, entry for entry, to
+  :func:`repro.graphs.io.to_sparse_adjacency`; the symmetric matrix
   doubles as its own transpose, so ``csr_t is csr``).
-* ``dense`` — the boolean dense matrix (small/dense graphs).
-* ``packed`` — rows packed into uint64 words (64 adjacency bits per
-  word) for the bitset kernel.
 
-All forms are built lazily and exactly once per structure; the
+Both forms are built lazily and exactly once per structure; the
 module-level **structure cache** (:func:`structure_for`) is keyed by the
 :class:`~repro.graphs.graph.Graph` itself — Graphs hash and compare by
 content, so two engines on equal topologies share one structure (and
-therefore one CSR, one bitset, …) even when the Graph objects differ.
+therefore one CSR) even when the Graph objects differ.
 The cache is a bounded LRU guarded by a lock, safe to touch from
 collector threads; worker processes are seeded through
 :func:`seed_structure` by the shared-memory sweep path
@@ -73,8 +73,6 @@ class GraphStructure:
             self.num_edges = graph.num_edges
         self._edge_array: Optional[npt.NDArray[np.int64]] = None
         self._csr: Optional[sp.csr_matrix] = None
-        self._dense: Optional[npt.NDArray[np.bool_]] = None
-        self._packed: Optional[npt.NDArray[np.uint64]] = None
         self._digest: Optional[str] = None
         #: SharedMemory segments backing the arrays (attach path only) —
         #: held so the buffers outlive every view taken on them.
@@ -144,60 +142,6 @@ class GraphStructure:
         return self.csr
 
     @property
-    def dense(self) -> npt.NDArray[np.bool_]:
-        """The boolean dense adjacency (built on first use)."""
-        if self._dense is None:
-            self._dense = self._build_dense()
-        return self._dense
-
-    def _build_dense(self) -> npt.NDArray[np.bool_]:
-        dense = np.zeros((self.n, self.n), dtype=bool)
-        if self.graph is not None or self._edge_array is not None:
-            edges = self.edge_array
-            if edges.size:
-                dense[edges[:, 0], edges[:, 1]] = True
-                dense[edges[:, 1], edges[:, 0]] = True
-        else:
-            csr = self.csr
-            dense[csr.nonzero()] = True
-        return dense
-
-    @property
-    def words(self) -> int:
-        """uint64 words per packed adjacency row."""
-        return max(1, (self.n + 63) // 64)
-
-    @property
-    def packed(self) -> npt.NDArray[np.uint64]:
-        """Adjacency rows packed into ``(n, words)`` uint64 words.
-
-        Bit ``v`` of row ``u`` (little-endian within each word) is the
-        edge indicator ``{u, v} ∈ E`` — the layout
-        ``np.packbits(..., bitorder="little")`` produces, so
-        ``np.unpackbits(..., bitorder="little")`` is the exact inverse.
-        """
-        if self._packed is None:
-            # Use the cached dense form when present, else a transient one
-            # (packing should not pin n² bytes for bitset-only users).
-            dense = self._dense if self._dense is not None else self._build_dense()
-            padded_bits = self.words * 64
-            if padded_bits == self.n:
-                padded = dense
-            else:
-                padded = np.zeros((self.n, padded_bits), dtype=bool)
-                padded[:, : self.n] = dense
-            packed_bytes = np.packbits(padded, axis=1, bitorder="little")
-            self._packed = packed_bytes.view(np.uint64)
-        return self._packed
-
-    @property
-    def density(self) -> float:
-        """Edge density ``2m / (n(n-1))`` (0.0 for n < 2)."""
-        if self.n < 2:
-            return 0.0
-        return 2.0 * self.num_edges / (self.n * (self.n - 1))
-
-    @property
     def digest(self) -> str:
         """Content digest keying shared-memory manifests across processes."""
         if self._digest is None:
@@ -229,7 +173,7 @@ def structure_for(graph: Graph) -> GraphStructure:
     """The shared :class:`GraphStructure` of ``graph`` (content-keyed).
 
     Graphs hash/compare by ``(n, edges)``, so equal topologies map to one
-    structure regardless of object identity — CSR/bitset/dense forms are
+    structure regardless of object identity — the edge array and CSR are
     built once per graph and shared across engine instances, replicas,
     and observability views.
     """
@@ -283,15 +227,14 @@ def structure_cache_info() -> Dict[str, Union[int, float]]:
 # Incremental structure updates (the serving hot path)
 # ----------------------------------------------------------------------
 # Cost model: patching splices only the dirty CSR rows (one contiguous
-# copy per clean gap) and flips only the touched dense cells / bitset
-# words, so its cost is O(m_copy + Σ deg(dirty)).  The per-dirty-row
-# Python bookkeeping stops paying once the delta touches a sizable slice
-# of the graph, at which point the from-scratch build — whose arrays are
-# written once, in order, by vectorized constructors — is cheaper.  The
-# two thresholds mark that crossover with a wide margin (patching a
-# quarter of all rows costs about as much as rebuilding them all); a
-# vertex-id-space *growth* always rebuilds, since every derived form
-# changes shape.
+# copy per clean gap), so its cost is O(m_copy + Σ deg(dirty)).  The
+# per-dirty-row Python bookkeeping stops paying once the delta touches
+# a sizable slice of the graph, at which point the from-scratch build —
+# whose arrays are written once, in order, by vectorized constructors —
+# is cheaper.  The two thresholds mark that crossover with a wide margin
+# (patching a quarter of all rows costs about as much as rebuilding them
+# all); a vertex-id-space *growth* always rebuilds, since every derived
+# form changes shape.
 _REBUILD_DIRTY_FRACTION = 0.25
 _REBUILD_EDGE_FRACTION = 0.25
 
@@ -377,61 +320,6 @@ def _patch_csr(
     return sp.csr_matrix((data, new_indices, new_indptr), shape=(n, n))
 
 
-def _patch_dense(
-    dense: npt.NDArray[np.bool_],
-    removed: npt.NDArray[np.int64],
-    added: npt.NDArray[np.int64],
-) -> npt.NDArray[np.bool_]:
-    """Flip only the churned cells (both triangles) of a dense copy."""
-    out = dense.copy()
-    if removed.size:
-        out[removed[:, 0], removed[:, 1]] = False
-        out[removed[:, 1], removed[:, 0]] = False
-    if added.size:
-        out[added[:, 0], added[:, 1]] = True
-        out[added[:, 1], added[:, 0]] = True
-    return out
-
-
-def _packed_flip(
-    words: npt.NDArray[np.uint64],
-    pairs: npt.NDArray[np.int64],
-    set_bits: bool,
-) -> None:
-    """Set/clear adjacency bits (both orientations) in a packed copy.
-
-    Bit ``v`` of row ``u`` lives in word ``v >> 6`` at in-word position
-    ``v & 63`` (the little-endian layout :attr:`GraphStructure.packed`
-    documents).  ``.at`` ufuncs apply unbuffered, so several flips
-    landing in the same word all take effect.
-    """
-    both = np.concatenate([pairs, pairs[:, ::-1]])
-    rows = both[:, 0]
-    cols = both[:, 1]
-    # ``cols & 63`` is a fresh contiguous int64 array of values in
-    # [0, 63]; the same-width ``.view`` reinterprets it as uint64 for
-    # free (bit patterns of small non-negatives coincide) instead of
-    # materializing an ``.astype`` copy.
-    masks = np.left_shift(np.uint64(1), (cols & 63).view(np.uint64))
-    if set_bits:
-        np.bitwise_or.at(words, (rows, cols >> 6), masks)
-    else:
-        np.bitwise_and.at(words, (rows, cols >> 6), np.invert(masks))
-
-
-def _patch_packed(
-    packed: npt.NDArray[np.uint64],
-    removed: npt.NDArray[np.int64],
-    added: npt.NDArray[np.int64],
-) -> npt.NDArray[np.uint64]:
-    out = packed.copy()
-    if removed.size:
-        _packed_flip(out, removed, set_bits=False)
-    if added.size:
-        _packed_flip(out, added, set_bits=True)
-    return out
-
-
 def update_structure(
     structure: GraphStructure,
     delta: "TopologyDelta",
@@ -442,15 +330,16 @@ def update_structure(
     The input structure is never mutated (shared structures are
     read-only by contract); the returned structure holds fresh arrays
     that are **byte-identical** to a from-scratch ``structure_for`` on
-    the post-delta graph — asserted across every derived form and delta
-    shape by ``tests/test_incremental_structure.py``.
+    the post-delta graph — asserted across both derived forms and every
+    delta shape by ``tests/test_incremental_structure.py``.
 
-    Only the forms the source structure had already materialized are
-    patched; the rest stay lazy and build from the (always-patched)
-    edge array on first use, exactly as a fresh structure would.  When
-    :func:`should_rebuild` prefers a from-scratch build (large delta,
-    or a vertex-id-space growth that changes every array shape), the
-    patch is skipped and the result comes from the shared cache.
+    The edge array is always patched; the CSR is patched only when the
+    source structure had already built it, and otherwise stays lazy and
+    builds from the patched edge array on first use, exactly as a fresh
+    structure would.  When :func:`should_rebuild` prefers a from-scratch
+    build (large delta, or a vertex-id-space growth that changes every
+    array shape), the patch is skipped and the result comes from the
+    shared cache.
 
     Parameters
     ----------
@@ -497,8 +386,4 @@ def update_structure(
     )
     if structure._csr is not None:
         patched._csr = _patch_csr(structure._csr, n, delta)
-    if structure._dense is not None:
-        patched._dense = _patch_dense(structure._dense, removed, added)
-    if structure._packed is not None:
-        patched._packed = _patch_packed(structure._packed, removed, added)
     return patched

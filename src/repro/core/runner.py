@@ -117,7 +117,6 @@ def compute_mis(
     engine: str = "vectorized",
     policy: Optional[EllMaxPolicy] = None,
     collector: Optional[object] = None,
-    kernel: Optional[str] = None,
     channel: Optional[object] = None,
     scheduler: Optional[object] = None,
 ) -> MISResult:
@@ -153,12 +152,6 @@ def compute_mis(
         one with :func:`repro.obs.collector_for_backend` — the expected
         shape differs per backend).  Forwarded to the backend only when
         set, so backends without observability support keep working.
-    kernel:
-        Hear-kernel name (``"auto"``/``"sparse"``/``"dense"``/
-        ``"bitset"``, see :mod:`repro.core.kernels`); ``None`` keeps the
-        backend's default.  Trajectories are bit-identical for every
-        kernel, so this is purely a performance knob.  Forwarded only
-        when set, as with ``collector``.
     channel, scheduler:
         Stress models — a spec string (``"lossy:0.05"``,
         ``"drift:0.1"``, …) or a model instance from
@@ -193,8 +186,6 @@ def compute_mis(
     extra: Dict[str, object] = {}
     if collector is not None:
         extra["collector"] = collector
-    if kernel is not None:
-        extra["kernel"] = kernel
     if channel is not None:
         extra["channel"] = channel
     if scheduler is not None:

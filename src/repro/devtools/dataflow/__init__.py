@@ -97,13 +97,13 @@ DATAFLOW_RULES: Tuple[RuleInfo, ...] = (
         title="ad-hoc adjacency construction bypasses the structure cache",
         rationale=(
             "Calling to_sparse_adjacency or a scipy.sparse constructor "
-            "directly rebuilds the CSR (and forfeits the dense/bitset "
-            "forms) for a graph whose derived structure is already "
-            "memoized by repro.core.kernels.structure_for — every such "
+            "directly rebuilds the CSR for a graph whose derived "
+            "structure is already memoized by "
+            "repro.core.kernels.structure_for — every such "
             "call site pays the build again and cannot share the arrays "
             "with other engines, replicas, or collectors.  Fetch "
             "adjacency via structure_for(graph).csr (or the structure's "
-            "dense/packed forms); only repro.core.kernels and "
+            "edge array); only repro.core.kernels and "
             "repro.graphs.io may construct the matrices themselves."
         ),
     ),
@@ -116,10 +116,10 @@ DATAFLOW_RULES: Tuple[RuleInfo, ...] = (
             "degree cap and emits the TopologyDelta the incremental "
             "patching consumes) and every derived-structure patch "
             "through repro.core.kernels.update_structure (which keeps "
-            "the patched CSR/dense/bitset forms byte-identical to a "
+            "the patched CSR/edge array byte-identical to a "
             "rebuild).  Writing MutableTopology internals (._adj, "
             "._live, ._free) or GraphStructure form slots (._csr, "
-            "._dense, ._packed, ._edge_array) anywhere else silently "
+            "._edge_array) anywhere else silently "
             "desynchronizes topology, structure, and engine levels.  "
             "Use the add_node/remove_node/add_edge/remove_edge op "
             "surface and update_structure instead."

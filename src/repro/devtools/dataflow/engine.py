@@ -112,8 +112,8 @@ _DISPATCH_METHODS = frozenset({"submit", "map"})
 
 #: RPR631 — the only modules allowed to build adjacency matrices by hand.
 #: Everything else must go through the content-keyed structure cache
-#: (``repro.core.kernels.structure_for``), which shares the derived CSR /
-#: dense / bitset forms across engines, replicas, and collectors.
+#: (``repro.core.kernels.structure_for``), which shares the derived CSR
+#: and edge array across engines, replicas, and collectors.
 _STRUCTURE_HOMES = ("repro.core.kernels", "repro.graphs.io")
 _ADJACENCY_BUILDERS = frozenset({"to_sparse_adjacency"})
 _SPARSE_CTORS = frozenset({
@@ -130,7 +130,7 @@ _SPARSE_CTORS = frozenset({
 _TOPOLOGY_HOMES = ("repro.graphs.mutable",)
 _TOPOLOGY_INTERNALS = frozenset({"_adj", "_live", "_free"})
 _STRUCTURE_PATCH_HOMES = ("repro.core.kernels",)
-_STRUCTURE_FORM_ATTRS = frozenset({"_csr", "_dense", "_packed", "_edge_array"})
+_STRUCTURE_FORM_ATTRS = frozenset({"_csr", "_edge_array"})
 _CONTAINER_MUTATORS = frozenset({
     "add", "append", "clear", "discard", "extend", "fill", "insert",
     "pop", "put", "remove", "resize", "update",
@@ -274,7 +274,7 @@ class DataflowAnalyzer(Analyzer[Summary]):
                 "RPR641", module, node,
                 f"{how} derived-structure form .{attr} outside "
                 "repro.core.kernels desynchronizes the shared "
-                "CSR/dense/bitset forms; patch via "
+                "CSR/edge array; patch via "
                 "repro.core.kernels.update_structure",
                 module.name,
             )

@@ -6,7 +6,7 @@ allocations, dtype churn, Python-level array loops, per-call scratch
 rebinding, and logging/profiling bypasses inside it (see :mod:`.engine`
 for the inference; it runs on the shared interprocedural driver
 :mod:`repro.devtools.pipeline.driver`).  A runtime twin (:mod:`.audit`)
-drives every engine × kernel combo to steady state and measures actual
+drives every engine combo to steady state and measures actual
 bytes/round with ``tracemalloc``, so the static contract is backstopped
 by a measured one.
 

@@ -1,7 +1,7 @@
 """Steady-state allocation auditor — the runtime twin of RPR8xx.
 
 The static analyzer proves the hot region *looks* allocation-free;
-this module measures that it *is*.  Each engine × kernel combo is
+this module measures that it *is*.  Each engine combo is
 driven past its warmup (lazy scratch binding, carrier creation, block
 pre-draws) and then stepped for a fixed window between two
 ``tracemalloc`` snapshots, with a ``gc.collect()`` fence on each side
@@ -67,10 +67,6 @@ DEFAULT_THRESHOLD_BYTES = 2048.0
 #: gets the same budget; nothing currently needs more headroom — the
 #: table exists so a future combo can document *why* it does.
 THRESHOLD_OVERRIDES: Dict[str, float] = {}
-
-#: Hear-kernel implementations every engine is audited against.
-_KERNELS = ("sparse_int32", "dense_bool", "bitset")
-
 
 @dataclass(frozen=True)
 class ComboAudit:
@@ -147,18 +143,17 @@ def _solo_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
     from ...core.knowledge import uniform_policy
 
     policy = uniform_policy(graph, ell_max=6)
-    for kernel in _KERNELS:
-        for name, cls in (
-            ("single", SingleChannelEngine),
-            ("two_channel", TwoChannelEngine),
-        ):
-            engine = cls(graph, policy, seed=_AUDIT_SEED, kernel=kernel)
+    for name, cls in (
+        ("single", SingleChannelEngine),
+        ("two_channel", TwoChannelEngine),
+    ):
+        engine = cls(graph, policy, seed=_AUDIT_SEED)
 
-            def step(engine: Any = engine) -> object:
-                engine.step()
-                return engine.is_legal()
+        def step(engine: Any = engine) -> object:
+            engine.step()
+            return engine.is_legal()
 
-            yield f"{name}×{kernel}", step
+        yield name, step
 
 
 def _constant_state_combos(
@@ -166,14 +161,13 @@ def _constant_state_combos(
 ) -> Iterator[Tuple[str, Callable[[], object]]]:
     from ...core.engines.constant_state import ConstantStateEngine
 
-    for kernel in _KERNELS:
-        engine = ConstantStateEngine(graph, seed=_AUDIT_SEED, kernel=kernel)
+    engine = ConstantStateEngine(graph, seed=_AUDIT_SEED)
 
-        def step(engine: Any = engine) -> object:
-            engine.step()
-            return engine.is_legal()
+    def step(engine: Any = engine) -> object:
+        engine.step()
+        return engine.is_legal()
 
-        yield f"constant_state×{kernel}", step
+    yield "constant_state", step
 
 
 def _batched_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
@@ -181,25 +175,18 @@ def _batched_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
     from ...core.knowledge import uniform_policy
 
     policy = uniform_policy(graph, ell_max=6)
-    for kernel in _KERNELS:
-        engine = BatchedEngine(
-            graph, policy, replicas=4, seed=_AUDIT_SEED, kernel=kernel
-        )
-        active = np.ones(engine.replicas, dtype=bool)
-        active_idx = np.arange(engine.replicas, dtype=np.intp)
+    engine = BatchedEngine(graph, policy, replicas=4, seed=_AUDIT_SEED)
+    active = np.ones(engine.replicas, dtype=bool)
+    active_idx = np.arange(engine.replicas, dtype=np.intp)
 
-        def step(
-            engine: Any = engine,
-            active: Any = active,
-            active_idx: Any = active_idx,
-        ) -> object:
-            # Mirror one run-loop iteration: legality check + step,
-            # every replica held active (retired replicas step no more,
-            # so the always-active grid is the steady-state upper bound).
-            engine._legal_rows(engine.levels)
-            return engine.step(active, active_idx=active_idx)
+    def step() -> object:
+        # Mirror one run-loop iteration: legality check + step, every
+        # replica held active (retired replicas step no more, so the
+        # always-active grid is the steady-state upper bound).
+        engine._legal_rows(engine.levels)
+        return engine.step(active, active_idx=active_idx)
 
-        yield f"batched×{kernel}", step
+    yield "batched", step
 
 
 def _stressed_combo(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
@@ -212,7 +199,6 @@ def _stressed_combo(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
         graph,
         policy,
         seed=_AUDIT_SEED,
-        kernel="sparse_int32",
         channel="unreliable:0.05,0.01",
         scheduler="drift:0.1,3",
     )
@@ -221,7 +207,7 @@ def _stressed_combo(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
         engine.step()
         return engine.is_legal()
 
-    yield "single×sparse_int32×unreliable+drift", step
+    yield "single×unreliable+drift", step
 
 
 def run_allocation_audit(
@@ -229,7 +215,7 @@ def run_allocation_audit(
     rounds: int = _MEASURE_ROUNDS,
     combos: Optional[List[str]] = None,
 ) -> List[ComboAudit]:
-    """Audit every engine × kernel combo; returns one result per combo.
+    """Audit every engine combo; returns one result per combo.
 
     ``combos`` (label substrings) restricts the grid — the tiny unit
     test audits one combo, the sanitizer pass audits all of them.
@@ -263,7 +249,7 @@ def _fused_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
     same class of regressions as the per-step combos, at run
     granularity.
     """
-    from ...core.kernels import PerRoundDraws, RoundKernel, make_kernel, structure_for
+    from ...core.kernels import HearKernel, PerRoundDraws, RoundKernel, structure_for
     from ...core.knowledge import uniform_policy
 
     policy = uniform_policy(graph, ell_max=6)
@@ -273,7 +259,7 @@ def _fused_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
     for algo in ("single", "two_channel", "constant_state"):
         constant = algo == "constant_state"
         kern = RoundKernel(
-            make_kernel("auto", structure, replicas=replicas),
+            HearKernel(structure),
             algorithm=algo,
             ell_max=None if constant else policy.ell_max,
             replicas=replicas,

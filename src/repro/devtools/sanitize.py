@@ -29,7 +29,7 @@ runtime booby-trapped:
   must surface :class:`repro.analysis.sweep.SweepWorkerError`, shut the
   pool down, and leak no segment;
 * **allocation audit** — the runtime twin of the RPR8xx hot-path rules
-  (:mod:`repro.devtools.hotpath.audit`): every engine × kernel combo is
+  (:mod:`repro.devtools.hotpath.audit`): every engine combo is
   driven to steady state and its net retained bytes/round, measured
   between warmup-fenced ``tracemalloc`` snapshots, must stay under the
   documented per-combo threshold.
@@ -138,10 +138,9 @@ def engine_shared_arrays(engine: object) -> List[npt.NDArray[Any]]:
             add(getattr(matrix, part, None))
     structure = getattr(engine, "structure", None)
     if structure is not None:
-        # Already-built cached forms only — reading the lazy properties
-        # here would build them as a side effect of the audit.
-        for attr in ("_packed", "_dense", "_edge_array"):
-            add(getattr(structure, attr, None))
+        # The already-built edge array only — reading the lazy property
+        # here would build it as a side effect of the audit.
+        add(getattr(structure, "_edge_array", None))
     add(getattr(engine, "ell_max", None))
     return arrays
 
@@ -435,7 +434,7 @@ def check_sweep_pool_worker_crash() -> SanitizerResult:
 def check_hotpath_allocation_audit() -> SanitizerResult:
     """Steady-state allocation audit — runtime twin of the RPR8xx rules.
 
-    Drives every engine × kernel combo past warmup and asserts the net
+    Drives every engine combo past warmup and asserts the net
     retained bytes/round between two gc-fenced ``tracemalloc`` snapshots
     stays under the documented threshold
     (:data:`repro.devtools.hotpath.audit.DEFAULT_THRESHOLD_BYTES`).

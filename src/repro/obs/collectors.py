@@ -43,7 +43,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 import numpy.typing as npt
 
-from ..core.kernels import GraphStructure, make_kernel, structure_for
+from ..core.kernels import GraphStructure, HearKernel, structure_for
 from ..graphs.graph import Graph
 from .registry import MetricsRegistry
 from .sinks import MetricSink
@@ -141,11 +141,10 @@ class StructureView:
         :func:`~repro.core.kernels.structure_for` cache on the same
         graph, so the shared forms are identical by construction —
         collectors only ever *read* them, making this a pure setup-cost
-        optimization.  Adopting the engine's *kernel* additionally keeps
-        the collector's aggregation strategy in lock-step with the run it
-        observes.  Engines without these attributes (the reference
-        network) are a no-op; the view then lazy-builds from
-        :attr:`graph`.
+        optimization.  Adopting the engine's *kernel* additionally
+        reuses its scratch buffers.  Engines without these attributes
+        (the reference network) are a no-op; the view then lazy-builds
+        from :attr:`graph`.
         """
         if self.adjacency is None:
             adjacency = getattr(engine, "adjacency", None)
@@ -181,7 +180,7 @@ class StructureView:
                 structure = GraphStructure.from_csr(self.adjacency)
             else:
                 raise ValueError("StructureView has neither adjacency nor graph")
-            self.kernel = make_kernel("auto", structure)
+            self.kernel = HearKernel(structure)
         return self.kernel
 
     def _built_adjacency(self) -> Any:

@@ -174,9 +174,6 @@ class MISService:
     engine:
         ``"vectorized"`` (solo array engine) or ``"batched"`` (the
         (R, n) engine with one replica, exercising that code path).
-    kernel:
-        Hear-kernel name; ``"auto"`` resolves once at construction and
-        stays pinned across rebinds.
     channel, scheduler:
         Stress models (:mod:`repro.beeping.channels` /
         :mod:`repro.beeping.schedulers`): serve under an unreliable
@@ -206,7 +203,6 @@ class MISService:
         degree_cap: Optional[int] = None,
         algorithm: str = "single",
         engine: str = "vectorized",
-        kernel: str = "auto",
         channel: Optional[object] = None,
         scheduler: Optional[object] = None,
         seed: SeedLike = 0,
@@ -241,18 +237,15 @@ class MISService:
         if engine == "batched":
             self._engine: Union[EngineBase, BatchedEngine] = BatchedEngine(
                 graph, policy, replicas=1, seed=seed,
-                algorithm=algorithm, kernel=kernel,
-                channel=channel, scheduler=scheduler,
+                algorithm=algorithm, channel=channel, scheduler=scheduler,
             )
         elif algorithm == "two_channel":
             self._engine = TwoChannelEngine(
-                graph, policy, seed=seed, kernel=kernel,
-                channel=channel, scheduler=scheduler,
+                graph, policy, seed=seed, channel=channel, scheduler=scheduler,
             )
         else:
             self._engine = SingleChannelEngine(
-                graph, policy, seed=seed, kernel=kernel,
-                channel=channel, scheduler=scheduler,
+                graph, policy, seed=seed, channel=channel, scheduler=scheduler,
             )
         # (topology version, full MIS) the last re-stabilization left, and
         # the live-restricted answer memoized for one version.

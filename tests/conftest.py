@@ -9,6 +9,7 @@ that every shared-memory segment the suite exported was unlinked by the
 end of the run.  See :mod:`repro.devtools.sanitize`.
 """
 
+import contextlib
 import os
 
 import numpy as np
@@ -184,3 +185,71 @@ def step_constant_state(engine, max_rounds):
     return VectorizedResult(
         True, executed, engine.mis_vertices(), engine.in_mis.astype(np.int64)
     )
+
+
+# ----------------------------------------------------------------------
+# Structure sources: the ways an engine's CSR structure can reach the
+# content-keyed structure cache.  Every source must leave trajectories
+# bit-identical.  The names are those of the hear kernels the same test
+# axes selected while there was more than one, so the test ids stay
+# stable; each now names where the one int32-CSR kernel's structure
+# comes from:
+#
+# * ``auto``   -- built lazily by ``structure_for`` on a cold cache;
+# * ``sparse`` -- prebuilt on the graph rebuilt from its scipy CSR
+#   adjacency, then seeded;
+# * ``dense``  -- prebuilt on the graph rebuilt from its dense n x n
+#   adjacency matrix, then seeded;
+# * ``bitset`` -- attached zero-copy from a shared-memory export (the
+#   process-pool worker path: read-only views), then seeded.
+# ----------------------------------------------------------------------
+STRUCTURE_SOURCES = ("auto", "sparse", "dense", "bitset")
+
+
+@contextlib.contextmanager
+def structure_source(graph, source):
+    """Fill the structure cache for ``graph`` from ``source``.
+
+    Yields the structure every engine built on ``graph`` inside the
+    block picks up; the cache is cleared on entry and on exit.
+    """
+    from repro.core.kernels import (
+        GraphStructure,
+        clear_structure_cache,
+        seed_structure,
+        structure_for,
+    )
+    from repro.core.kernels.shm import attach_structure, export_structures
+    from repro.graphs.io import to_sparse_adjacency
+
+    clear_structure_cache()
+    shared = None
+    try:
+        if source == "auto":
+            structure = structure_for(graph)
+        elif source == "bitset":
+            shared = export_structures([graph])
+            clear_structure_cache()
+            structure = attach_structure(shared.manifests[0])
+            seed_structure(structure)
+        elif source in ("sparse", "dense"):
+            adjacency = to_sparse_adjacency(graph)
+            if source == "dense":
+                adjacency = adjacency.toarray()
+            rows, cols = adjacency.nonzero()
+            rebuilt = Graph(
+                graph.num_vertices,
+                [(u, v) for u, v in zip(rows.tolist(), cols.tolist()) if u < v],
+            )
+            assert rebuilt == graph
+            structure = GraphStructure(rebuilt)
+            structure.csr  # force the build before seeding
+            seed_structure(structure)
+        else:
+            raise ValueError(f"unknown structure source {source!r}")
+        assert structure_for(graph) is structure
+        yield structure
+    finally:
+        clear_structure_cache()
+        if shared is not None:
+            shared.close()

@@ -7,5 +7,5 @@ def local_adjacency(graph):
     return structure_for(graph).csr
 
 
-def packed_rows(graph):
-    return structure_for(graph).packed
+def edge_list(graph):
+    return structure_for(graph).edge_array

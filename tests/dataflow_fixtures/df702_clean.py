@@ -8,5 +8,5 @@ def saturate(block):
 
 
 def run(manifest):
-    private = attach_structure(manifest).dense.copy()
+    private = attach_structure(manifest).edge_array.copy()
     return saturate(private)

@@ -13,7 +13,7 @@ def rescale(block):
 
 
 def scrub(manifest):
-    levels = attach_structure(manifest).dense
+    levels = attach_structure(manifest).edge_array
     levels[0] = 0  # direct subscript store into the shared mapping.
     return levels
 

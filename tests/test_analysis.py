@@ -1,11 +1,13 @@
 """Tests for the analysis toolkit (stats, fitting, sweeps, tables)."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.analysis.fitting import best_model, fit_all_models, fit_model
+from repro.analysis.measurements import StabilizationRounds
 from repro.analysis.stats import bootstrap_ci, summarize, tail_fraction
 from repro.analysis.sweep import run_sweep
 from repro.analysis.tables import format_rows, format_table, series_sparkline
@@ -91,6 +93,46 @@ class TestFitting:
             fit_model([1, 2], [1], "log")
         with pytest.raises(ValueError):
             fit_model([1, 2], [1, 2], "cubic")
+
+
+class TestTheorem21Shape:
+    """Tier-1 smoke of E1: Algorithm 1's stabilization time fits O(log n).
+
+    The ``benchmarks/bench_theorem21.py`` configuration at smoke scale:
+    the ``max_degree`` policy from an arbitrary start, n = 16 … 1024,
+    8 repetitions per cell, the E1 graph seeds and master seed 101.  A
+    change that breaks the logarithmic shape fails here, not only in a
+    benchmark run.
+    """
+
+    SIZES = [2 ** k for k in range(4, 11)]
+
+    @staticmethod
+    def _graph_seed(family, n):
+        # bench_theorem21's ``seed_for("E1g", family, n)``.
+        return zlib.crc32(repr(("E1g", family, n)).encode("utf-8")) % (2**31 - 1)
+
+    @pytest.mark.parametrize("family", ["er", "regular", "cycle", "star"])
+    def test_log_model_wins(self, family):
+        configs = [
+            {"family": family, "n": n, "graph_seed": self._graph_seed(family, n)}
+            for n in self.SIZES
+        ]
+        sweep = run_sweep(
+            configs,
+            StabilizationRounds(variant="max_degree"),
+            repetitions=8,
+            master_seed=101,
+            executor="batched",
+        )
+        xs, ys = sweep.series("n")
+        assert best_model(xs, ys).model in ("log", "log_loglog")
+        fits = fit_all_models(xs, ys)
+        assert (
+            fits["log"].r_squared
+            > fits["sqrt"].r_squared
+            > fits["linear"].r_squared
+        )
 
 
 class TestSweep:

@@ -170,7 +170,7 @@ def test_rpr702_out_kwarg_reaches_the_attached_view():
             "import numpy as np\n"
             "from repro.core.kernels.shm import attach_structure\n"
             "def run(manifest, x):\n"
-            "    view = attach_structure(manifest).dense\n"
+            "    view = attach_structure(manifest).edge_array\n"
             "    np.add(view, x, out=view)\n"
             "    return view\n"
         )

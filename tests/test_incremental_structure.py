@@ -1,12 +1,12 @@
 """``update_structure`` must be byte-identical to a from-scratch build.
 
-The incremental path patches only dirty CSR rows / dense cells / bitset
-words, so the natural failure mode is a subtly different array (wrong
-dtype, unsorted row, stale bit) that still *behaves* right on most
-graphs.  Every test here therefore compares raw bytes of every derived
-form — CSR (indptr/indices/data), dense, packed bitset, and the edge
-array — against ``GraphStructure`` built fresh on the post-delta graph,
-across the six delta patterns the serving workload produces:
+The incremental path splices only dirty CSR rows and the churned edge
+keys, so the natural failure mode is a subtly different array (wrong
+dtype, unsorted row, stale entry) that still *behaves* right on most
+graphs.  Every test here therefore compares raw bytes of both derived
+forms — CSR (indptr/indices/data) and the edge array — against
+``GraphStructure`` built fresh on the post-delta graph, across the six
+delta patterns the serving workload produces:
 
 1. single edge add,
 2. single edge delete,
@@ -34,17 +34,15 @@ def _graph(n=48, p=0.12, seed=3):
 
 
 def _materialized(graph):
-    """A structure with every derived form realized."""
+    """A structure with both derived forms realized."""
     structure = GraphStructure(graph)
     structure.edge_array
     structure.csr
-    structure.dense
-    structure.packed
     return structure
 
 
 def assert_identical(patched, fresh):
-    """Every derived form of ``patched`` equals ``fresh``, byte for byte."""
+    """Both derived forms of ``patched`` equal ``fresh``, byte for byte."""
     assert patched.n == fresh.n
     assert patched.num_edges == fresh.num_edges
     assert patched.edge_array.dtype == fresh.edge_array.dtype
@@ -54,10 +52,6 @@ def assert_identical(patched, fresh):
         want = getattr(fresh.csr, attr)
         assert got.dtype == want.dtype, attr
         assert got.tobytes() == want.tobytes(), attr
-    assert patched.dense.dtype == fresh.dense.dtype
-    assert patched.dense.tobytes() == fresh.dense.tobytes()
-    assert patched.packed.dtype == fresh.packed.dtype
-    assert patched.packed.tobytes() == fresh.packed.tobytes()
 
 
 def _check(structure, topo, delta):
@@ -170,20 +164,19 @@ def test_chained_patches_stay_identical():
 
 
 def test_patch_preserves_laziness_and_source():
-    """Only materialized forms are patched; the rest build lazily and
-    still match; the source structure is never touched."""
+    """An unbuilt CSR is not patched: it builds lazily from the patched
+    edge array and still matches; the source structure is never touched."""
     graph = _graph()
     topo = MutableTopology(graph)
     structure = GraphStructure(graph)
-    structure.csr  # materialize CSR only
-    csr_bytes = structure.csr.indices.tobytes()
+    edge_bytes = structure.edge_array.tobytes()  # materialize edges only
     delta = topo.remove_edge(*topo.edges()[0])
     patched = update_structure(structure, delta)
-    assert patched._dense is None and patched._packed is None
+    assert patched._csr is None
     assert_identical(patched, GraphStructure(topo.snapshot()))
     # Source structure unchanged (shared-structure read-only contract).
-    assert structure._dense is None
-    assert structure.csr.indices.tobytes() == csr_bytes
+    assert structure._csr is None
+    assert structure.edge_array.tobytes() == edge_bytes
     assert structure.num_edges == graph.num_edges
 
 

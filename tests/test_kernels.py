@@ -1,12 +1,12 @@
-"""Hear kernels: registry, cache, shared memory, and cross-kernel identity.
+"""The hear kernel, the structure cache, and shared memory.
 
-The kernels package promises that every registered hear kernel is
-*bit-identical* to the reference ``sparse_int32`` formula on any input,
-so engines may switch kernels without perturbing a single trajectory.
-This suite pins that promise across ≥ 8 graph families (including a
-degree ≥ 256 hub — the PR-1 int8-overflow class), the auto-selection
-heuristic, the content-keyed structure cache, and the shared-memory
-export/attach roundtrip used by sweep workers.
+The hear kernel answers "who heard ≥ 1 beep" through the graph's int32
+CSR adjacency.  This suite checks it against an independent oracle —
+the heard set built straight from the graph's edge list — across ≥ 8
+graph families (including a degree ≥ 256 hub, the PR-1 int8-overflow
+class), both directly and as the hear of every engine, and pins the
+content-keyed structure cache and the shared-memory export/attach
+roundtrip used by sweep workers.
 """
 
 import numpy as np
@@ -14,19 +14,19 @@ import pytest
 
 from repro.analysis.measurements import StabilizationRounds
 from repro.analysis.sweep import SweepPool, run_sweep
+from repro.core.engines import base as base_module
+from repro.core.engines import batched as batched_module
+from repro.core.engines import constant_state as constant_state_module
 from repro.core.engines.batched import simulate_batched
 from repro.core.engines.constant_state import simulate_constant_state
 from repro.core.engines.single import simulate_single
 from repro.core.engines.two_channel import simulate_two_channel
 from repro.core.kernels import (
-    KERNEL_ALIASES,
     GraphStructure,
+    HearKernel,
     attach_structure,
-    available_kernels,
     clear_structure_cache,
     export_structures,
-    make_kernel,
-    resolve_kernel_name,
     seed_structure,
     structure_cache_info,
     structure_for,
@@ -59,44 +59,34 @@ def family_graph(request):
     return request.param, FAMILIES[request.param]()
 
 
-# ----------------------------------------------------------------------
-# Registry + auto heuristic
-# ----------------------------------------------------------------------
-def test_registry_lists_all_three_kernels():
-    assert available_kernels() == ("bitset", "dense_bool", "sparse_int32")
+def _oracle_heard(graph, active):
+    """``(n,)`` heard mask from the edge list: ∪ of active neighborhoods."""
+    heard = np.zeros(graph.num_vertices, dtype=bool)
+    edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    heard[v[active[u]]] = True
+    heard[u[active[v]]] = True
+    return heard
 
 
-def test_aliases_resolve_to_registered_names():
-    for alias, target in KERNEL_ALIASES.items():
-        assert resolve_kernel_name(alias) == target
-        assert target in available_kernels()
+class EdgeListHear:
+    """The oracle as a drop-in hear kernel (no CSR anywhere)."""
 
+    def __init__(self, structure):
+        self.structure = structure
+        self.n = structure.n
 
-def test_unknown_kernel_name_raises():
-    with pytest.raises(ValueError, match="unknown hear kernel"):
-        resolve_kernel_name("blas")
+    def hear(self, active):
+        return _oracle_heard(self.structure.graph, active)
 
-
-def test_auto_heuristic_small_graphs_go_dense():
-    assert resolve_kernel_name("auto", structure_for(gen.path(50))) == "dense_bool"
-
-
-def test_auto_heuristic_dense_graphs_go_bitset():
-    structure = structure_for(gen.complete(200))
-    assert resolve_kernel_name("auto", structure) == "bitset"
-
-
-def test_auto_heuristic_large_sparse_goes_sparse():
-    structure = structure_for(gen.cycle(400))
-    assert resolve_kernel_name("auto", structure) == "sparse_int32"
-
-
-def test_auto_heuristic_batched_blocks_prefer_bitset():
-    # Moderate density: sparse solo, bitset once a replica block amortizes
-    # the per-round gather.
-    structure = structure_for(gen.erdos_renyi(400, 0.01, seed=SEED))
-    assert resolve_kernel_name("auto", structure, replicas=1) == "sparse_int32"
-    assert resolve_kernel_name("auto", structure, replicas=16) == "bitset"
+    def hear_rows(self, rows, out=None):
+        heard = np.stack(
+            [_oracle_heard(self.structure.graph, row) for row in rows]
+        )
+        if out is None:
+            return heard
+        np.copyto(out, heard)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -142,56 +132,39 @@ def test_structure_transpose_is_shared():
     assert structure.csr_t is structure.csr
 
 
-def test_packed_roundtrips_through_unpack(family_graph):
-    _, graph = family_graph
-    structure = structure_for(graph)
-    bits = np.unpackbits(
-        structure.packed.view(np.uint8), axis=1, bitorder="little"
-    )
-    np.testing.assert_array_equal(
-        bits[:, : structure.n].astype(bool), structure.dense
-    )
-
-
 # ----------------------------------------------------------------------
-# Kernel-level bit-identity (every kernel vs the reference formula)
+# The hear kernel against the edge-list oracle
 # ----------------------------------------------------------------------
 def test_kernels_agree_on_random_masks(family_graph):
     _, graph = family_graph
-    structure = structure_for(graph)
-    adjacency = structure.csr
+    kernel = HearKernel(structure_for(graph))
     rng = np.random.default_rng(SEED)
-    kernels = [make_kernel(name, structure) for name in available_kernels()]
     for density in (0.0, 0.05, 0.5, 1.0):
-        active = rng.random(structure.n) < density
-        expected = adjacency.dot(active.astype(np.int32)) > 0
-        for kernel in kernels:
-            np.testing.assert_array_equal(
-                kernel.hear(active), expected, err_msg=kernel.name
-            )
+        active = rng.random(graph.num_vertices) < density
+        np.testing.assert_array_equal(
+            kernel.hear(active), _oracle_heard(graph, active)
+        )
 
 
 def test_hear_rows_agree_and_are_c_contiguous(family_graph):
     _, graph = family_graph
     structure = structure_for(graph)
-    adjacency = structure.csr
+    kernel = HearKernel(structure)
     rng = np.random.default_rng(SEED + 1)
-    rows = rng.random((5, structure.n)) < 0.3
-    expected = (adjacency.dot(rows.T.astype(np.int32)) > 0).T
-    for name in available_kernels():
-        kernel = make_kernel(name, structure)
-        heard = kernel.hear_rows(rows)
-        assert heard.flags.c_contiguous, name
-        np.testing.assert_array_equal(heard, expected, err_msg=name)
-        # The out= path (what the batched engine uses) must match too.
-        out = np.empty_like(rows)
-        result = kernel.hear_rows(rows, out=out)
-        assert result is out and out.flags.c_contiguous, name
-        np.testing.assert_array_equal(out, expected, err_msg=name)
+    rows = rng.random((5, graph.num_vertices)) < 0.3
+    expected = EdgeListHear(structure).hear_rows(rows)
+    heard = kernel.hear_rows(rows)
+    assert heard.flags.c_contiguous
+    np.testing.assert_array_equal(heard, expected)
+    # The out= path (what the batched engine uses) must match too.
+    out = np.empty_like(rows)
+    result = kernel.hear_rows(rows, out=out)
+    assert result is out and out.flags.c_contiguous
+    np.testing.assert_array_equal(out, expected)
 
 
 # ----------------------------------------------------------------------
-# Engine-level bit-identity: outcomes must not depend on the kernel
+# Engine-level bit-identity: the CSR kernel vs the edge-list oracle
 # ----------------------------------------------------------------------
 def _outcome_tuple(result):
     return (
@@ -202,32 +175,45 @@ def _outcome_tuple(result):
     )
 
 
-def test_engine_outcomes_identical_across_kernels(family_graph):
+@pytest.fixture
+def use_oracle(monkeypatch):
+    """Calling the fixture makes every engine built afterwards hear
+    through :class:`EdgeListHear` — the fused round kernel included,
+    since it hears through its engine's kernel."""
+
+    def install():
+        for module in (base_module, batched_module, constant_state_module):
+            monkeypatch.setattr(module, "HearKernel", EdgeListHear)
+
+    return install
+
+
+def test_engine_outcomes_identical_across_kernels(family_graph, use_oracle):
     _, graph = family_graph
     policy = max_degree_policy(graph)
     runs = {
-        "single": lambda k: simulate_single(
-            graph, policy, seed=SEED, arbitrary_start=True, kernel=k
+        "single": lambda: simulate_single(
+            graph, policy, seed=SEED, arbitrary_start=True
         ),
-        "two_channel": lambda k: simulate_two_channel(
-            graph, policy, seed=SEED, arbitrary_start=True, kernel=k
+        "two_channel": lambda: simulate_two_channel(
+            graph, policy, seed=SEED, arbitrary_start=True
         ),
-        "constant_state": lambda k: simulate_constant_state(
-            graph, seed=SEED, kernel=k
-        ),
+        "constant_state": lambda: simulate_constant_state(graph, seed=SEED),
     }
+    expected = {label: _outcome_tuple(run()) for label, run in runs.items()}
+    use_oracle()
     for label, run in runs.items():
-        reference = _outcome_tuple(run("sparse_int32"))
-        for name in available_kernels():
-            assert _outcome_tuple(run(name)) == reference, (label, name)
+        assert _outcome_tuple(run()) == expected[label], label
 
 
 @pytest.mark.parametrize("algorithm", ["single", "two_channel"])
-def test_batched_outcomes_identical_across_kernels(family_graph, algorithm):
+def test_batched_outcomes_identical_across_kernels(
+    family_graph, algorithm, use_oracle
+):
     _, graph = family_graph
     policy = max_degree_policy(graph)
 
-    def run(kernel):
+    def run():
         result = simulate_batched(
             graph,
             policy,
@@ -235,13 +221,12 @@ def test_batched_outcomes_identical_across_kernels(family_graph, algorithm):
             seed=SEED,
             algorithm=algorithm,
             arbitrary_start=True,
-            kernel=kernel,
         )
         return [_outcome_tuple(replica) for replica in result.results]
 
-    reference = run("sparse_int32")
-    for name in available_kernels():
-        assert run(name) == reference, name
+    expected = run()
+    use_oracle()
+    assert run() == expected
 
 
 # ----------------------------------------------------------------------
@@ -250,32 +235,43 @@ def test_batched_outcomes_identical_across_kernels(family_graph, algorithm):
 def test_shared_memory_roundtrip_preserves_every_form():
     graph = gen.erdos_renyi(48, 0.2, seed=SEED)
     original = structure_for(graph)
-    original.packed  # build before export
     shared = export_structures([graph, gen.erdos_renyi(48, 0.2, seed=SEED)])
     try:
         assert len(shared.manifests) == 1  # digest-deduplicated
         attached = attach_structure(shared.manifests[0])
         assert attached.graph == graph
         assert attached.digest == original.digest
-        np.testing.assert_array_equal(attached.edge_array, original.edge_array)
-        assert (attached.csr != original.csr).nnz == 0
-        np.testing.assert_array_equal(attached.packed, original.packed)
-        # Attached views are read-only: a stray in-place write must raise.
-        assert not attached.packed.flags.writeable
+        exported = {
+            "edges": (attached.edge_array, original.edge_array),
+            "csr_data": (attached.csr.data, original.csr.data),
+            "csr_indices": (attached.csr.indices, original.csr.indices),
+            "csr_indptr": (attached.csr.indptr, original.csr.indptr),
+        }
+        for field, (ours, theirs) in exported.items():
+            assert ours.dtype == theirs.dtype, field
+            np.testing.assert_array_equal(ours, theirs, err_msg=field)
+            # Attached views are read-only: a stray in-place write must raise.
+            assert not ours.flags.writeable, field
         with pytest.raises((ValueError, RuntimeError)):
             attached.edge_array[0, 0] = 99
         # Hearing through an attached structure matches the original.
         mask = np.zeros(48, dtype=bool)
         mask[::5] = True
-        for name in available_kernels():
-            np.testing.assert_array_equal(
-                make_kernel(name, attached).hear(mask),
-                make_kernel(name, original).hear(mask),
-                err_msg=name,
-            )
+        np.testing.assert_array_equal(
+            HearKernel(attached).hear(mask), HearKernel(original).hear(mask)
+        )
         attached._segments[0].close()
     finally:
         shared.close()
+
+
+def test_shared_segment_holds_edges_and_csr_only():
+    """Edges (int64 pairs) + CSR data/indices (int32) + indptr, no more."""
+    graph = gen.erdos_renyi(48, 0.2, seed=SEED)
+    n, m = graph.num_vertices, graph.num_edges
+    with export_structures([graph]) as shared:
+        manifest = shared.manifests[0]
+        assert manifest.total_bytes == 8 * 2 * m + 4 * 2 * m + 4 * 2 * m + 4 * (n + 1)
 
 
 # ----------------------------------------------------------------------

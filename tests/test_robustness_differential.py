@@ -8,7 +8,8 @@ three ways:
 
 * a hand-rolled oracle of the *pre-change* step loop (plain numpy on
   the raw adjacency, no engine machinery) is compared per round against
-  today's engines, across kernels and seeds;
+  today's engines, across seeds and the ways the engine's CSR structure
+  can reach the structure cache;
 * the defaults are compared against explicitly-passed
   ``perfect`` / ``synchronous`` specs, across engines and executors;
 * under *noise*, solo and batched replicas must still agree bit for
@@ -19,7 +20,13 @@ three ways:
 import numpy as np
 import pytest
 
-from conftest import step_batched, step_constant_state, step_until_stable
+from conftest import (
+    STRUCTURE_SOURCES,
+    step_batched,
+    step_constant_state,
+    step_until_stable,
+    structure_source,
+)
 from repro.analysis.measurements import StabilizationRounds
 from repro.analysis.sweep import run_sweep
 from repro.core.engines import (
@@ -30,7 +37,6 @@ from repro.core.engines import (
 )
 from repro.core.engines.constant_state import simulate_constant_state
 from repro.core.engines.base import MAX_EXPONENT
-from repro.core.kernels import structure_for
 from repro.core.runner import (
     compute_mis,
     default_round_budget,
@@ -38,9 +44,9 @@ from repro.core.runner import (
 )
 from repro.devtools.seeding import spawn_children
 from repro.graphs.generators import by_name
+from repro.graphs.io import to_sparse_adjacency
 from repro.obs import RunCollector, StructureView
 
-KERNELS = ("auto", "sparse", "dense", "bitset")
 ORACLE_ROUNDS = 60
 
 
@@ -56,7 +62,7 @@ def _hear(adjacency, active):
 # Hand-rolled pre-change oracles (the historical step loops, verbatim)
 # ----------------------------------------------------------------------
 def _oracle_single(graph, policy, seed, rounds):
-    adjacency = structure_for(graph).csr
+    adjacency = to_sparse_adjacency(graph)
     ell_max = np.asarray(policy.ell_max, dtype=np.int64)
     rng = np.random.default_rng(seed)
     floor = -ell_max
@@ -78,7 +84,7 @@ def _oracle_single(graph, policy, seed, rounds):
 
 
 def _oracle_two_channel(graph, policy, seed, rounds):
-    adjacency = structure_for(graph).csr
+    adjacency = to_sparse_adjacency(graph)
     ell_max = np.asarray(policy.ell_max, dtype=np.int64)
     rng = np.random.default_rng(seed)
     span = ell_max + 1
@@ -104,7 +110,7 @@ def _oracle_two_channel(graph, policy, seed, rounds):
 
 
 def _oracle_constant_state(graph, seed, rounds):
-    adjacency = structure_for(graph).csr
+    adjacency = to_sparse_adjacency(graph)
     rng = np.random.default_rng(seed)
     in_mis = rng.integers(0, 2, size=graph.num_vertices).astype(bool)
     yield in_mis
@@ -118,45 +124,51 @@ def _oracle_constant_state(graph, seed, rounds):
         yield in_mis
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("source", STRUCTURE_SOURCES)
 @pytest.mark.parametrize("seed", (0, 7))
-def test_single_engine_matches_pre_change_oracle(kernel, seed):
+def test_single_engine_matches_pre_change_oracle(source, seed):
     graph = _graph()
     policy = policy_for_variant(graph, "max_degree")
-    engine = SingleChannelEngine(graph, policy, seed=seed, kernel=kernel)
-    engine.randomize_levels()
-    oracle = _oracle_single(graph, policy, seed, ORACLE_ROUNDS)
-    np.testing.assert_array_equal(engine.levels, next(oracle))
-    for expected in oracle:
-        engine.step()
-        np.testing.assert_array_equal(engine.levels, expected)
+    with structure_source(graph, source) as structure:
+        engine = SingleChannelEngine(graph, policy, seed=seed)
+        assert engine.structure is structure
+        engine.randomize_levels()
+        oracle = _oracle_single(graph, policy, seed, ORACLE_ROUNDS)
+        np.testing.assert_array_equal(engine.levels, next(oracle))
+        for expected in oracle:
+            engine.step()
+            np.testing.assert_array_equal(engine.levels, expected)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("source", STRUCTURE_SOURCES)
 @pytest.mark.parametrize("seed", (0, 7))
-def test_two_channel_engine_matches_pre_change_oracle(kernel, seed):
+def test_two_channel_engine_matches_pre_change_oracle(source, seed):
     graph = _graph()
     policy = policy_for_variant(graph, "two_channel")
-    engine = TwoChannelEngine(graph, policy, seed=seed, kernel=kernel)
-    engine.randomize_levels()
-    oracle = _oracle_two_channel(graph, policy, seed, ORACLE_ROUNDS)
-    np.testing.assert_array_equal(engine.levels, next(oracle))
-    for expected in oracle:
-        engine.step()
-        np.testing.assert_array_equal(engine.levels, expected)
+    with structure_source(graph, source) as structure:
+        engine = TwoChannelEngine(graph, policy, seed=seed)
+        assert engine.structure is structure
+        engine.randomize_levels()
+        oracle = _oracle_two_channel(graph, policy, seed, ORACLE_ROUNDS)
+        np.testing.assert_array_equal(engine.levels, next(oracle))
+        for expected in oracle:
+            engine.step()
+            np.testing.assert_array_equal(engine.levels, expected)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("source", STRUCTURE_SOURCES)
 @pytest.mark.parametrize("seed", (0, 7))
-def test_constant_state_engine_matches_pre_change_oracle(kernel, seed):
+def test_constant_state_engine_matches_pre_change_oracle(source, seed):
     graph = _graph()
-    engine = ConstantStateEngine(graph, seed=seed, kernel=kernel)
-    engine.randomize()
-    oracle = _oracle_constant_state(graph, seed, ORACLE_ROUNDS)
-    np.testing.assert_array_equal(engine.in_mis, next(oracle))
-    for expected in oracle:
-        engine.step()
-        np.testing.assert_array_equal(engine.in_mis, expected)
+    with structure_source(graph, source) as structure:
+        engine = ConstantStateEngine(graph, seed=seed)
+        assert engine.structure is structure
+        engine.randomize()
+        oracle = _oracle_constant_state(graph, seed, ORACLE_ROUNDS)
+        np.testing.assert_array_equal(engine.in_mis, next(oracle))
+        for expected in oracle:
+            engine.step()
+            np.testing.assert_array_equal(engine.in_mis, expected)
 
 
 # ----------------------------------------------------------------------

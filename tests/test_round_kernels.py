@@ -16,7 +16,12 @@ engine's own hear kernel.
 import numpy as np
 import pytest
 
-from conftest import step_batched, step_constant_state, step_until_stable
+from conftest import (
+    step_batched,
+    step_constant_state,
+    step_until_stable,
+    structure_source,
+)
 from repro.core.engines.batched import BatchedEngine
 from repro.core.engines.constant_state import (
     ConstantStateEngine,
@@ -24,8 +29,7 @@ from repro.core.engines.constant_state import (
 )
 from repro.core.engines.single import SingleChannelEngine
 from repro.core.engines.two_channel import TwoChannelEngine
-from repro.core.kernels import BlockDraws, structure_for
-from repro.core.kernels.hear import BitsetKernel, DenseBoolKernel, SparseInt32Kernel
+from repro.core.kernels import BlockDraws, HearKernel, structure_for
 from repro.core.runner import compute_mis, policy_for_variant
 from repro.graphs.generators import by_name
 
@@ -228,32 +232,32 @@ def test_solo_fused_survives_rebind_that_grows_the_id_space():
 # ----------------------------------------------------------------------
 # The fused path hears through the engine's own hear kernel
 # ----------------------------------------------------------------------
-def _count_hear_calls(monkeypatch):
-    calls = {}
-    for cls in (SparseInt32Kernel, DenseBoolKernel, BitsetKernel):
-        for method in ("hear", "hear_rows"):
-            original = getattr(cls, method)
-
-            def counted(self, *args, _orig=original, _name=cls.name, **kwargs):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _orig(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, method, counted)
-    return calls
-
-
-@pytest.mark.parametrize("kernel", ("sparse_int32", "dense_bool", "bitset"))
-def test_fused_run_uses_the_engines_hear_kernel(monkeypatch, kernel):
+# The ids are the hear kernels this axis selected while there was more
+# than one; each now names a structure source (``conftest.py``).
+@pytest.mark.parametrize(
+    "source", ("sparse", "dense", "bitset"),
+    ids=("sparse_int32", "dense_bool", "bitset"),
+)
+def test_fused_run_uses_the_engines_hear_kernel(monkeypatch, source):
     graph = _graph(48, seed=1)
     policy = policy_for_variant(graph, "max_degree")
-    solo = SingleChannelEngine(graph, policy, seed=3, kernel=kernel)
-    batched = BatchedEngine(graph, policy, replicas=4, seed=3, kernel=kernel)
-    for engine in (solo, batched):
-        engine.randomize_levels()
-    calls = _count_hear_calls(monkeypatch)
-    solo.until_stable(max_rounds=50_000)
-    batched.run(max_rounds=50_000)
+    with structure_source(graph, source) as structure:
+        solo = SingleChannelEngine(graph, policy, seed=3)
+        batched = BatchedEngine(graph, policy, replicas=4, seed=3)
+        for engine in (solo, batched):
+            assert engine.kernel.structure is structure
+            engine.randomize_levels()
+        calls = []
+        for method in ("hear", "hear_rows"):
+            original = getattr(HearKernel, method)
+
+            def counted(self, *args, _orig=original, **kwargs):
+                calls.append(self)
+                return _orig(self, *args, **kwargs)
+
+            monkeypatch.setattr(HearKernel, method, counted)
+        solo.until_stable(max_rounds=50_000)
+        batched.run(max_rounds=50_000)
     assert solo._fused._hear is solo.kernel
     assert batched._fused._hear is batched.kernel
-    assert set(calls) == {kernel}
-    assert calls[kernel] > 0
+    assert {id(k) for k in calls} == {id(solo.kernel), id(batched.kernel)}
