@@ -1,15 +1,19 @@
-"""Array implementation of Algorithm 1 (single channel)."""
+"""Array implementation of Algorithm 1 (single channel).
+
+The round itself is :class:`~repro.core.kernels.RoundKernel`'s
+Algorithm-1 body, reached through :meth:`EngineBase.step` and the
+fused run loop.
+"""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
 import numpy.typing as npt
 
 from ...graphs.graph import Graph
 from ..knowledge import EllMaxPolicy
-from .base import MAX_EXPONENT, EngineBase, SeedLike, VectorizedResult
+from .base import EngineBase, SeedLike, VectorizedResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...beeping.channels import ChannelLike
@@ -27,53 +31,6 @@ class SingleChannelEngine(EngineBase):
     """
 
     uses_negative_levels = True
-
-    def beep_probabilities(self) -> npt.NDArray[np.float64]:
-        """The Figure-1 activation applied elementwise to the levels.
-
-        The clipped exponent lands in the reused ``_pfloat`` scratch (a
-        cast-on-store, value-identical to the historical ``.astype``);
-        only the returned probability vector is freshly allocated.
-        """
-        exponent = self._pfloat
-        np.clip(self.levels, 0, MAX_EXPONENT, out=exponent)
-        np.negative(exponent, out=exponent)
-        p = np.power(2.0, exponent)
-        p[self.levels <= 0] = 1.0
-        p[self.levels >= self.ell_max] = 0.0
-        return p
-
-    def step(self) -> npt.NDArray[np.bool_]:
-        """One round; returns the *emitted* beep vector (bool array).
-
-        Under a non-synchronous scheduler, delayed vertices emit their
-        stale carrier beep and skip the level update; a non-perfect
-        channel perturbs the heard mask after the hear-matvec.  With the
-        default perfect channel + synchronous scheduler this is the
-        historical step, operation for operation.
-        """
-        draws = self._draws
-        self.rng.random(out=draws)
-        beeps = draws < self.beep_probabilities()
-        active = None
-        if not self._ideal:
-            stress = self._stress
-            stress.begin_round()
-            active = stress.active_mask(self.round_index)
-            if active is not None:
-                beeps = stress.transmit(0, beeps, active)
-        heard = self.kernel.hear(beeps)
-        if not self._ideal:
-            heard = self._stress.apply_channel(heard)
-        up = np.minimum(self.levels + 1, self.ell_max)
-        reset = -self.ell_max
-        down = np.maximum(self.levels - 1, 1)
-        new_levels = np.where(heard, up, np.where(beeps, reset, down))
-        if active is not None:
-            new_levels = np.where(active, new_levels, self.levels)
-        self.levels = new_levels
-        self.round_index += 1
-        return beeps
 
 
 def simulate_single(

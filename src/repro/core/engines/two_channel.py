@@ -1,15 +1,19 @@
-"""Array implementation of Algorithm 2 (two channels)."""
+"""Array implementation of Algorithm 2 (two channels).
+
+The round itself is :class:`~repro.core.kernels.RoundKernel`'s
+Algorithm-2 body, reached through :meth:`EngineBase.step` and the
+fused run loop.
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
 import numpy.typing as npt
 
 from ...graphs.graph import Graph
 from ..knowledge import EllMaxPolicy
-from .base import MAX_EXPONENT, EngineBase, SeedLike, VectorizedResult
+from .base import EngineBase, SeedLike, VectorizedResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...beeping.channels import ChannelLike
@@ -23,54 +27,6 @@ class TwoChannelEngine(EngineBase):
     """Array implementation of Algorithm 2 (levels in ``[0, ℓmax]``)."""
 
     uses_negative_levels = False
-
-    def step(self) -> Tuple[npt.NDArray[np.bool_], npt.NDArray[np.bool_]]:
-        """One round; returns the *emitted* ``(beep1, beep2)`` vectors.
-
-        Stress semantics mirror the single-channel engine: delayed
-        vertices emit stale carriers on both channels and skip the
-        update; a non-perfect channel perturbs ``heard1`` then
-        ``heard2`` (in that documented order).  With the defaults this
-        is the historical step, operation for operation.
-        """
-        draws = self._draws
-        self.rng.random(out=draws)
-        exponent = self._pfloat
-        np.clip(self.levels, 0, MAX_EXPONENT, out=exponent)
-        np.negative(exponent, out=exponent)
-        p1 = np.power(2.0, exponent)
-        active = (self.levels > 0) & (self.levels < self.ell_max)
-        beep1 = active & (draws < p1)
-        beep2 = self.levels == 0
-        firing = None
-        if not self._ideal:
-            stress = self._stress
-            stress.begin_round()
-            firing = stress.active_mask(self.round_index)
-            if firing is not None:
-                beep1 = stress.transmit(0, beep1, firing)
-                beep2 = stress.transmit(1, beep2, firing)
-        heard1 = self.kernel.hear(beep1)
-        heard2 = self.kernel.hear(beep2)
-        if not self._ideal:
-            heard1 = self._stress.apply_channel(heard1)
-            heard2 = self._stress.apply_channel(heard2)
-        up = np.minimum(self.levels + 1, self.ell_max)
-        down = np.maximum(self.levels - 1, 1)
-        new_levels = np.where(
-            heard2,
-            self.ell_max,
-            np.where(
-                heard1,
-                up,
-                np.where(beep1, 0, np.where(~beep2, down, self.levels)),
-            ),
-        )
-        if firing is not None:
-            new_levels = np.where(firing, new_levels, self.levels)
-        self.levels = new_levels
-        self.round_index += 1
-        return beep1, beep2
 
 
 def simulate_two_channel(

@@ -1,9 +1,10 @@
-"""The hear kernel, the fused round kernel, and the graph-structure cache.
+"""The hear kernel, the round kernel, and the graph-structure cache.
 
 The execution engines delegate every "who heard ≥ 1 beep" aggregation —
 reception, the blocked/dominated tests, legality — to one
-:class:`HearKernel` (an int32 CSR product), run every eligible
-stabilization through the :class:`RoundKernel`, and share the derived
+:class:`HearKernel` (an int32 CSR product), run every round through the
+:class:`RoundKernel` (one round per ``step()``, whole stabilizations in
+its fused loops), and share the derived
 adjacency forms (canonical edge array, CSR) through one content-keyed
 :func:`structure_for` cache.  See ``docs/performance.md`` for the cache
 semantics and the shared-memory sweep path.

@@ -1,61 +1,79 @@
-"""The fused round kernel: whole-round execution for a block of replicas.
+"""The round kernel: the one implementation of an engine round.
 
 The hear kernels (:mod:`repro.core.kernels.hear`) accelerate one
 *operation* of the round; a :class:`RoundKernel` owns the *full* round
-(hear → beep-decision → level update → legality/retirement) for a
-``(k, n)`` block of replicas, as one tight function per round over
-preallocated int32 planes with the hear delegated to the engine's own
-:class:`~repro.core.kernels.hear.HearKernel`.  At the sizes the
-Theorem-2.1/2.2 sweeps run, per-round dispatch overhead — not
-arithmetic — dominates wall time, which is what the fused loop removes.
+(beep decision → stress gate → hear → channel → level update, plus
+legality/retirement in its run loops) for a ``(k, n)`` block of
+replicas, over preallocated int32 planes with the hear delegated to the
+engine's own :class:`~repro.core.kernels.hear.HearKernel`.  Its three
+round bodies (``_step_single``, ``_step_two``, ``_step_constant``) are
+the only round arithmetic of the array engines: every engine ``step()``
+runs one of them on its own levels (:meth:`RoundKernel.step`), and
+every run without a collector or per-round series — stressed runs
+included — runs them in the fused loops :meth:`RoundKernel.run_block` /
+:meth:`RoundKernel.run_constant`, where per-round dispatch overhead,
+not arithmetic, is what the fused loop removes.
 
-Every engine run that is *eligible* goes through this kernel: perfect
-channel, synchronous scheduler, no collector, no per-round series, and
-(batched engine only) aligned draw cursors.  Everything else runs the
-engines' ``step()`` loops.  There is no option to choose between the
-two: the result is the same either way, so the choice is the engines'.
+Stress models
+-------------
+Under a non-perfect channel or non-synchronous scheduler the engines
+pass their live rows' ``StressState`` objects (``docs/robustness.md``).
+Per row and round the body calls, in order: ``begin_round``,
+``active_mask(round_index)`` and ``transmit`` after the beep decision;
+``apply_channel`` on heard1, then on heard2, after the hear; and holds
+delayed vertices at their pre-round level after the update.  The
+methods are called, not inlined: each ``StressState`` stays the one
+owner of its streams, counters and stale-beep carriers, and a tracer
+wrapping them still sees every call.
 
 Byte-identity contract
 ----------------------
-The kernel reproduces the step loops' trajectories **bit for bit**: the
-random draw layout is unchanged (one ``Generator.random(out=)`` fill of
-``n`` doubles per replica per round, served through the same
-contiguous-prefix block discipline as the batched engine), beep
-probabilities come from the same ``np.power`` values, hear masks equal
-``(A @ beeps) > 0`` exactly, and the level select is the same integer
-blend the batched engine uses.  Per-row ``rounds``/``mis``/
-``final_levels`` equal the step-loop results element for element —
-asserted by the fused-kernel identity tests and the differential suite.
+The random draw layout is one ``Generator.random(out=)`` fill of ``n``
+doubles per replica per round, served either per round
+(:class:`PerRoundDraws`) or through the batched engine's contiguous
+pre-draw blocks (:class:`BlockDraws`); beep probabilities come from one
+``np.power`` construction, hear masks equal ``(A @ beeps) > 0``
+exactly, and the level update is an exact integer blend.  A fused run
+therefore equals the same engine's ``step()`` loop bit for bit —
+per-row ``rounds``/``mis``/``final_levels``, every generator position
+and every channel counter — which the fused-kernel identity tests and
+the differential suite assert, the latter against hand-rolled oracles
+that share no code with this module.
 
 Live-prefix compaction
 ----------------------
-The engines' step loops shrink work as replicas retire by gathering
-the active rows every round (``levels[active_idx]`` + scatter-back).
-The fused kernel gets the same shrinking work with **zero per-round
-cost**: rows ``[0, live)`` of the block are always the live replicas,
-and retiring row ``i`` *moves* the last live row into slot ``i`` (one
-row copy, once per retirement) — a permutation recorded so outcomes
-land on the right replica.  Every per-round pass (draws, beeps, hear,
-blend, prune) then runs on a dense live prefix with no index
-materialization.  A retired replica's generator freezes at its
-retirement position exactly like the step loop's (its draw stream is
-simply dropped from the refill set), and the caller's level block is
-rebuilt row for row from the recorded retirement copies on exit, so
-the in-place result is identical to the engines'.
+A step loop shrinks work as replicas retire by gathering the active
+rows every round (``levels[active_idx]`` + scatter-back).  The fused
+loops get the same shrinking work with **zero per-round cost**: rows
+``[0, live)`` of the block are always the live replicas, and retiring
+row ``i`` *moves* the last live row into slot ``i`` (one row copy, once
+per retirement; its draw stream and stress state move with it) — a
+permutation recorded so outcomes land on the right replica.  Every
+per-round pass (draws, beeps, hear, blend, prune) then runs on a dense
+live prefix with no index materialization.  A retired replica's
+generator freezes at its retirement position exactly like the step
+loop's (its draw stream is simply dropped from the refill set), and the
+caller's level block is rebuilt row for row from the recorded
+retirement copies on exit, so the in-place result is identical to the
+engines'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from .hear import HearKernel
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engines.base import StressState
+
 __all__ = [
     "BlockOutcome",
+    "MAX_EXPONENT",
     "RoundKernel",
     "PerRoundDraws",
     "BlockDraws",
@@ -64,10 +82,13 @@ __all__ = [
 #: Accepted algorithm tags (mirrors the engines' vocabulary).
 ROUND_ALGORITHMS = ("single", "two_channel", "constant_state")
 
-#: Exponent clip for 2^(−ℓ) — the same constant as
-#: ``repro.core.engines.base.MAX_EXPONENT`` (kernels must not import the
-#: engines package; the engines' equivalence tests pin the two equal).
-_MAX_EXPONENT = 1023
+#: Exponent clip for 2^(−ℓ): ℓmax = O(log n) ≤ 60 at any simulable scale,
+#: and clipping avoids float overflow on corrupted/extreme inputs.
+MAX_EXPONENT = 1023
+
+#: The live rows' stress states, or ``None`` on the perfect channel
+#: with the synchronous scheduler (nothing to call, nothing drawn).
+StressRows = Optional[List["StressState"]]
 
 
 @dataclass
@@ -254,17 +275,18 @@ class BlockDraws:
 
 
 # ----------------------------------------------------------------------
-# Base class: the fused run loop + the numpy round bodies.
+# The round bodies, the one-round entry point, and the fused run loops.
 # ----------------------------------------------------------------------
 class RoundKernel:
     """Whole-round execution for a ``(k, n)`` replica block.
 
     One instance is bound to an engine's hear kernel (and through it to
     the graph structure), an algorithm tag, an ℓmax policy vector, and a
-    replica count.  Engines build it on their first eligible run,
-    delegate their run loops to :meth:`run_block` / :meth:`run_constant`,
-    and re-target it with :meth:`rebind` when their topology changes
-    (see ``docs/performance.md``, "Fused round kernel").
+    replica count.  Engines build it on their first round, run their
+    ``step()`` through :meth:`step` and their run loops through
+    :meth:`run_block` / :meth:`run_constant`, and re-target it with
+    :meth:`rebind` when their topology changes (see
+    ``docs/performance.md``, "Fused round kernel").
     """
 
     def __init__(
@@ -287,7 +309,6 @@ class RoundKernel:
         self._two = algorithm == "two_channel"
         self._constant = algorithm == "constant_state"
         self.n = -1
-        self._draws_source: "PerRoundDraws | BlockDraws | None" = None
         self.rebind(hear, ell_max)
 
     def rebind(self, hear: HearKernel, ell_max: npt.ArrayLike = None) -> None:
@@ -336,25 +357,68 @@ class RoundKernel:
         self._row_any = np.empty(k, dtype=bool)
 
     def _build_p_table(self) -> Optional[npt.NDArray[np.float64]]:
-        """Beep-probability lookup for uniform-ℓmax policies.
+        """Beep-probability lookup table for uniform-ℓmax policies.
 
-        Entry for entry the same construction as
-        ``BatchedEngine._build_p_table`` — the values come from the same
-        ``np.power`` call as the engines' direct formula, so
-        probabilities (and hence trajectories) are bit-identical.
+        With one global ``L = ℓmax`` the Figure-1 activation depends only
+        on the level, so ``p = table[level + L]`` replaces the per-round
+        clip/power/masked-assignment chain with a single fancy index.
+        Entries are computed by the *same* ``np.power`` call as the
+        direct formula of :meth:`_probabilities`, so probabilities are
+        bit-identical:
+
+        * ``table[0..L] = 1.0`` (levels ≤ 0 beep always);
+        * ``table[L+k] = 2^−k`` for ``0 < k < L``;
+        * ``table[2L] = 0.0`` (level ℓmax never beeps on channel 1).
+
+        Algorithm 2 indexes the same table (levels ∈ [0, L]): level 0
+        maps to 1.0 = 2^0 and the 0.0 entry at level L is masked out by
+        the activity band, exactly as in the direct formula.
         """
         ell = self.ell_max
         if ell is None or ell.size == 0:
             return None
         lo = int(ell.min())
         hi = int(ell.max())
-        if lo != hi or hi < 1 or hi > _MAX_EXPONENT:
+        if lo != hi or hi < 1 or hi > MAX_EXPONENT:
             return None
         exponent = np.arange(2 * hi + 1, dtype=np.float64) - float(hi)
-        table = np.power(2.0, -np.clip(exponent, 0.0, float(_MAX_EXPONENT)))
+        table = np.power(2.0, -np.clip(exponent, 0.0, float(MAX_EXPONENT)))
         table[: hi + 1] = 1.0
         table[2 * hi] = 0.0
         return table
+
+    # ------------------------------------------------------------------
+    # One round (the engines' step())
+    # ------------------------------------------------------------------
+    def step(
+        self,
+        state: npt.NDArray[np.generic],
+        draws: npt.NDArray[np.float64],
+        stress: StressRows = None,
+        round_index: int = 0,
+    ) -> npt.NDArray[np.bool_]:
+        """One round on a ``(k, n)`` block, updating ``state`` in place.
+
+        ``state`` is int32 levels (bool membership for the two-state
+        baseline), ``draws`` the round's ``(k, n)`` uniforms, ``stress``
+        the rows' stress states and ``round_index`` the scheduler's
+        round.  Returns the emitted beeps as a view of the kernel's
+        scratch, valid until the next round: ``(k, n)``, or ``(2k, n)``
+        for Algorithm 2 with channel 2 in rows ``k:``.
+        """
+        k = state.shape[0]
+        if self._constant:
+            self._step_constant(state, draws, stress, round_index)
+            return self._beeps[:k]
+        nxt = self._plane[:k]
+        if self._single:
+            self._step_single(state, nxt, draws, stress, round_index)
+            emitted = self._beeps[:k]
+        else:
+            self._step_two(state, nxt, draws, stress, round_index)
+            emitted = self._stack[: 2 * k]
+        np.copyto(state, nxt)
+        return emitted
 
     # ------------------------------------------------------------------
     # The fused run loop (level algorithms)
@@ -365,6 +429,8 @@ class RoundKernel:
         draws: "PerRoundDraws | BlockDraws",
         max_rounds: int,
         check_every: int = 1,
+        stress: StressRows = None,
+        round_index: int = 0,
     ) -> Tuple[List[BlockOutcome], int]:
         """Drive a ``(k, n)`` int32 level block to per-row legality.
 
@@ -373,17 +439,20 @@ class RoundKernel:
         plus once at budget exhaustion, so each row's ``rounds`` equals
         the step loop's.  Rows are compacted as replicas retire (see
         the module docstring), and ``levels`` is rebuilt in place from
-        the per-replica retirement copies on exit.  Returns
+        the per-replica retirement copies on exit.  ``stress`` holds
+        each row's stress state (``None`` when ideal) and
+        ``round_index`` the scheduler round of the first step.  Returns
         ``(outcomes, steps_executed)``.
         """
         if self._constant:
             raise ValueError("run_block is for level algorithms; use run_constant")
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
-        self._draws_source = draws
         k = levels.shape[0]
         outcomes: List[Optional[BlockOutcome]] = [None] * k
         perm = list(range(k))
+        # Stress states move with their rows on retirement, like perm.
+        stress = None if stress is None else list(stress)
         live = k
         cur = levels
         nxt = self._plane[:k]
@@ -393,7 +462,7 @@ class RoundKernel:
             should_check = executed % check_every == 0 or executed >= max_rounds
             if should_check:
                 live = self._retire_legal(
-                    cur, live, perm, outcomes, executed, draws
+                    cur, live, perm, outcomes, executed, draws, stress
                 )
                 if live == 0:
                     break
@@ -407,15 +476,15 @@ class RoundKernel:
                         final_levels=cur[i].copy(),
                     )
                 break
-            if self._single:
-                step(cur[:live], nxt[:live], live)
-                cur, nxt = nxt, cur
-            else:
-                step(cur[:live], live)
+            step(
+                cur[:live], nxt[:live], draws.serve()[:live], stress,
+                round_index + executed,
+            )
+            cur, nxt = nxt, cur
             executed += 1
-        # Compaction permuted the block rows (and the single channel may
-        # have ended on the scratch plane); every replica's ground truth
-        # is its recorded copy.  One pass, once per run.
+        # Compaction permuted the block rows (and the run may have ended
+        # on the scratch plane); every replica's ground truth is its
+        # recorded copy.  One pass, once per run.
         for r in range(k):
             np.copyto(levels[r], outcomes[r].final_levels)
         return outcomes, executed  # type: ignore[return-value]
@@ -449,14 +518,15 @@ class RoundKernel:
         outcomes: List[Optional[BlockOutcome]],
         executed: int,
         draws: "PerRoundDraws | BlockDraws",
+        stress: StressRows,
     ) -> int:
         """Test-and-retire legal rows; returns the new live count.
 
         Retirement compacts the live prefix: the last live row *moves*
-        into the retired slot (levels row, draw stream, and permutation
-        entry), so every per-round pass keeps operating on dense rows
-        ``[0, live)``.  Rows are processed in descending order so each
-        move sources a still-live tail row.
+        into the retired slot (levels row, draw stream, stress state and
+        permutation entry), so every per-round pass keeps operating on
+        dense rows ``[0, live)``.  Rows are processed in descending
+        order so each move sources a still-live tail row.
         """
         cand = self._candidate_rows(cur[:live])
         if not cand.any():
@@ -465,12 +535,12 @@ class RoundKernel:
         # test runs on a data-dependent gather; its intermediates are
         # shaped by the candidate count and cannot be preallocated.
         idx = np.flatnonzero(cand)
-        rows = cur[idx]
-        ne = rows != self._ell32
+        block = cur[idx]
+        ne = block != self._ell32
         blocked = self._hear.hear_rows(ne)
-        in_mis = (rows == self._floor32) & ~blocked
+        in_mis = (block == self._floor32) & ~blocked
         dominated = self._hear.hear_rows(in_mis)
-        ok = in_mis | ((rows == self._ell32) & dominated)
+        ok = in_mis | ((block == self._ell32) & dominated)
         legal = np.all(ok, axis=1)
         if not legal.any():
             return live
@@ -486,6 +556,8 @@ class RoundKernel:
             if j != last:
                 np.copyto(cur[j], cur[last])
                 perm[j] = perm[last]
+                if stress is not None:
+                    stress[j] = stress[last]
             draws.retire(j)
             live = last
         return live
@@ -496,7 +568,7 @@ class RoundKernel:
     def _probabilities(
         self, cur: npt.NDArray[np.int32], k: int
     ) -> npt.NDArray[np.float64]:
-        """Channel-1 beep probabilities, bit-identical to the engines."""
+        """Channel-1 beep probabilities (the Figure-1 activation)."""
         table = self._p_table
         p = self._p_buf[:k]
         if table is not None:
@@ -507,9 +579,9 @@ class RoundKernel:
             # pass (measurably faster, value-identical).
             np.take(table, idx, out=p, mode="clip")
             return p
-        # Non-uniform ℓmax fallback: the solo engines' clip/negate/power
-        # chain (cast-on-store, value-identical to ``.astype``).
-        np.clip(cur, 0, _MAX_EXPONENT, out=p)
+        # Non-uniform ℓmax: the direct clip/negate/power chain
+        # (cast-on-store, value-identical to ``.astype``).
+        np.clip(cur, 0, MAX_EXPONENT, out=p)
         np.negative(p, out=p)
         np.power(2.0, p, out=p)
         if self._single:
@@ -524,24 +596,28 @@ class RoundKernel:
         self,
         cur: npt.NDArray[np.int32],
         nxt: npt.NDArray[np.int32],
-        k: int,
+        draws: npt.NDArray[np.float64],
+        stress: StressRows,
+        round_index: int,
     ) -> None:
         """One Algorithm-1 round, writing the new levels into ``nxt``.
 
-        Operation for operation the batched engine's ideal-path step:
-        the same p-table lookup, the same ``draws < p`` beep decision,
-        the same hear booleans, and the same branch-free integer blend
-        ``x + (y − x)·mask`` for ``where(heard, up, where(beeps, −ℓmax,
-        down))`` — hence bit-identical trajectories.
+        ``draws < p`` decides the beeps, the hear booleans pick the
+        branch, and the branch-free integer blend ``x + (y − x)·mask``
+        computes ``where(heard, up, where(beeps, −ℓmax, down))`` exactly.
+        Unlike a masked ``copyto`` its cost does not blow up at the
+        ~30–50 % beep densities this algorithm lives at.
         """
-        draws = self._serve()[:k]
+        k = cur.shape[0]
         up = self._up[:k]
         np.add(cur, 1, out=up)
         np.minimum(up, self._ell32, out=up)
         p = self._probabilities(cur, k)
         beeps = self._beeps[:k]
         np.less(draws, p, out=beeps)
+        masks = _gate(stress, round_index, beeps)
         heard = self._hear.hear_rows(beeps, self._heard[:k])
+        _perturb(stress, heard)
         np.subtract(cur, 1, out=nxt)
         np.maximum(nxt, 1, out=nxt)
         sel = self._sel[:k]
@@ -551,19 +627,25 @@ class RoundKernel:
         np.subtract(up, nxt, out=sel)
         np.multiply(sel, heard, out=sel)
         np.add(nxt, sel, out=nxt)
+        _hold(masks, nxt, cur)
 
-    def _step_two(self, cur: npt.NDArray[np.int32], k: int) -> None:
-        """One Algorithm-2 round, updating ``cur`` in place.
+    def _step_two(
+        self,
+        cur: npt.NDArray[np.int32],
+        nxt: npt.NDArray[np.int32],
+        draws: npt.NDArray[np.float64],
+        stress: StressRows,
+        round_index: int,
+    ) -> None:
+        """One Algorithm-2 round, writing the new levels into ``nxt``.
 
-        Both channels' beeps are stacked into one hear call (as on the
-        batched engine's ideal path) and the solo priority order
-        ``heard2 > heard1 > beep1 > ~beep2`` is applied in reverse —
-        as branch-free integer blends rather than the engines' masked
-        ``copyto`` calls, which cost several times more per pass for
-        the identical integers (``np.copyto(..., where=)`` takes a
-        buffered scalar path; the blends stream through SIMD loops).
+        Both channels' beeps are stacked into one hear call, and the
+        priority order ``heard2 > heard1 > beep1 > ~beep2`` is applied
+        in reverse as branch-free integer blends (``np.copyto(...,
+        where=)`` takes a buffered scalar path that costs several times
+        more per pass for the identical integers).
         """
-        draws = self._serve()[:k]
+        k = cur.shape[0]
         up = self._up[:k]
         np.add(cur, 1, out=up)
         np.minimum(up, self._ell32, out=up)
@@ -579,26 +661,29 @@ class RoundKernel:
         np.logical_and(beep1, band, out=beep1)
         beep2 = stacked[k:]
         np.equal(cur, 0, out=beep2)
+        masks = _gate(stress, round_index, beep1, beep2)
         heard = self._hear.hear_rows(stacked, self._heard[: 2 * k])
         heard1 = heard[:k]
         heard2 = heard[k:]
-        down = self._sel[:k]
-        np.subtract(cur, 1, out=down)
-        np.maximum(down, 1, out=down)
+        _perturb(stress, heard1, heard2)
+        np.subtract(cur, 1, out=nxt)
+        np.maximum(nxt, 1, out=nxt)
         not_beep2 = self._mask_b[:k]
         np.logical_not(beep2, out=not_beep2)
-        # ``beep2`` is exactly ``cur == 0``, so keeping level 0 there
-        # and taking ``down`` elsewhere is one masked product.
-        np.multiply(down, not_beep2, out=cur)
-        sel = self._plane[:k]
-        np.multiply(cur, beep1, out=sel)
-        np.subtract(cur, sel, out=cur)
-        np.subtract(up, cur, out=sel)
+        # A firing vertex's ``beep2`` is exactly ``cur == 0`` (a delayed
+        # one is held below), so keeping level 0 there and taking
+        # ``down`` elsewhere is one masked product.
+        np.multiply(nxt, not_beep2, out=nxt)
+        sel = self._sel[:k]
+        np.multiply(nxt, beep1, out=sel)
+        np.subtract(nxt, sel, out=nxt)
+        np.subtract(up, nxt, out=sel)
         np.multiply(sel, heard1, out=sel)
-        np.add(cur, sel, out=cur)
-        np.subtract(self._ell32, cur, out=sel)
+        np.add(nxt, sel, out=nxt)
+        np.subtract(self._ell32, nxt, out=sel)
         np.multiply(sel, heard2, out=sel)
-        np.add(cur, sel, out=cur)
+        np.add(nxt, sel, out=nxt)
+        _hold(masks, nxt, cur)
 
     # ------------------------------------------------------------------
     # Two-state baseline
@@ -608,26 +693,30 @@ class RoundKernel:
         in_mis: npt.NDArray[np.bool_],
         draws: "PerRoundDraws | BlockDraws",
         max_rounds: int,
+        stress: StressRows = None,
+        round_index: int = 0,
     ) -> Tuple[List[BlockOutcome], int]:
         """Drive a ``(k, n)`` bool membership block to per-row MIS.
 
-        The loop mirrors ``simulate_constant_state``: legality observed
-        every round (including round 0) before stepping, budget checked
-        between observation and step.  ``in_mis`` is updated in place.
+        Legality is observed every round (including round 0) before
+        stepping, and the budget checked between observation and step —
+        the order of a ``ConstantStateEngine.step()`` loop.  ``in_mis``
+        is updated in place; ``stress``/``round_index`` as in
+        :meth:`run_block`.
         """
         if not self._constant:
             raise ValueError(
                 "run_constant requires a constant_state round kernel"
             )
-        self._draws_source = draws
         k = in_mis.shape[0]
         outcomes: List[Optional[BlockOutcome]] = [None] * k
         perm = list(range(k))
+        stress = None if stress is None else list(stress)
         live = k
         executed = 0
         while True:
             live = self._retire_constant(
-                in_mis, live, perm, outcomes, executed, draws
+                in_mis, live, perm, outcomes, executed, draws, stress
             )
             if live == 0:
                 break
@@ -640,7 +729,10 @@ class RoundKernel:
                         final_levels=in_mis[i].copy(),
                     )
                 break
-            self._step_constant(in_mis[:live], live)
+            self._step_constant(
+                in_mis[:live], draws.serve()[:live], stress,
+                round_index + executed,
+            )
             executed += 1
         # Rebuild the caller's block from the per-replica records (the
         # compaction permuted rows in place).  Once per run.
@@ -656,13 +748,14 @@ class RoundKernel:
         outcomes: List[Optional[BlockOutcome]],
         executed: int,
         draws: "PerRoundDraws | BlockDraws",
+        stress: StressRows,
     ) -> int:
-        rows = in_mis[:live]
-        heard = self._hear.hear_rows(rows, self._heard[:live])
+        block = in_mis[:live]
+        heard = self._hear.hear_rows(block, self._heard[:live])
         clash = self._mask_a[:live]
-        np.logical_and(rows, heard, out=clash)
+        np.logical_and(block, heard, out=clash)
         covered = self._mask_b[:live]
-        np.logical_or(rows, heard, out=covered)
+        np.logical_or(block, heard, out=covered)
         legal = self._cand[:live]
         np.all(covered, axis=1, out=legal)
         # independent: no IN vertex heard another IN vertex.
@@ -686,32 +779,90 @@ class RoundKernel:
             if j != last:
                 np.copyto(in_mis[j], in_mis[last])
                 perm[j] = perm[last]
+                if stress is not None:
+                    stress[j] = stress[last]
             draws.retire(j)
             live = last
         return live
 
-    def _step_constant(self, in_mis: npt.NDArray[np.bool_], k: int) -> None:
-        """One two-state round in place (same booleans as the engine)."""
-        draws = self._serve()[:k]
+    def _step_constant(
+        self,
+        in_mis: npt.NDArray[np.bool_],
+        draws: npt.NDArray[np.float64],
+        stress: StressRows,
+        round_index: int,
+    ) -> None:
+        """One two-state round in place.
+
+        IN beeps; on a heads coin (``u < 1/2``) an IN vertex that heard
+        a neighbour retreats and an OUT vertex that heard nothing
+        rejoins.  Both are one flip: ``coin & (in == heard)``.
+        """
+        k = in_mis.shape[0]
         beeps = self._beeps[:k]
         np.copyto(beeps, in_mis)
+        masks = _gate(stress, round_index, beeps)
         heard = self._hear.hear_rows(beeps, self._heard[:k])
+        _perturb(stress, heard)
         coin = self._mask_a[:k]
         np.less(draws, 0.5, out=coin)
-        # stay = in & ~(heard & coin)   (== in & ~retreat)
-        stay = self._mask_b[:k]
-        np.logical_and(heard, coin, out=stay)
-        np.logical_not(stay, out=stay)
-        np.logical_and(in_mis, stay, out=stay)
-        # rejoin = ~in & ~heard & coin
-        rejoin = coin
-        np.logical_or(in_mis, heard, out=self._beeps[:k])
-        np.logical_not(self._beeps[:k], out=self._beeps[:k])
-        np.logical_and(rejoin, self._beeps[:k], out=rejoin)
-        np.logical_or(stay, rejoin, out=in_mis)
+        flip = self._mask_b[:k]
+        np.equal(in_mis, heard, out=flip)
+        np.logical_and(flip, coin, out=flip)
+        if masks is not None:
+            # Delayed vertices keep their membership: no flip.
+            for i, mask in enumerate(masks):
+                if mask is not None:
+                    np.logical_and(flip[i], mask, out=flip[i])
+        np.logical_xor(in_mis, flip, out=in_mis)
 
-    # ------------------------------------------------------------------
-    # Draw plumbing
-    # ------------------------------------------------------------------
-    def _serve(self) -> npt.NDArray[np.float64]:
-        return self._draws_source.serve()
+
+# ----------------------------------------------------------------------
+# Stress hooks: per-row calls into the engines' StressState objects.
+# ----------------------------------------------------------------------
+def _gate(
+    stress: StressRows,
+    round_index: int,
+    *channels: npt.NDArray[np.bool_],
+) -> Optional[List[Optional[npt.NDArray[np.bool_]]]]:
+    """Begin each row's round and gate its fresh beeps by activity.
+
+    Delayed vertices re-emit their stale carrier on every channel (in
+    place).  Returns each row's firing mask (``None`` = all fire), or
+    ``None`` when the run is ideal.  Rows pair with ``stress`` in order;
+    entries past the block's rows (retired) are ignored.
+    """
+    if stress is None:
+        return None
+    masks: List[Optional[npt.NDArray[np.bool_]]] = []
+    for state, *beeps in zip(stress, *channels):
+        state.begin_round()
+        mask = state.active_mask(round_index)
+        if mask is not None:
+            for key, row in enumerate(beeps):
+                state.transmit(key, row, mask)
+        masks.append(mask)
+    return masks
+
+
+def _perturb(stress: StressRows, *heard: npt.NDArray[np.bool_]) -> None:
+    """Apply each row's channel to its heard rows in place (heard1 first)."""
+    if stress is None:
+        return
+    for state, *rows in zip(stress, *heard):
+        for row in rows:
+            state.apply_channel(row)
+
+
+def _hold(
+    masks: Optional[List[Optional[npt.NDArray[np.bool_]]]],
+    nxt: npt.NDArray[np.int32],
+    cur: npt.NDArray[np.int32],
+) -> None:
+    """Delayed vertices keep their pre-round level."""
+    if masks is None:
+        return
+    for i, mask in enumerate(masks):
+        if mask is not None:
+            np.copyto(nxt[i], cur[i], where=~mask)
+

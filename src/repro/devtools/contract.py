@@ -5,7 +5,8 @@ module checks the same contract *behaviorally*, by inspecting classes
 and actually running registered backends on a tiny fixture graph:
 
 * :func:`verify_engine_class` — an :class:`EngineBase` subclass
-  overrides :meth:`step` and accepts a ``seed`` at construction.
+  declares its level range (``uses_negative_levels``, which also picks
+  its round-kernel algorithm) and accepts a ``seed`` at construction.
 * :func:`verify_backend` — a registered backend callable has the
   uniform ``(graph, policy, variant, seed, max_rounds,
   arbitrary_start)`` signature, returns an outcome exposing
@@ -60,8 +61,10 @@ def verify_engine_class(cls: type) -> List[str]:
     problems: List[str] = []
     if not (isinstance(cls, type) and issubclass(cls, EngineBase)):
         return [f"{cls!r} is not an EngineBase subclass"]
-    if cls.step is EngineBase.step:
-        problems.append(f"{cls.__name__} does not override step()")
+    if not isinstance(getattr(cls, "uses_negative_levels", None), bool):
+        problems.append(
+            f"{cls.__name__} does not declare uses_negative_levels"
+        )
     try:
         signature = inspect.signature(cls.__init__)
     except (TypeError, ValueError):  # pragma: no cover - C-level __init__

@@ -84,8 +84,8 @@ DATAFLOW_RULES: Tuple[RuleInfo, ...] = (
         rule_id="RPR621",
         title="shared graph/collector array reaches an in-place mutation",
         rationale=(
-            "Arrays reachable as .adjacency / .ell_max / .floor / ._adj_t "
-            "are shared between engines and observability collectors "
+            "Arrays reachable as .adjacency / .ell_max / .floor are "
+            "shared between engines and observability collectors "
             "(StructureView.adopt_engine) and across replicas; an "
             "in-place store, augmented assignment, out= target or "
             "mutating method call through such a reference corrupts "

@@ -105,7 +105,7 @@ _FRESH_METHODS = frozenset({
     "copy", "tocsr", "tocsc", "tocoo", "toarray", "todense",
 })
 #: Attribute names whose value is shared between engine and collectors.
-_SHARED_ATTRS = frozenset({"adjacency", "ell_max", "floor", "_adj_t"})
+_SHARED_ATTRS = frozenset({"adjacency", "ell_max", "floor"})
 _ALIAS_TAGS = _DTYPE_TAGS | frozenset({SHARED})
 #: Pool dispatch on a parameter is not a measurement call.
 _DISPATCH_METHODS = frozenset({"submit", "map"})

@@ -170,12 +170,7 @@ def _constant_state_combos(
     yield "constant_state", step
 
 
-def _batched_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
-    from ...core.engines.batched import BatchedEngine
-    from ...core.knowledge import uniform_policy
-
-    policy = uniform_policy(graph, ell_max=6)
-    engine = BatchedEngine(graph, policy, replicas=4, seed=_AUDIT_SEED)
+def _batched_step(engine: Any) -> Callable[[], object]:
     active = np.ones(engine.replicas, dtype=bool)
     active_idx = np.arange(engine.replicas, dtype=np.intp)
 
@@ -186,28 +181,51 @@ def _batched_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
         engine._legal_rows(engine.levels)
         return engine.step(active, active_idx=active_idx)
 
-    yield "batched", step
+    return step
 
 
-def _stressed_combo(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
-    """One non-ideal combo so the channel/scheduler scratch is audited."""
-    from ...core.engines.single import SingleChannelEngine
+def _batched_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
+    from ...core.engines.batched import BatchedEngine
     from ...core.knowledge import uniform_policy
 
     policy = uniform_policy(graph, ell_max=6)
-    engine = SingleChannelEngine(
+    engine = BatchedEngine(graph, policy, replicas=4, seed=_AUDIT_SEED)
+    yield "batched", _batched_step(engine)
+
+
+def _stressed_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
+    """Non-ideal combos so the stress hooks and their scratch are audited.
+
+    ``batched×noisy+drift`` is the robustness-sweep path (per-replica
+    stress states inside the batched round).
+    """
+    from ...core.engines.batched import BatchedEngine
+    from ...core.engines.single import SingleChannelEngine
+    from ...core.engines.two_channel import TwoChannelEngine
+    from ...core.knowledge import uniform_policy
+
+    policy = uniform_policy(graph, ell_max=6)
+    stress = {"channel": "unreliable:0.05,0.01", "scheduler": "drift:0.1,3"}
+    for name, cls in (
+        ("single", SingleChannelEngine),
+        ("two_channel", TwoChannelEngine),
+    ):
+        engine = cls(graph, policy, seed=_AUDIT_SEED, **stress)
+
+        def step(engine: Any = engine) -> object:
+            engine.step()
+            return engine.is_legal()
+
+        yield f"{name}×unreliable+drift", step
+    batched = BatchedEngine(
         graph,
         policy,
+        replicas=4,
         seed=_AUDIT_SEED,
-        channel="unreliable:0.05,0.01",
-        scheduler="drift:0.1,3",
+        channel="noisy:0.02",
+        scheduler="drift:0.1",
     )
-
-    def step(engine: Any = engine) -> object:
-        engine.step()
-        return engine.is_legal()
-
-    yield "single×unreliable+drift", step
+    yield "batched×noisy+drift", _batched_step(batched)
 
 
 def run_allocation_audit(
@@ -294,7 +312,7 @@ def _all_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
     yield from _solo_combos(graph)
     yield from _constant_state_combos(graph)
     yield from _batched_combos(graph)
-    yield from _stressed_combo(graph)
+    yield from _stressed_combos(graph)
     yield from _fused_combos(graph)
 
 

@@ -62,7 +62,7 @@ _SETUP_NAMES = frozenset({
     "__init__", "__post_init__", "rebind", "bind", "bind_stress_models",
     "randomize_levels", "set_levels", "adopt_engine", "finalize",
     "finalize_replica", "from_engine", "from_batched_engine",
-    "from_policy", "_build_p_table",
+    "from_policy",
 })
 
 #: Module-level functions that are hot roots wherever they are defined.
@@ -154,15 +154,16 @@ class HotpathAnalyzer(Analyzer[bool]):
                 "is_legal", "legal_mask", "_legal_rows", "_mis_mask_rows",
             })
         if cls_name == "StructureView":
-            return frozenset({"hear", "hear_rows", "received", "received_rows"})
+            return frozenset({"hear", "hear_rows"})
         if cls_name == "RoundKernel":
-            # The fused kernel owns the whole round: the run loops are
-            # drivers (loop bodies only), and the per-round step bodies
-            # are roots of their own because the loops dispatch through
-            # a local ``step = self._step_…`` binding the call-graph
-            # walk cannot resolve.
+            # The kernel owns the whole round: the run loops are
+            # drivers (loop bodies only), ``step`` is the engines'
+            # one-round entry, and the per-round step bodies are roots
+            # of their own because the loops dispatch through a local
+            # ``step = self._step_…`` binding the call-graph walk
+            # cannot resolve.
             return frozenset({
-                "run_block", "run_constant",
+                "run_block", "run_constant", "step",
                 "_step_single", "_step_two", "_step_constant",
             })
         if cls_name.endswith("Kernel"):

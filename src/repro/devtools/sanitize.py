@@ -117,10 +117,8 @@ def watchdog(seconds: float) -> Iterator[None]:
 def engine_shared_arrays(engine: object) -> List[npt.NDArray[Any]]:
     """The arrays ``engine`` shares with collectors / other replicas.
 
-    Deduplicated by identity: the adjacency is symmetric, so
-    ``engine._adj_t`` *is* ``engine.adjacency`` (one cached object), and
-    appending an array twice would make :func:`frozen_arrays` restore
-    the wrong ``writeable`` flag on exit.
+    Deduplicated by identity: appending an array twice would make
+    :func:`frozen_arrays` restore the wrong ``writeable`` flag on exit.
     """
     arrays: List[npt.NDArray[Any]] = []
     seen: Set[int] = set()
@@ -130,10 +128,8 @@ def engine_shared_arrays(engine: object) -> List[npt.NDArray[Any]]:
             seen.add(id(candidate))
             arrays.append(candidate)
 
-    for attr in ("adjacency", "_adj_t"):
-        matrix = getattr(engine, attr, None)
-        if matrix is None:
-            continue
+    matrix = getattr(engine, "adjacency", None)
+    if matrix is not None:
         for part in ("data", "indices", "indptr"):
             add(getattr(matrix, part, None))
     structure = getattr(engine, "structure", None)

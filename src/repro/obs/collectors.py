@@ -73,7 +73,6 @@ class StructureView:
     ell_max: npt.NDArray[np.int64]
     floor: npt.NDArray[np.int64]
     channels: int = 1
-    _adj_t: Any = None  # transpose, materialized lazily for row blocks
     graph: Optional[Graph] = None  # lazy-build source when adjacency is None
     kernel: Any = None  # HearKernel, adopted from the engine or lazy-built
     #: BoundChannel of the observed solo engine — adopted only when the
@@ -103,17 +102,15 @@ class StructureView:
 
     @classmethod
     def from_batched_engine(cls, engine: Any) -> "StructureView":
-        """View onto a :class:`BatchedEngine` (reuses its transpose)."""
+        """View onto a :class:`BatchedEngine`."""
         single = engine.algorithm == "single"
-        view = cls(
+        return cls(
             adjacency=engine.adjacency,
             ell_max=engine.ell_max,
             floor=-engine.ell_max if single else np.zeros_like(engine.ell_max),
             channels=1 if single else 2,
             kernel=getattr(engine, "kernel", None),
         )
-        view._adj_t = getattr(engine, "_adj_t", None)
-        return view
 
     @classmethod
     def from_policy(
@@ -150,10 +147,6 @@ class StructureView:
             adjacency = getattr(engine, "adjacency", None)
             if adjacency is not None:
                 self.adjacency = adjacency
-        if self._adj_t is None:
-            adj_t = getattr(engine, "_adj_t", None)
-            if adj_t is not None:
-                self._adj_t = adj_t
         if self.kernel is None:
             kernel = getattr(engine, "kernel", None)
             if kernel is not None:
@@ -183,13 +176,6 @@ class StructureView:
             self.kernel = HearKernel(structure)
         return self.kernel
 
-    def _built_adjacency(self) -> Any:
-        if self.adjacency is None:
-            if self.graph is None:
-                raise ValueError("StructureView has neither adjacency nor graph")
-            self.adjacency = structure_for(self.graph).csr
-        return self.adjacency
-
     def hear(self, active: npt.NDArray[np.bool_]) -> npt.NDArray[np.bool_]:
         """Vertices with ≥ 1 active neighbor (bool, kernel-delegated)."""
         return self._built_kernel().hear(active)
@@ -197,17 +183,6 @@ class StructureView:
     def hear_rows(self, rows: npt.NDArray[np.bool_]) -> npt.NDArray[np.bool_]:
         """Row-wise :meth:`hear` over an ``(R', n)`` block."""
         return self._built_kernel().hear_rows(rows)
-
-    def received(self, vec: npt.NDArray[np.int32]) -> npt.NDArray[np.int32]:
-        """Neighbor-count transport (back-compat; prefer :meth:`hear`)."""
-        return self._built_adjacency().dot(vec)
-
-    def received_rows(self, rows: npt.NDArray[np.int32]) -> npt.NDArray[np.int32]:
-        """Row-block counts (back-compat; prefer :meth:`hear_rows`)."""
-        if self._adj_t is None:
-            self._adj_t = self._built_adjacency().transpose().tocsr()
-        cols = np.ascontiguousarray(rows.T)
-        return np.ascontiguousarray(self._adj_t.dot(cols).T)
 
 
 #: Run-level instrument handles per registry — finalize runs once per

@@ -119,10 +119,74 @@ def small_graph_zoo():
 
 # ----------------------------------------------------------------------
 # Hand-driven step loops: the reference the fused round kernel is
-# compared against.  Engines run every eligible stabilization through
-# the fused kernel, so the per-round ``step()`` path is driven here
-# directly, with the same legality cadence as the engines' run loops.
+# compared against.  Engines run every stabilization without a
+# collector or per-round series through the fused kernel, so the
+# per-round ``step()`` path is driven here directly, with the same
+# legality cadence as the engines' run loops.
 # ----------------------------------------------------------------------
+@pytest.fixture
+def fused_runs(monkeypatch):
+    """Record every fused run loop (``run_block`` / ``run_constant``).
+
+    ``step()`` runs one kernel round too, so an engine's ``_fused``
+    kernel exists after any round; an empty list is what says that
+    only the step loop ran.
+    """
+    from repro.core.kernels import RoundKernel
+
+    calls = []
+    for name in ("run_block", "run_constant"):
+        original = getattr(RoundKernel, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            calls.append(self)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoundKernel, name, counted)
+    return calls
+
+
+def stream_states(engine):
+    """Where every random stream of ``engine`` continues.
+
+    Per trajectory: the next ``block`` main-stream uniforms it would
+    consume (a batched replica serves its unconsumed pre-drawn values
+    first; the generator itself may run ahead of them), and the exact
+    generator states of its channel and scheduler streams.  Advances
+    the main generators: call once, at the end of a comparison.
+    """
+    def state(rng):
+        return None if rng is None else rng.bit_generator.state
+
+    if hasattr(engine, "rngs"):
+        block = engine._draw_block
+        rows = [
+            np.concatenate((
+                engine._blocks[r, engine._cursor[r]:].ravel(),
+                engine.rngs[r].random(block * engine.n),
+            ))[: block * engine.n]
+            for r in range(engine.replicas)
+        ]
+        stresses = engine._stress
+    else:
+        rows = [engine.rng.random(engine.n)]
+        stresses = [engine._stress]
+    return [
+        (row, state(s.channel_rng), state(s.scheduler_rng))
+        for row, s in zip(rows, stresses)
+    ]
+
+
+def assert_same_streams(engine, twin):
+    """``engine`` and ``twin`` continue every random stream alike."""
+    for (row, channel, scheduler), (row2, channel2, scheduler2) in zip(
+        stream_states(engine), stream_states(twin), strict=True
+    ):
+        np.testing.assert_array_equal(row, row2)
+        assert channel == channel2
+        assert scheduler == scheduler2
+
+
 def step_until_stable(engine, max_rounds, check_every=1):
     """Drive a solo engine through ``step()`` until it is legal."""
     from repro.core.engines import VectorizedResult

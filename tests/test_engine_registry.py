@@ -98,11 +98,12 @@ def test_engine_classes_satisfy_the_class_contract():
     for cls in (BatchedEngine, ConstantStateEngine):
         problems = verify_engine_class(cls)
         assert problems and "not an EngineBase subclass" in problems[0]
-    # A defective subclass is caught programmatically.
+    # A defective subclass (no level range, hence no algorithm) is
+    # caught programmatically.
     class Broken(EngineBase):
         pass
 
-    assert any("step" in p for p in verify_engine_class(Broken))
+    assert any("uses_negative_levels" in p for p in verify_engine_class(Broken))
 
 
 def test_verify_engine_class_rejects_a_seedless_constructor():

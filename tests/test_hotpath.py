@@ -279,7 +279,7 @@ def test_allocation_audit_catches_a_seeded_leak(monkeypatch):
 def test_allocation_audit_full_grid_is_steady():
     summary = allocation_summary()
     assert summary["ok"] is True
-    assert len(summary["bytes_per_round"]) == 16
+    assert len(summary["bytes_per_round"]) == 10
     for combo, measured in summary["bytes_per_round"].items():
         assert measured <= summary["threshold_bytes"][combo], combo
 
@@ -300,7 +300,10 @@ def test_bench_envelope_embeds_the_allocation_audit(tmp_path, monkeypatch):
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     allocation = payload["envelope"]["parameters"]["allocation"]
     assert allocation["ok"] is True
-    assert len(allocation["bytes_per_round"]) == 8
+    assert len(allocation["bytes_per_round"]) == 10
+    assert {"two_channel×unreliable+drift", "batched×noisy+drift"} <= set(
+        allocation["bytes_per_round"]
+    )
     opt_out = harness.save_bench_rows(
         "hotpath_audit_test2", [{"n": 8}], audit_allocations=False
     )

@@ -280,9 +280,11 @@ def _engine_answer(service):
     ("single", "vectorized", None),
     ("two_channel", "vectorized", None),
     ("single", "batched", None),
-    ("single", "vectorized", "lossy:0.05"),  # step() loop, not fused
+    ("single", "vectorized", "lossy:0.05"),  # stressed: fused too
 ])
-def test_served_mis_matches_engine_after_every_op(mix, algorithm, engine, channel):
+def test_served_mis_matches_engine_after_every_op(
+    mix, algorithm, engine, channel, fused_runs
+):
     graph = _graph()
     cap = graph.max_degree() + 2
     ops = generate_ops(mix, 300, 4, graph, degree_cap=cap)
@@ -302,8 +304,8 @@ def test_served_mis_matches_engine_after_every_op(mix, algorithm, engine, channe
         assert service.mis() == _engine_answer(service)
     assert all(seen.values()), seen
     assert service.verify_legal()
-    fused = service._engine._fused
-    assert (fused is None) == (channel is not None)
+    assert fused_runs
+    assert set(fused_runs) == {service._engine._fused}
 
 
 def test_reads_share_one_tuple_until_a_mutation():

@@ -10,6 +10,7 @@ from repro.core.engines import (
     simulate_single,
     simulate_two_channel,
 )
+from repro.core.kernels import RoundKernel
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.graphs.mis import check_mis
@@ -34,9 +35,18 @@ class TestSingleChannelEngine:
         assert list(engine.levels) == [-3, 3, 0, 1]
 
     def test_beep_probabilities_match_figure1(self, path4):
+        # The Figure-1 activation lives in the engine's round kernel:
+        # the uniform-ℓmax lookup table and the direct formula (taken
+        # for a non-uniform ℓmax) must both give it.
         engine = SingleChannelEngine(path4, uniform_policy(path4, 4))
-        engine.set_levels(np.array([-4, 0, 2, 4]))
-        assert list(engine.beep_probabilities()) == [1.0, 1.0, 0.25, 0.0]
+        kernel = engine._kernel()
+        assert kernel._p_table is not None
+        levels = np.array([[-4, 0, 2, 4]], dtype=np.int32)
+        assert list(kernel._probabilities(levels, 1)[0]) == [1.0, 1.0, 0.25, 0.0]
+        direct = RoundKernel(engine.kernel, algorithm="single", ell_max=[4, 4, 4, 5])
+        assert direct._p_table is None
+        levels = np.array([[-4, 0, 2, 5]], dtype=np.int32)
+        assert list(direct._probabilities(levels, 1)[0]) == [1.0, 1.0, 0.25, 0.0]
 
     def test_randomize_levels_in_range(self, er_graph):
         policy = uniform_policy(er_graph, 6)
