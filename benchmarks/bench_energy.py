@@ -33,17 +33,24 @@ from repro.core import (
 )
 from repro.core.engines import SingleChannelEngine
 from repro.graphs.generators import by_name
+from repro.obs import RunCollector, StructureView
+
+
+def _beeps_to_stabilize(collector, graph):
+    """Channel-1 transmissions per vertex over the observed run."""
+    return collector.beep_totals[0] / graph.num_vertices
 
 
 def alg1_energy(graph, seed):
     """(beeps per vertex to stabilize, steady-state beeps per round)."""
     policy = max_degree_policy(graph, c1=8)
+    collector = RunCollector(StructureView.from_policy(graph, policy))
     result = simulate_single(
         graph, policy, seed=seed, arbitrary_start=True,
-        max_rounds=200_000, record_series=True,
+        max_rounds=200_000, collector=collector,
     )
     assert result.stabilized
-    convergence = sum(result.beep_series) / graph.num_vertices
+    convergence = _beeps_to_stabilize(collector, graph)
     # Steady state: in a legal configuration exactly the members beep.
     engine = SingleChannelEngine(graph, policy, seed=seed)
     engine.set_levels(result.final_levels)
@@ -69,12 +76,15 @@ def jeavons_energy(graph, seed):
 
 def two_channel_energy(graph, seed):
     policy = neighborhood_degree_policy(graph, c1=8)
+    collector = RunCollector(
+        StructureView.from_policy(graph, policy, two_channel=True)
+    )
     result = simulate_two_channel(
         graph, policy, seed=seed, arbitrary_start=True,
-        max_rounds=200_000, record_series=True,
+        max_rounds=200_000, collector=collector,
     )
     assert result.stabilized
-    return sum(result.beep_series) / graph.num_vertices, len(result.mis)
+    return _beeps_to_stabilize(collector, graph), len(result.mis)
 
 
 def run_experiment(full: bool = False) -> list:

@@ -29,6 +29,7 @@ from repro.analysis.sweep import SweepPool, run_sweep
 from repro.core.engines import VectorizedResult
 from repro.core.engines.base import MAX_EXPONENT
 from repro.core.engines.batched import BatchedEngine
+from repro.core.kernels.round import pruned_legality
 from repro.graphs.io import to_sparse_adjacency
 
 #: The Theorem-2.1 smoke sweep (same shape as bench_engines.py).
@@ -61,13 +62,11 @@ class LegacyBatchedEngine(BatchedEngine):
     def _received_legacy(self, rows):
         return self._legacy_adj_t.dot(rows.T).T
 
-    def _mis_mask_rows(self, levels):
+    def legal_rows(self, levels):
+        """The pre-kernel legality pass: every row, no prune."""
         not_at_max = (levels != self.ell_max).astype(np.int32)
         blocked = self._received_legacy(not_at_max)
-        return (levels == self._floor_vector()) & (blocked == 0)
-
-    def _legal_rows(self, levels):
-        in_mis = self._mis_mask_rows(levels)
+        in_mis = (levels == self._floor_vector()) & (blocked == 0)
         dominated = self._received_legacy(in_mis.astype(np.int32)) > 0
         others_ok = (levels == self.ell_max) & dominated
         return np.all(in_mis | others_ok, axis=1)
@@ -128,13 +127,22 @@ class LegacyBatchedEngine(BatchedEngine):
         return beep1
 
 
-def step_loop(engine, max_rounds):
+def legal_rows(engine, rows):
+    """Per-row legality of ``rows`` through the engines' pruned predicate."""
+    legal, _, _ = pruned_legality(
+        engine.kernel, rows, engine._floor32, engine._ell_max32
+    )
+    return legal
+
+
+def step_loop(engine, max_rounds, legal_rows=legal_rows):
     """Drive every replica to legality through ``engine.step()`` alone.
 
-    The batched engine's own step loop — legality checked on the active
-    rows before each round, legal replicas retired — written out here
-    because :meth:`BatchedEngine.run` takes the fused round kernel on
-    every eligible run.
+    The batched engine's step loop — legality checked on the active
+    rows before each round (``legal_rows(engine, rows)``), legal
+    replicas retired — written out here because
+    :meth:`BatchedEngine.run` takes the fused round kernel on every
+    collector-free run.
     """
     results = [None] * engine.replicas
     active = np.ones(engine.replicas, dtype=bool)
@@ -142,7 +150,7 @@ def step_loop(engine, max_rounds):
     while active.any():
         idx = np.flatnonzero(active)
         rows = engine.levels if idx.size == engine.replicas else engine.levels[idx]
-        for r in idx[engine._legal_rows(rows)].tolist():
+        for r in idx[legal_rows(engine, rows)].tolist():
             results[r] = VectorizedResult(
                 True, executed, frozenset(), engine.levels[r].copy()
             )
@@ -163,6 +171,7 @@ class StepLoopStabilizationRounds(StabilizationRounds):
     """``StabilizationRounds`` batch path driven through :func:`step_loop`."""
 
     engine_cls = BatchedEngine
+    legal_rows = staticmethod(legal_rows)
 
     def measure_batch(self, config, seed_sequences):
         graph = graph_for_config(config)
@@ -174,7 +183,7 @@ class StepLoopStabilizationRounds(StabilizationRounds):
         )
         if self.arbitrary_start:
             engine.randomize_levels()
-        block = step_loop(engine, self.max_rounds)
+        block = step_loop(engine, self.max_rounds, self.legal_rows)
         return [self._check(outcome, config) for outcome in block]
 
 
@@ -182,6 +191,7 @@ class LegacyStabilizationRounds(StepLoopStabilizationRounds):
     """The step-loop batch path on :class:`LegacyBatchedEngine`."""
 
     engine_cls = LegacyBatchedEngine
+    legal_rows = staticmethod(LegacyBatchedEngine.legal_rows)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ engine.  Hence, for the same seed and initial levels, trajectories are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
@@ -39,7 +39,7 @@ from ..kernels import (
     RoundKernel,
     structure_for,
 )
-from ..kernels.round import MAX_EXPONENT
+from ..kernels.round import MAX_EXPONENT, pruned_legality, structure_pass
 from ..knowledge import EllMaxPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -216,10 +216,6 @@ class VectorizedResult:
     rounds: int
     mis: FrozenSet[int]
     final_levels: npt.NDArray[np.int64]
-    #: Optional per-round series (filled when ``record_series=True``):
-    #: number of beeps on channel 1 and size of the stable set S_t.
-    beep_series: List[int] = field(default_factory=list)
-    stable_series: List[int] = field(default_factory=list)
 
     def __bool__(self) -> bool:
         return self.stabilized
@@ -415,7 +411,6 @@ class EngineBase:
         self,
         max_rounds: int,
         check_every: int = 1,
-        record_series: bool = False,
         collector: Optional["RunCollector"] = None,
     ) -> VectorizedResult:
         """Step from the *current* levels until the configuration is legal.
@@ -428,23 +423,14 @@ class EngineBase:
         by up to ``check_every − 1`` rounds, trading accuracy for two
         fewer sparse matvecs per skipped round.
 
-        ``record_series`` is independent of the check cadence: the
-        per-round ``S_t``/beep series are appended every round regardless
-        of ``check_every`` (recording needs ``stable_mask``, one matvec,
-        but not the full legality predicate).
+        The run is the fused :class:`~repro.core.kernels.RoundKernel`
+        loop, stress models included; the result is the same as a
+        hand-driven :meth:`step` loop's, byte for byte.
 
-        Without a collector or per-round series the loop runs in the
-        fused :class:`~repro.core.kernels.RoundKernel`, stress models
-        included; the result is the same as the :meth:`step` loop's,
-        byte for byte.
-
-        ``collector`` (a :class:`repro.obs.RunCollector`) observes the
-        levels before every step and the beeps after; its legality
-        verdict — the exact :meth:`is_legal` formula — is *reused* for
-        the check so observability never evaluates legality twice.
-        Collectors read but never mutate state and draw no randomness, so
-        the trajectory with a collector attached is bit-identical to the
-        bare run.
+        ``collector`` (a :class:`repro.obs.RunCollector`) is fed inside
+        the kernel from the structure pass the legality check uses, and
+        gets the emitted beeps after each step.  It reads but never
+        mutates state or draws, so the trajectory is unchanged.
 
         Unlike the historical one-shot drivers this never resets state:
         calling it again after a :meth:`rebind` (or any external level
@@ -453,53 +439,11 @@ class EngineBase:
         """
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
-        if collector is None and not record_series:
-            return self._run_fused(max_rounds, check_every)
-        if collector is not None:
-            collector.view.adopt_engine(self)
-        beep_series: List[int] = []
-        stable_series: List[int] = []
-        executed = 0
-        while True:
-            should_check = executed % check_every == 0 or executed >= max_rounds
-            if collector is not None:
-                legal = collector.observe_structure(self.levels)
-            else:
-                legal = self.is_legal() if should_check else False
-            if should_check and legal:
-                result = VectorizedResult(
-                    stabilized=True,
-                    rounds=executed,
-                    mis=self.mis_vertices(),
-                    final_levels=self.levels.copy(),
-                    beep_series=beep_series,
-                    stable_series=stable_series,
-                )
-                break
-            if executed >= max_rounds:
-                result = VectorizedResult(
-                    stabilized=False,
-                    rounds=executed,
-                    mis=frozenset(),
-                    final_levels=self.levels.copy(),
-                    beep_series=beep_series,
-                    stable_series=stable_series,
-                )
-                break
-            if record_series:
-                stable_series.append(int(self.stable_mask().sum()))
-            out = self.step()
-            if record_series:
-                first = out[0] if isinstance(out, tuple) else out
-                beep_series.append(int(first.sum()))
-            if collector is not None:
-                collector.observe_beeps(out)
-            executed += 1
-        if collector is not None:
-            collector.finalize(result.stabilized, result.rounds)
-        return result
+        return self._run_fused(max_rounds, check_every, collector)
 
-    def _run_fused(self, max_rounds: int, check_every: int) -> VectorizedResult:  # repro: cold
+    def _run_fused(  # repro: cold
+        self, max_rounds: int, check_every: int, collector: Optional["RunCollector"]
+    ) -> VectorizedResult:
         """Delegate the run loop to the fused round kernel.
 
         Cold by annotation: this body runs once per *run* (the per-round
@@ -507,23 +451,25 @@ class EngineBase:
         so its int64↔int32 boundary casts and the kernel's construction
         on the first run are one-time work.
 
-        The caller (:meth:`until_stable`) sends every run without a
-        collector or per-round series here.  The kernel consumes
-        uniforms through the engine's own generator via
-        :class:`repro.core.kernels.PerRoundDraws`, and the stress models
-        through their own streams, so every stream position after the
-        run matches the step loop exactly (fault-recovery resumes
-        mid-stream) and outcomes are byte-identical.
+        The kernel consumes uniforms through the engine's own generator
+        via :class:`repro.core.kernels.PerRoundDraws`, and the stress
+        models through their own streams, so every stream position
+        after the run matches the step loop exactly (fault-recovery
+        resumes mid-stream) and outcomes are byte-identical.
         """
+        if collector is not None:
+            collector.view.adopt_engine(self)
         levels32 = self.levels.astype(np.int32).reshape(1, self.n)
         draws = PerRoundDraws([self.rng], self.n)
         outcomes, executed = self._kernel().run_block(
             levels32, draws, max_rounds, check_every,
-            self._stress_rows, self.round_index,
+            self._stress_rows, self.round_index, collector,
         )
         draws.finish()
         self.round_index += executed
         outcome = outcomes[0]
+        if collector is not None:
+            collector.finalize(outcome.stabilized, outcome.rounds)
         final = outcome.final_levels.astype(np.int64)
         self.levels = final.copy()
         return VectorizedResult(
@@ -535,40 +481,33 @@ class EngineBase:
 
     # ------------------------------------------------------------------
     # Stability structure (paper Section 3), shared by both algorithms:
-    # the MIS candidates sit at the level floor and are blocked by no
-    # neighbor below ℓmax.
+    # the kernels' one structure pass on the ``(1, n)`` level row.
     # ------------------------------------------------------------------
-    def mis_mask(self) -> npt.NDArray[np.bool_]:
-        """Boolean mask of ``I_t`` (paper Section 3), vectorized.
+    def _structure(self) -> Tuple[npt.NDArray[np.bool_], ...]:
+        return structure_pass(
+            self.kernel, self.levels.reshape(1, self.n), self._floor, self.ell_max
+        )
 
-        ``blocked == 0`` (no neighbor below ℓmax) is exactly "did not
-        hear the below-ℓmax mask" — a hear-kernel call, not a count.
-        """
-        blocked = self.kernel.hear(self.levels != self.ell_max)
-        return (self.levels == self._floor) & ~blocked
+    def mis_mask(self) -> npt.NDArray[np.bool_]:
+        """Boolean mask of ``I_t`` (paper Section 3)."""
+        in_mis, _, _ = self._structure()
+        return in_mis.reshape(self.n)
 
     def stable_mask(self) -> npt.NDArray[np.bool_]:
         """Boolean mask of ``S_t = I_t ∪ N(I_t)``."""
-        in_mis = self.mis_mask()
-        dominated = self.kernel.hear(in_mis)
-        return in_mis | dominated
+        in_mis, dominated, _ = self._structure()
+        np.logical_or(in_mis, dominated, out=in_mis)
+        return in_mis.reshape(self.n)
 
     def is_legal(self) -> bool:
         """Legal iff S_t covers all vertices and the rest sit at ℓmax.
 
-        Prune: a legal configuration puts every vertex at its floor (MIS
-        members) or at ℓmax (dominated vertices) — a necessary condition
-        costing one comparison pass.  While any level sits strictly
-        between the two (every converging round), the kernel calls are
-        skipped entirely; when it holds, the full predicate decides.
+        Pruned: a level strictly inside (floor, ℓmax) skips the hears.
         """
-        levels = self.levels
-        if not bool(np.all((levels == self._floor) | (levels == self.ell_max))):
-            return False
-        in_mis = self.mis_mask()
-        dominated = self.kernel.hear(in_mis)
-        others_ok = (levels == self.ell_max) & dominated
-        return bool(np.all(in_mis | others_ok))
+        legal, _, _ = pruned_legality(
+            self.kernel, self.levels.reshape(1, self.n), self._floor, self.ell_max
+        )
+        return bool(legal[0])
 
     def mis_vertices(self) -> FrozenSet[int]:
         return frozenset(int(v) for v in np.nonzero(self.mis_mask())[0])

@@ -24,8 +24,8 @@ executor byte-identical to the serial one.
 The round itself is the :class:`~repro.core.kernels.RoundKernel`'s:
 :meth:`BatchedEngine.step` gathers the stepped rows, serves their draws
 from the pre-draw blocks and runs one kernel round on them, and
-:meth:`BatchedEngine.run` hands every collector-free run with aligned
-draw cursors to the kernel's fused loop, stress models included.
+:meth:`BatchedEngine.run` hands every collector-free run to the
+kernel's fused loop, stress models included.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ from ..kernels import (
     RoundKernel,
     structure_for,
 )
+from ..kernels.round import pruned_legality, structure_pass
 from ..knowledge import EllMaxPolicy
-from .base import StressState, VectorizedResult, bind_stress_models
+from .base import StepOutput, StressState, VectorizedResult, bind_stress_models
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...beeping.channels import BoundChannel, ChannelLike
@@ -195,19 +196,10 @@ class BatchedEngine:
         self._draw_fns = [rng.random for rng in self.rngs]
         # Gather target for a round whose cursors are misaligned.
         self._draws = np.empty((self.replicas, self.n), dtype=np.float64)
-        # Candidate MIS rows stashed by the last ``_legal_rows`` call
-        # (None when that pass found no candidates or never ran).
-        self._mis_scratch: Optional[
-            Tuple[npt.NDArray[np.intp], npt.NDArray[np.bool_]]
-        ] = None
-        # Per-call legality vector, sliced to the active row count —
-        # shape (R,), so it survives rebinds untouched.  ``_legal_rows``
-        # returns views of it; ``legal_mask`` copies before publishing.
-        self._legal_scratch = np.empty(self.replicas, dtype=bool)
         # The round kernel: :meth:`step` runs one of its rounds, and
         # :meth:`run` delegates the whole retirement loop to it when no
-        # collector is attached and the cursors are aligned.  Built on
-        # first use and re-targeted by :meth:`rebind`.
+        # collector is attached.  Built on first use and re-targeted by
+        # :meth:`rebind`.
         self._fused: Optional[RoundKernel] = None
 
     # ------------------------------------------------------------------
@@ -260,7 +252,6 @@ class BatchedEngine:
         self._floor32 = self._floor.astype(np.int32)
         if self._fused is not None:
             self._fused.rebind(self.kernel, self.ell_max)
-        self._mis_scratch = None
         if self.n != old_n:
             n = self.n
             levels = np.ones((self.replicas, n), dtype=np.int32)
@@ -309,57 +300,30 @@ class BatchedEngine:
             np.add(rng.integers(0, span, size=self.n), floor, out=self.levels[r])
 
     # ------------------------------------------------------------------
-    # Batched stability structure: all masks are (R', n) row blocks.
+    # Batched stability structure: the kernels' one structure pass on
+    # (R', n) row blocks.
     # ------------------------------------------------------------------
-    def _mis_mask_rows(
-        self, levels: npt.NDArray[np.int32]
-    ) -> npt.NDArray[np.bool_]:
-        blocked = self.kernel.hear_rows(levels != self._ell_max32)
-        return (levels == self._floor32) & ~blocked
+    def _structure(self, levels: npt.NDArray[np.int32]) -> Tuple[npt.NDArray[np.bool_], ...]:
+        return structure_pass(self.kernel, levels, self._floor32, self._ell_max32)
 
     def mis_mask(self) -> npt.NDArray[np.bool_]:
         """Boolean (R, n) mask of ``I_t`` per replica."""
-        return self._mis_mask_rows(self.levels)
+        return self._structure(self.levels)[0]
 
     def stable_mask(self) -> npt.NDArray[np.bool_]:
         """Boolean (R, n) mask of ``S_t = I_t ∪ N(I_t)`` per replica."""
-        in_mis = self.mis_mask()
-        dominated = self.kernel.hear_rows(in_mis)
+        in_mis, dominated, _ = self._structure(self.levels)
         return in_mis | dominated
-
-    def _legal_rows(
-        self, levels: npt.NDArray[np.int32]
-    ) -> npt.NDArray[np.bool_]:
-        # Prune (same necessary condition as EngineBase.is_legal): a
-        # legal row holds only floor/ℓmax levels.  Rows failing it — in
-        # practice every still-converging replica — skip the hear calls.
-        candidates = np.all(
-            (levels == self._floor32) | (levels == self._ell_max32), axis=1
-        )
-        legal = self._legal_scratch[: levels.shape[0]]
-        legal[:] = False
-        self._mis_scratch = None
-        if not candidates.any():
-            return legal
-        rows = levels if candidates.all() else levels[candidates]
-        in_mis = self._mis_mask_rows(rows)
-        dominated = self.kernel.hear_rows(in_mis)
-        others_ok = (rows == self._ell_max32) & dominated
-        legal[candidates] = np.all(in_mis | others_ok, axis=1)
-        # Stash the candidate MIS rows (positions relative to ``levels``)
-        # so the run loop can read a retiring replica's MIS straight out
-        # of this legality pass instead of re-deriving it per replica.
-        self._mis_scratch = (np.flatnonzero(candidates), in_mis)
-        return legal
 
     def legal_mask(self) -> npt.NDArray[np.bool_]:
         """Boolean (R,) vector: which replicas sit in a legal configuration."""
-        # ``_legal_rows`` hands back a view of the reused legality
-        # scratch; copy so the public result survives the next check.
-        return self._legal_rows(self.levels).copy()
+        legal, _, _ = pruned_legality(
+            self.kernel, self.levels, self._floor32, self._ell_max32
+        )
+        return legal
 
     def mis_vertices(self, replica: int) -> "frozenset[int]":
-        row = self._mis_mask_rows(self.levels[replica : replica + 1])[0]
+        row = self._structure(self.levels[replica : replica + 1])[0][0]
         return frozenset(np.flatnonzero(row).tolist())
 
     # ------------------------------------------------------------------
@@ -369,11 +333,14 @@ class BatchedEngine:
         self,
         active: Optional[npt.NDArray[np.bool_]] = None,
         active_idx: Optional[npt.NDArray[np.intp]] = None,
-    ) -> npt.NDArray[np.bool_]:
+    ) -> StepOutput:
         """One synchronous round for the ``active`` replicas (default all).
 
-        Returns a fresh copy of the (R', n) channel-1 beep matrix of the
-        stepped rows.  Inactive replicas' levels, generators and stress
+        Returns fresh copies of the stepped rows' *emitted* beeps, as the
+        solo engines do: the (R', n) beep matrix for Algorithm 1, the
+        ``(beep1, beep2)`` pair of (R', n) matrices for Algorithm 2.
+        Under a non-synchronous scheduler delayed vertices emit their
+        stale carriers.  Inactive replicas' levels, generators and stress
         states are left untouched, so a retired replica's state stays
         frozen at its stabilization round.  ``active_idx`` (sorted
         replica indices) short-circuits the mask conversion when the
@@ -384,9 +351,10 @@ class BatchedEngine:
                 active_idx = np.arange(self.replicas)
             else:
                 active_idx = np.nonzero(np.asarray(active, dtype=bool))[0]
-        if active_idx.size == 0:
-            return np.zeros((0, self.n), dtype=bool)
         k = active_idx.size
+        if k == 0:
+            silent = np.zeros((0, self.n), dtype=bool)
+            return silent if self._single else (silent, silent)
         # With every replica still active the level block is the stored
         # matrix itself (no gather); otherwise a fancy-index copy.
         full = k == self.replicas
@@ -419,7 +387,9 @@ class BatchedEngine:
         if not full:
             self.levels[active_idx] = levels
         self.round_index += 1
-        return emitted[:k].copy()
+        if self._single:
+            return emitted.copy()
+        return emitted[:k].copy(), emitted[k:].copy()
 
     def _kernel(self) -> RoundKernel:
         """The engine's round kernel, built on first use."""
@@ -447,17 +417,16 @@ class BatchedEngine:
         exactly — legality observed before stepping at rounds ``0,
         check_every, 2·check_every, …`` plus at budget exhaustion — so
         each replica's ``rounds`` equals the solo run's.  Without a
-        collector and with aligned draw cursors the loop runs in the
-        fused :class:`~repro.core.kernels.RoundKernel`, stress models
+        collector the loop runs in the fused
+        :class:`~repro.core.kernels.RoundKernel`, stress models
         included, byte-identical to the :meth:`step` loop below.
 
         ``collector`` (a :class:`repro.obs.BatchedCollector`) observes the
-        active rows before every step and the channel-1 beeps after; its
-        per-row legality — the exact :meth:`_legal_rows` formula — is
-        *reused* for retirement, so observability shares the legality
-        matvecs instead of duplicating them.  Collectors read but never
-        mutate state and draw no randomness, so trajectories are
-        bit-identical with or without one.
+        active rows before every step and the emitted beeps after; its
+        per-row legality — the kernels' structure pass — is *reused* for
+        retirement.  Collectors read but never mutate state and draw no
+        randomness, so trajectories are bit-identical with or without
+        one.
         """
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
@@ -469,86 +438,58 @@ class BatchedEngine:
             self.randomize_levels()
 
         if collector is None:
-            draws = BlockDraws(self._blocks, self._cursor, self._draw_fns)
-            # Aligned cursors are a precondition of the fused serve loop;
-            # they diverge only after :meth:`step` advanced a subset of
-            # the replicas (a step-loop run that retired some of them
-            # mid-block) — the step loop runs then.
-            if draws.aligned():
-                return self._run_fused(draws, max_rounds, check_every)
+            return self._run_fused(max_rounds, check_every)
 
+        # The collector's step loop, through public ``step()``: bench/
+        # test_bench.py::test_child_self_times_fit_inside_the_parent_span
+        # asserts its ``engines.step`` span on ``sweep-stress``.
         results: List[Optional[VectorizedResult]] = [None] * self.replicas
-        active = np.ones(self.replicas, dtype=bool)
         active_idx = np.arange(self.replicas)
         executed = 0
         while active_idx.size:
             should_check = executed % check_every == 0 or executed >= max_rounds
-            scratch = None
-            if collector is not None:
-                legal = collector.observe_structure(self.levels, active_idx)
-            elif should_check:
-                rows = (
-                    self.levels
-                    if active_idx.size == self.replicas
-                    else self.levels[active_idx]
-                )
-                legal = self._legal_rows(rows)
-                scratch = self._mis_scratch
+            legal = collector.observe_structure(self.levels, active_idx)
             if should_check and legal.any():
                 for i in np.nonzero(legal)[0]:
                     r = int(active_idx[i])
-                    if scratch is not None:
-                        # The legality pass already holds this row's MIS
-                        # mask — read it instead of re-deriving it.
-                        positions, mis_rows = scratch
-                        j = int(np.searchsorted(positions, i))
-                        mis = frozenset(np.flatnonzero(mis_rows[j]).tolist())
-                    else:
-                        mis = self.mis_vertices(r)
                     results[r] = VectorizedResult(
                         stabilized=True,
                         rounds=executed,
-                        mis=mis,
+                        mis=self.mis_vertices(r),
                         final_levels=self.levels[r].copy(),
                     )
-                    active[r] = False
-                    if collector is not None:
-                        collector.finalize_replica(r, True, executed)
+                    collector.finalize_replica(r, True, executed)
                 active_idx = active_idx[~legal]
             if executed >= max_rounds:
-                for r in active_idx:
-                    results[int(r)] = VectorizedResult(
+                for r in active_idx.tolist():
+                    results[r] = VectorizedResult(
                         stabilized=False,
                         rounds=executed,
                         mis=frozenset(),
-                        final_levels=self.levels[int(r)].copy(),
+                        final_levels=self.levels[r].copy(),
                     )
-                    active[int(r)] = False
-                    if collector is not None:
-                        collector.finalize_replica(int(r), False, executed)
+                    collector.finalize_replica(r, False, executed)
                 break
             if active_idx.size:
-                # One round is public ``step()`` (so tracers see it); its
-                # fresh beep copy is the per-round cost of this
-                # collector/series-only loop.
-                beep1 = self.step(active_idx=active_idx)  # repro: allow[RPR801]
-                if collector is not None:
-                    collector.observe_beeps(beep1, active_idx)
+                # The fresh beep copies of ``step()`` are the per-round
+                # cost of this collector-only loop.
+                beeps = self.step(active_idx=active_idx)  # repro: allow[RPR801]
+                collector.observe_beeps(beeps, active_idx)
             executed += 1
         return BatchedResult(results=cast(List[VectorizedResult], results))
 
-    def _run_fused(
-        self, draws: BlockDraws, max_rounds: int, check_every: int
-    ) -> BatchedResult:
+    def _run_fused(self, max_rounds: int, check_every: int) -> BatchedResult:
         """Delegate the retirement loop to the fused round kernel.
 
         The kernel serves uniforms from the engine's own pre-drawn
-        blocks/cursors (``BlockDraws``), calls each replica's stress
-        state, advances ``self.levels`` in place, and records each
-        replica's outcome at its retirement round — byte-identical to
-        the step loop above, replica for replica (asserted by the
-        fused-kernel identity tests).
+        blocks/cursors (``BlockDraws``, which adopts misaligned cursors
+        on its first refill), calls each replica's stress state,
+        advances ``self.levels`` in place, and records each replica's
+        outcome at its retirement round — byte-identical to a
+        hand-driven :meth:`step` loop, replica for replica (asserted by
+        the fused-kernel identity tests).
         """
+        draws = BlockDraws(self._blocks, self._cursor, self._draw_fns)
         outcomes, executed = self._kernel().run_block(
             self.levels, draws, max_rounds, check_every,
             self._stress_rows, self.round_index,

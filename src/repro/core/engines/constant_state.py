@@ -23,6 +23,7 @@ from ..kernels import (
     RoundKernel,
     structure_for,
 )
+from ..kernels.round import constant_legality
 from .base import StressState, VectorizedResult, bind_stress_models
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -94,10 +95,7 @@ class ConstantStateEngine:
 
     def is_legal(self) -> bool:
         """Legal iff the IN set is an MIS (independent + dominating)."""
-        heard_members = self.kernel.hear(self.in_mis)
-        independent = not bool((self.in_mis & heard_members).any())
-        dominated = bool(np.all(self.in_mis | heard_members))
-        return independent and dominated
+        return bool(constant_legality(self.kernel, self.in_mis.reshape(1, self.n))[0])
 
     def mis_vertices(self) -> FrozenSet[int]:
         return frozenset(int(v) for v in np.nonzero(self.in_mis)[0])

@@ -41,7 +41,6 @@ def simulate_single(
     initial_levels: Optional[npt.ArrayLike] = None,
     arbitrary_start: bool = False,
     check_every: int = 1,
-    record_series: bool = False,
     collector: Optional["RunCollector"] = None,
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
@@ -72,6 +71,5 @@ def simulate_single(
     return engine.until_stable(
         max_rounds,
         check_every=check_every,
-        record_series=record_series,
         collector=collector,
     )

@@ -37,7 +37,6 @@ def simulate_two_channel(
     initial_levels: Optional[npt.ArrayLike] = None,
     arbitrary_start: bool = False,
     check_every: int = 1,
-    record_series: bool = False,
     collector: Optional["RunCollector"] = None,
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
@@ -60,6 +59,5 @@ def simulate_two_channel(
     return engine.until_stable(
         max_rounds,
         check_every=check_every,
-        record_series=record_series,
         collector=collector,
     )

@@ -9,10 +9,20 @@ engine's own :class:`~repro.core.kernels.hear.HearKernel`.  Its three
 round bodies (``_step_single``, ``_step_two``, ``_step_constant``) are
 the only round arithmetic of the array engines: every engine ``step()``
 runs one of them on its own levels (:meth:`RoundKernel.step`), and
-every run without a collector or per-round series — stressed runs
-included — runs them in the fused loops :meth:`RoundKernel.run_block` /
-:meth:`RoundKernel.run_constant`, where per-round dispatch overhead,
-not arithmetic, is what the fused loop removes.
+every solo run and every batched run without a collector — stressed
+and observed runs included — runs them in the fused loops
+:meth:`RoundKernel.run_block` / :meth:`RoundKernel.run_constant`, where
+per-round dispatch overhead, not arithmetic, is what the fused loop
+removes.
+
+Section-3 structure
+-------------------
+:func:`structure_pass` (``I_t``, ``N(I_t)``, legality), its pruned
+retirement form :func:`pruned_legality` and the two-state
+:func:`constant_legality` are the only legality predicates: the
+engines' mask/legality queries, the fused retirement and both
+collectors call them.  A solo collector is observed inside
+:meth:`RoundKernel.run_block`.
 
 Stress models
 -------------
@@ -61,7 +71,7 @@ engines'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -69,6 +79,7 @@ import numpy.typing as npt
 from .hear import HearKernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...obs.collectors import RunCollector
     from ..engines.base import StressState
 
 __all__ = [
@@ -77,6 +88,9 @@ __all__ = [
     "RoundKernel",
     "PerRoundDraws",
     "BlockDraws",
+    "constant_legality",
+    "pruned_legality",
+    "structure_pass",
 ]
 
 #: Accepted algorithm tags (mirrors the engines' vocabulary).
@@ -89,6 +103,94 @@ MAX_EXPONENT = 1023
 #: The live rows' stress states, or ``None`` on the perfect channel
 #: with the synchronous scheduler (nothing to call, nothing drawn).
 StressRows = Optional[List["StressState"]]
+
+BoolBlock = npt.NDArray[np.bool_]
+LevelBlock = npt.NDArray[np.integer[Any]]  # int32 or int64 levels
+#: ``(legal, rows, in_mis)``: see :func:`pruned_legality`.
+Verdict = Tuple[BoolBlock, Any, Any]
+
+
+def _fresh(shape: Tuple[int, ...], count: int) -> Tuple[BoolBlock, ...]:
+    return tuple(np.empty(shape, dtype=bool) for _ in range(count))
+
+
+# ----------------------------------------------------------------------
+# The Section-3 structure (paper Section 3), written once.
+# ----------------------------------------------------------------------
+def structure_pass(
+    hear: HearKernel,
+    levels: LevelBlock,
+    floor: npt.ArrayLike,
+    ell_max: npt.ArrayLike,
+    out: Optional[Tuple[BoolBlock, ...]] = None,
+) -> Tuple[BoolBlock, BoolBlock, BoolBlock]:
+    """``(in_mis, dominated, legal)`` of a ``(k, n)`` level block.
+
+    ``in_mis`` is ``I_t`` (floor vertices hearing no neighbour below
+    ℓmax), ``dominated`` is ``N(I_t)``, and ``legal[r]`` holds iff
+    every vertex of row ``r`` is in ``I_t`` or dominated at ℓmax.
+    ``out`` supplies three C-contiguous ``(k, n)`` bool buffers
+    (``in_mis``, ``dominated``, work); ``legal`` is always fresh.
+    """
+    in_mis, dominated, work = out or _fresh(levels.shape, 3)
+    np.not_equal(levels, ell_max, out=work)
+    hear.hear_rows(work, in_mis)  # blocked: a neighbour below ℓmax
+    np.logical_not(in_mis, out=in_mis)
+    np.equal(levels, floor, out=work)
+    np.logical_and(in_mis, work, out=in_mis)
+    hear.hear_rows(in_mis, dominated)
+    np.equal(levels, ell_max, out=work)
+    np.logical_and(work, dominated, out=work)
+    np.logical_or(work, in_mis, out=work)
+    return in_mis, dominated, work.all(axis=1)
+
+
+def pruned_legality(
+    hear: HearKernel,
+    levels: LevelBlock,
+    floor: npt.ArrayLike,
+    ell_max: npt.ArrayLike,
+    scratch: Optional[Tuple[BoolBlock, ...]] = None,
+) -> Verdict:
+    """``(legal, rows, in_mis)`` of a ``(k, n)`` block, hearing few rows.
+
+    A legal row holds only floor/ℓmax levels, so only such candidate
+    ``rows`` get :func:`structure_pass`; ``in_mis`` holds their ``I_t``
+    (both ``None`` without candidates).  ``scratch`` supplies two
+    ``(k, n)`` bool buffers and the ``(k,)`` ``legal`` vector.
+    """
+    k = levels.shape[0]
+    eq, other, legal = scratch or _fresh(levels.shape, 2) + _fresh((k,), 1)
+    np.equal(levels, floor, out=eq)
+    np.equal(levels, ell_max, out=other)
+    np.logical_or(eq, other, out=eq)
+    np.all(eq, axis=1, out=legal)
+    if not legal.any():
+        return legal, None, None
+    # Candidates are rare (at/after convergence): a data-dependent gather.
+    rows = np.flatnonzero(legal)
+    block = levels if rows.size == k else levels[rows]
+    in_mis, _, verdict = structure_pass(hear, block, floor, ell_max)
+    legal[rows] = verdict
+    return legal, rows, in_mis
+
+
+def constant_legality(
+    hear: HearKernel,
+    in_mis: BoolBlock,
+    out: Optional[Tuple[BoolBlock, ...]] = None,
+) -> BoolBlock:
+    """Per-row two-state legality: IN is independent and dominating.
+
+    ``out`` supplies two ``(k, n)`` bool buffers; the verdict is fresh.
+    """
+    heard, work = out or _fresh(in_mis.shape, 2)
+    hear.hear_rows(in_mis, heard)
+    np.logical_or(in_mis, heard, out=work)
+    legal = work.all(axis=1)
+    np.logical_and(in_mis, heard, out=work)
+    legal &= ~work.any(axis=1)
+    return legal
 
 
 @dataclass
@@ -152,9 +254,11 @@ class BlockDraws:
     Wraps the batched engine's *own* ``(R, block, n)`` pre-draw storage,
     cursor vector, and bound draw functions, so fused and step-loop runs
     on the same engine consume one continuous stream.  Any rounds the
-    engine already pre-drew are consumed first (the entry cursor must be
-    aligned — full-block stepping then keeps it aligned for free, so the
-    hot serve is a Python-int compare and a strided view).
+    engine already pre-drew are consumed first: in place when the
+    cursors are aligned (the hot serve is then a Python-int compare and
+    a strided view), else adopted by the first refill, which moves each
+    replica's pending tail to the front of its row and fills the rest
+    from its generator (which sits right after the tail).
 
     Refills **grow geometrically** (8 → 16 → … → the engine's block
     length) instead of always drawing the full block: a stabilization
@@ -180,6 +284,7 @@ class BlockDraws:
         "_nlive",
         "_ids",
         "_tails",
+        "_heads",
     )
 
     def __init__(
@@ -192,42 +297,50 @@ class BlockDraws:
         self._blocks = blocks
         self._cursor = cursor
         self._fns = list(draw_fns)
-        self._block = blocks.shape[1]
-        # Adopt the engine's aligned cursor: rows [pos, chunk) of the
-        # block storage are already-drawn stream to serve before any
-        # refill.  A fresh engine starts exhausted (pos == chunk).
-        self._pos = int(cursor[0]) if cursor.size else 0
-        self._chunk = self._block
-        self._grow = min(min_chunk, self._block)
+        self._block = block = blocks.shape[1]
+        self._chunk = block
+        self._grow = min(min_chunk, block)
         self._nlive = blocks.shape[0]
         #: Replica id of each block row (compaction permutes the rows).
         self._ids = list(range(self._nlive))
         #: Unserved pre-drawn values of each retired replica.
         self._tails: Dict[int, npt.NDArray[np.float64]] = {}
-
-    def aligned(self) -> bool:
-        """True iff every replica cursor sits at the same position."""
-        cursor = self._cursor
-        return bool(cursor.size == 0 or np.all(cursor == cursor[0]))
+        #: Per row, the pending tail the first refill adopts (misaligned
+        #: entry cursors only; ``None`` once adopted or when aligned).
+        self._heads: Optional[List[npt.NDArray[np.float64]]] = None
+        # Aligned: rows [pos, chunk) are already-drawn stream to serve
+        # before any refill (a fresh engine starts exhausted).
+        self._pos = int(cursor[0]) if cursor.size else 0
+        if not np.all(cursor == self._pos):
+            self._heads = [blocks[r, c:].copy() for r, c in enumerate(cursor.tolist())]
+            self._pos = block
 
     def serve(self) -> npt.NDArray[np.float64]:
         pos = self._pos
         if pos == self._chunk:
-            blocks = self._blocks
-            fns = self._fns
-            chunk = self._grow
-            if chunk >= self._block:
-                chunk = self._block
-                for r in range(self._nlive):
-                    fns[r](out=blocks[r])
-            else:
-                for r in range(self._nlive):
-                    fns[r](out=blocks[r, :chunk])
-                self._grow = chunk * 2
-            self._chunk = chunk
+            self._refill()
             pos = 0
         self._pos = pos + 1
         return self._blocks[:, pos]
+
+    def _refill(self) -> None:
+        """Draw the next chunk of every live row (adopting pending tails)."""
+        blocks, fns, heads = self._blocks, self._fns, self._heads
+        chunk = self._grow
+        if heads is not None:
+            chunk = max([chunk] + [head.shape[0] for head in heads[: self._nlive]])
+        if chunk >= self._block:
+            chunk = self._block
+        else:
+            self._grow = chunk * 2
+        for r in range(self._nlive):
+            start = 0
+            if heads is not None:
+                start = heads[r].shape[0]
+                blocks[r, :start] = heads[r]
+            fns[r](out=blocks[r, start:chunk])
+        self._heads = None
+        self._chunk = chunk
 
     def retire(self, row: int) -> None:
         """Compaction support: the last live stream takes over ``row``.
@@ -239,13 +352,22 @@ class BlockDraws:
         the exact values its generator already produced.
         """
         pos, chunk = self._pos, self._chunk
-        self._tails[self._ids[row]] = self._blocks[row, pos:chunk].copy()
+        self._tails[self._ids[row]] = self._unserved(row)
         self._nlive -= 1
         last = self._nlive
         if row != last:
             self._fns[row] = self._fns[last]
             self._ids[row] = self._ids[last]
-            self._blocks[row, pos:chunk] = self._blocks[last, pos:chunk]
+            if self._heads is not None:
+                self._heads[row] = self._heads[last]
+            else:
+                self._blocks[row, pos:chunk] = self._blocks[last, pos:chunk]
+
+    def _unserved(self, row: int) -> npt.NDArray[np.float64]:
+        """A copy of ``row``'s drawn-but-unserved values."""
+        if self._heads is not None:
+            return self._heads[row]
+        return self._blocks[row, self._pos:self._chunk].copy()
 
     def finish(self) -> None:
         """Hand the unserved pre-drawn values back to the engine.
@@ -259,15 +381,15 @@ class BlockDraws:
         refills from the generator — which sits right after them — so
         every replica's stream continues exactly where the step loop
         would have left it.  Cursors are then generally misaligned, and
-        the engine's next run takes the step loop.
+        the engine's next run adopts them on its first refill.
         """
         pos, chunk, block = self._pos, self._chunk, self._block
-        if chunk == block and not self._tails:
+        if chunk == block and not self._tails and self._heads is None:
             self._cursor[:] = pos
             return
         tails = dict(self._tails)
         for row in range(self._nlive):
-            tails[self._ids[row]] = self._blocks[row, pos:chunk].copy()
+            tails[self._ids[row]] = self._unserved(row)
         for replica, tail in tails.items():
             start = block - tail.shape[0]
             self._blocks[replica, start:] = tail
@@ -354,7 +476,7 @@ class RoundKernel:
         self._sel = np.empty((k, n), dtype=np.int32)
         self._plane = np.empty((k, n), dtype=np.int32)
         self._cand = np.empty(k, dtype=bool)
-        self._row_any = np.empty(k, dtype=bool)
+        self._rows = np.arange(k)
 
     def _build_p_table(self) -> Optional[npt.NDArray[np.float64]]:
         """Beep-probability lookup table for uniform-ℓmax policies.
@@ -431,24 +553,30 @@ class RoundKernel:
         check_every: int = 1,
         stress: StressRows = None,
         round_index: int = 0,
+        observer: Optional["RunCollector"] = None,
     ) -> Tuple[List[BlockOutcome], int]:
         """Drive a ``(k, n)`` int32 level block to per-row legality.
 
-        Mirrors the engines' run loops exactly: legality is observed
-        before stepping at rounds ``0, check_every, 2·check_every, …``
-        plus once at budget exhaustion, so each row's ``rounds`` equals
-        the step loop's.  Rows are compacted as replicas retire (see
-        the module docstring), and ``levels`` is rebuilt in place from
-        the per-replica retirement copies on exit.  ``stress`` holds
-        each row's stress state (``None`` when ideal) and
-        ``round_index`` the scheduler round of the first step.  Returns
-        ``(outcomes, steps_executed)``.
+        Mirrors a hand-driven ``step()`` loop exactly: legality is
+        observed before stepping at rounds ``0, check_every,
+        2·check_every, …`` plus once at budget exhaustion, so each
+        row's ``rounds`` equals the step loop's.  Rows are compacted as
+        replicas retire (see the module docstring), and ``levels`` is
+        rebuilt in place from the per-replica retirement copies on
+        exit.  ``stress`` holds each row's stress state (``None`` when
+        ideal) and ``round_index`` the scheduler round of the first
+        step.  ``observer`` (a solo ``RunCollector``, ``k == 1``) gets
+        every round's :func:`structure_pass`, which also serves the
+        retirement, and the emitted beeps.  Returns ``(outcomes,
+        steps_executed)``.
         """
         if self._constant:
             raise ValueError("run_block is for level algorithms; use run_constant")
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
         k = levels.shape[0]
+        if observer is not None and k != 1:
+            raise ValueError("an observer watches a solo (1, n) block")
         outcomes: List[Optional[BlockOutcome]] = [None] * k
         perm = list(range(k))
         # Stress states move with their rows on retirement, like perm.
@@ -460,9 +588,18 @@ class RoundKernel:
         step = self._step_single if self._single else self._step_two
         while True:
             should_check = executed % check_every == 0 or executed >= max_rounds
+            verdict: Optional[Verdict] = None
+            if observer is not None:
+                rows = cur[:1]
+                in_mis, dominated, legal = structure_pass(
+                    self._hear, rows, self._floor32, self._ell32,
+                    out=(self._mask_a[:1], self._mask_b[:1], self._heard[:1]),
+                )
+                observer.observe_masks(rows[0], in_mis[0], dominated[0], bool(legal[0]))
+                verdict = (legal, self._rows[:1], in_mis)
             if should_check:
                 live = self._retire_legal(
-                    cur, live, perm, outcomes, executed, draws, stress
+                    cur, live, perm, outcomes, executed, draws, stress, verdict
                 )
                 if live == 0:
                     break
@@ -480,6 +617,8 @@ class RoundKernel:
                 cur[:live], nxt[:live], draws.serve()[:live], stress,
                 round_index + executed,
             )
+            if observer is not None:
+                observer.observe_beeps(self._beeps[0] if self._single else tuple(self._stack[:2]))
             cur, nxt = nxt, cur
             executed += 1
         # Compaction permuted the block rows (and the run may have ended
@@ -492,24 +631,6 @@ class RoundKernel:
     # ------------------------------------------------------------------
     # Legality + retirement
     # ------------------------------------------------------------------
-    def _candidate_rows(
-        self, cur: npt.NDArray[np.int32]
-    ) -> npt.NDArray[np.bool_]:
-        """Live rows worth the full legality test (necessary prune).
-
-        ``cur`` is the live prefix.  The prune is the engines': a legal
-        row holds only floor/ℓmax levels; the full test decides.
-        """
-        k = cur.shape[0]
-        eq = self._mask_a[:k]
-        other = self._mask_b[:k]
-        np.equal(cur, self._floor32, out=eq)
-        np.equal(cur, self._ell32, out=other)
-        np.logical_or(eq, other, out=eq)
-        cand = self._cand[:k]
-        np.all(eq, axis=1, out=cand)
-        return cand
-
     def _retire_legal(
         self,
         cur: npt.NDArray[np.int32],
@@ -519,32 +640,28 @@ class RoundKernel:
         executed: int,
         draws: "PerRoundDraws | BlockDraws",
         stress: StressRows,
+        verdict: Optional[Verdict] = None,
     ) -> int:
         """Test-and-retire legal rows; returns the new live count.
 
-        Retirement compacts the live prefix: the last live row *moves*
-        into the retired slot (levels row, draw stream, stress state and
-        permutation entry), so every per-round pass keeps operating on
-        dense rows ``[0, live)``.  Rows are processed in descending
-        order so each move sources a still-live tail row.
+        ``verdict`` is this round's :func:`pruned_legality` shape when
+        an observer's full pass already holds it; otherwise the pruned
+        pass runs here.  Retirement compacts the live prefix: the last
+        live row *moves* into the retired slot (levels row, draw
+        stream, stress state and permutation entry), so every
+        per-round pass keeps operating on dense rows ``[0, live)``.
+        Rows are processed in descending order so each move sources a
+        still-live tail row.
         """
-        cand = self._candidate_rows(cur[:live])
-        if not cand.any():
+        if verdict is None:
+            verdict = pruned_legality(
+                self._hear, cur[:live], self._floor32, self._ell32,
+                (self._mask_a[:live], self._mask_b[:live], self._cand[:live]),
+            )
+        legal, idx, in_mis = verdict
+        if idx is None or not legal.any():
             return live
-        # Candidate rows are rare (at/after convergence), so the full
-        # test runs on a data-dependent gather; its intermediates are
-        # shaped by the candidate count and cannot be preallocated.
-        idx = np.flatnonzero(cand)
-        block = cur[idx]
-        ne = block != self._ell32
-        blocked = self._hear.hear_rows(ne)
-        in_mis = (block == self._floor32) & ~blocked
-        dominated = self._hear.hear_rows(in_mis)
-        ok = in_mis | ((block == self._ell32) & dominated)
-        legal = np.all(ok, axis=1)
-        if not legal.any():
-            return live
-        for jj in np.flatnonzero(legal)[::-1].tolist():
+        for jj in np.flatnonzero(legal[idx])[::-1].tolist():
             j = int(idx[jj])
             outcomes[perm[j]] = BlockOutcome(
                 stabilized=True,
@@ -750,19 +867,9 @@ class RoundKernel:
         draws: "PerRoundDraws | BlockDraws",
         stress: StressRows,
     ) -> int:
-        block = in_mis[:live]
-        heard = self._hear.hear_rows(block, self._heard[:live])
-        clash = self._mask_a[:live]
-        np.logical_and(block, heard, out=clash)
-        covered = self._mask_b[:live]
-        np.logical_or(block, heard, out=covered)
-        legal = self._cand[:live]
-        np.all(covered, axis=1, out=legal)
-        # independent: no IN vertex heard another IN vertex.
-        any_clash = self._row_any[:live]
-        np.logical_or.reduce(clash, axis=1, out=any_clash)
-        np.logical_not(any_clash, out=any_clash)
-        np.logical_and(legal, any_clash, out=legal)
+        legal = constant_legality(
+            self._hear, in_mis[:live], (self._heard[:live], self._mask_a[:live])
+        )
         if not legal.any():
             return live
         # Legal two-state rows are draw-independent fixed points (IN

@@ -138,9 +138,16 @@ def _measure_retained(
 
 
 def _solo_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
+    """Solo step loops, and collector-observed fused runs.
+
+    A ``+collector`` step is one short run, as in :func:`_fused_combos`:
+    the levels are reset and an 8-round ``until_stable`` runs with a
+    fresh :class:`~repro.obs.RunCollector`, whose records die with it.
+    """
     from ...core.engines.single import SingleChannelEngine
     from ...core.engines.two_channel import TwoChannelEngine
     from ...core.knowledge import uniform_policy
+    from ...obs import RunCollector, StructureView
 
     policy = uniform_policy(graph, ell_max=6)
     for name, cls in (
@@ -154,6 +161,15 @@ def _solo_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
             return engine.is_legal()
 
         yield name, step
+        observed = cls(graph, policy, seed=_AUDIT_SEED)
+        observed.randomize_levels()
+
+        def run(engine: Any = observed, start: Any = observed.levels) -> object:
+            engine.set_levels(start)
+            collector = RunCollector(StructureView.from_engine(engine))
+            return engine.until_stable(8, collector=collector).rounds
+
+        yield f"{name}+collector", run
 
 
 def _constant_state_combos(
@@ -175,10 +191,10 @@ def _batched_step(engine: Any) -> Callable[[], object]:
     active_idx = np.arange(engine.replicas, dtype=np.intp)
 
     def step() -> object:
-        # Mirror one run-loop iteration: legality check + step, every
+        # Mirror one step-loop iteration: legality check + step, every
         # replica held active (retired replicas step no more, so the
         # always-active grid is the steady-state upper bound).
-        engine._legal_rows(engine.levels)
+        engine.legal_mask()
         return engine.step(active, active_idx=active_idx)
 
     return step

@@ -151,10 +151,8 @@ class HotpathAnalyzer(Analyzer[bool]):
         if self._is_engine_like(fn):
             return frozenset({
                 "until_stable", "run", "step", "mis_mask", "stable_mask",
-                "is_legal", "legal_mask", "_legal_rows", "_mis_mask_rows",
+                "is_legal",
             })
-        if cls_name == "StructureView":
-            return frozenset({"hear", "hear_rows"})
         if cls_name == "RoundKernel":
             # The kernel owns the whole round: the run loops are
             # drivers (loop bodies only), ``step`` is the engines'
@@ -173,7 +171,7 @@ class HotpathAnalyzer(Analyzer[bool]):
         if cls_name.endswith("Scheduler") or cls_name.lstrip("_").startswith("Bound"):
             return frozenset({"active_mask"})
         if cls_name.endswith("Collector"):
-            return frozenset({"observe_structure", "observe_beeps"})
+            return frozenset({"observe_structure", "observe_masks", "observe_beeps"})
         if cls_name == "StressState":
             return frozenset({
                 "begin_round", "transmit", "apply_channel", "active_mask",

@@ -170,6 +170,7 @@ def check_engine_numerics() -> SanitizerResult:
     from ..core.engines.single import SingleChannelEngine
     from ..core.engines.two_channel import TwoChannelEngine
     from ..core.knowledge import max_degree_policy
+    from ..obs import RunCollector, StructureView
 
     try:
         for label, graph in _fixture_graphs():
@@ -177,10 +178,14 @@ def check_engine_numerics() -> SanitizerResult:
             for engine_cls in (SingleChannelEngine, TwoChannelEngine):
                 engine = engine_cls(graph, policy, _AUDIT_SEED)
                 with errstate_guard(), frozen_arrays(engine_shared_arrays(engine)):
-                    # Fused run, then the step loop (record_series).
-                    for record_series in (False, True):
+                    # A bare fused run, then one observed by a collector.
+                    for observed in (False, True):
                         engine.randomize_levels()
-                        engine.until_stable(10_000, record_series=record_series)
+                        collector = (
+                            RunCollector(StructureView.from_engine(engine))
+                            if observed else None
+                        )
+                        engine.until_stable(10_000, collector=collector)
             batched = BatchedEngine(graph, policy, replicas=3, seed=_AUDIT_SEED)
             batched.randomize_levels()
             with errstate_guard(), frozen_arrays(engine_shared_arrays(batched)):

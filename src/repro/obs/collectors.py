@@ -19,11 +19,12 @@ adjacency — a collector never draws randomness and never mutates engine
 state, so enabling one cannot change an execution (the zero-perturbation
 contract, enforced by ``tests/test_observability.py``).
 
-The collectors deliberately recompute the legality predicate with the
-exact formula of :meth:`repro.core.engines.base.EngineBase.is_legal`:
-the run loops then *reuse* the collector's verdict instead of evaluating
-legality twice, which is what keeps metrics-on overhead small (the two
-sparse matvecs per round are shared, not duplicated).
+The structure comes from the kernels' one Section-3 pass
+(:func:`repro.core.kernels.round.structure_pass`) whose verdict the run
+loops retire on, so legality is never evaluated twice.  The fused round
+kernel feeds a solo :class:`RunCollector` through
+:meth:`RunCollector.observe_masks`; hand-driven loops call
+:meth:`RunCollector.observe_structure`.
 
 Record convention (matches ``EngineBase.until_stable`` /
 :class:`TraceRecorder`): a record describes a round that was actually
@@ -44,6 +45,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..core.kernels import GraphStructure, HearKernel, structure_for
+from ..core.kernels.round import structure_pass
 from ..graphs.graph import Graph
 from .registry import MetricsRegistry
 from .sinks import MetricSink
@@ -164,8 +166,14 @@ class StructureView:
             if bound_list and not bound_list[0].is_perfect:
                 self.channels_state = bound_list
 
-    def _built_kernel(self) -> Any:
-        """The hear kernel, lazy-built when no engine was adopted."""
+    def structure(
+        self, levels: npt.NDArray[np.integer[Any]]
+    ) -> Tuple[npt.NDArray[np.bool_], ...]:
+        """``(in_mis, dominated, legal)`` of an ``(R', n)`` level block.
+
+        The kernels' structure pass through this view's hear kernel,
+        lazy-built when no engine was adopted.
+        """
         if self.kernel is None:
             if self.graph is not None:
                 structure = structure_for(self.graph)
@@ -174,15 +182,7 @@ class StructureView:
             else:
                 raise ValueError("StructureView has neither adjacency nor graph")
             self.kernel = HearKernel(structure)
-        return self.kernel
-
-    def hear(self, active: npt.NDArray[np.bool_]) -> npt.NDArray[np.bool_]:
-        """Vertices with ≥ 1 active neighbor (bool, kernel-delegated)."""
-        return self._built_kernel().hear(active)
-
-    def hear_rows(self, rows: npt.NDArray[np.bool_]) -> npt.NDArray[np.bool_]:
-        """Row-wise :meth:`hear` over an ``(R', n)`` block."""
-        return self._built_kernel().hear_rows(rows)
+        return structure_pass(self.kernel, levels, self.floor, self.ell_max)
 
 
 #: Run-level instrument handles per registry — finalize runs once per
@@ -247,8 +247,13 @@ def _beep_counts(out: BeepObservation) -> List[int]:
     return counts
 
 
+#: ``peak_level_bytes`` reports the int64 footprint of a solo level
+#: vector (``n·8``) whatever dtype the observed rows are held in.
+_LEVEL_ITEMSIZE = np.dtype(np.int64).itemsize
+
+
 def _level_histogram(
-    levels: npt.NDArray[np.int64], floor_min: int, span: int
+    levels: npt.NDArray[np.integer[Any]], floor_min: int, span: int
 ) -> List[List[int]]:
     counts = np.bincount(levels - floor_min, minlength=span)
     return [
@@ -264,7 +269,8 @@ class RunCollector:
     Drive one of two ways:
 
     * pass it as ``collector=`` to :func:`simulate_single` /
-      :func:`simulate_two_channel` / :func:`run_until_stable`, or
+      :func:`simulate_two_channel` / :func:`run_until_stable` (the
+      engines observe it inside the fused round kernel), or
     * call :meth:`observe_structure` (start of round) and
       :meth:`observe_beeps` (after stepping) by hand around any loop.
 
@@ -321,41 +327,35 @@ class RunCollector:
         self._s_disjoint = _mis_disjoint_from_dominated(view)
         self._hist_offset = int(view.floor.min())
         self._hist_span = int(view.ell_max.max()) - self._hist_offset + 1
-        # Reusable legality masks (hot-path allocation contract): two
-        # (n,)-bool slots bound to the first observed shape, refilled in
-        # place each round with out= ufuncs — value-identical to the
-        # historical temporary chain.
-        self._mask_a: Optional[npt.NDArray[np.bool_]] = None
-        self._mask_b: Optional[npt.NDArray[np.bool_]] = None
 
     # ------------------------------------------------------------------
     def observe_structure(self, levels: npt.ArrayLike) -> bool:
         """Record the start-of-round structure; returns its legality.
 
-        The returned flag is computed with the engines' exact legality
-        formula, so callers may use it *instead of* ``is_legal()``.
+        The returned flag is the engines' legality verdict (the kernels'
+        structure pass), so callers may use it *instead of*
+        ``is_legal()``.
         """
-        levels = np.asarray(levels, dtype=np.int64)
-        view = self.view
+        row = np.asarray(levels, dtype=np.int64).reshape(1, -1)
+        in_mis, dominated, legal = self.view.structure(row)
+        verdict = bool(legal[0])
+        self.observe_masks(row[0], in_mis[0], dominated[0], verdict)
+        return verdict
+
+    def observe_masks(
+        self,
+        levels: npt.NDArray[np.integer[Any]],
+        in_mis: npt.NDArray[np.bool_],
+        dominated: npt.NDArray[np.bool_],
+        legal: bool,
+    ) -> None:
+        """Record the ``(n,)`` level row's structure computed by the caller.
+
+        The fused round kernel hands its structure pass over here every
+        round (``I_t``, ``N(I_t)``, verdict); all is read before the round.
+        """
         self._round += 1
-        self.peak_level_bytes = max(self.peak_level_bytes, int(levels.nbytes))
-
-        in_mis = self._mask_a
-        scratch = self._mask_b
-        if in_mis is None or in_mis.shape != levels.shape or scratch is None:
-            in_mis = self._mask_a = np.empty(levels.shape, dtype=np.bool_)
-            scratch = self._mask_b = np.empty(levels.shape, dtype=np.bool_)
-        np.not_equal(levels, view.ell_max, out=scratch)
-        blocked = view.hear(scratch)
-        np.equal(levels, view.floor, out=in_mis)
-        np.logical_not(blocked, out=scratch)
-        in_mis &= scratch  # in_mis = (levels == floor) & ~blocked
-        dominated = view.hear(in_mis)
-        np.equal(levels, view.ell_max, out=scratch)
-        scratch &= dominated  # others_ok = (levels == ℓmax) & dominated
-        scratch |= in_mis
-        legal = bool(np.all(scratch))
-
+        self.peak_level_bytes = max(self.peak_level_bytes, levels.size * _LEVEL_ITEMSIZE)
         if self._round % self.every == 0:
             record: Optional[Dict[str, Any]] = self.labels.copy()
             record["round"] = self._round
@@ -376,7 +376,6 @@ class RunCollector:
             record = None  # beep totals still accumulate for this round
         self._pending = record
         self._observed = True
-        return legal
 
     def observe_beeps(self, out: BeepObservation) -> None:
         """Complete the pending record with this round's transmissions."""
@@ -481,7 +480,6 @@ class BatchedCollector:
         self._col_p: Optional[npt.NDArray[np.int32]] = None
         self._col_legal: Optional[npt.NDArray[np.bool_]] = None
         self._col_hists: Optional[List[List[List[int]]]] = None
-        self._col_beeps2: Optional[npt.NDArray[np.int32]] = None
         self._s_disjoint = _mis_disjoint_from_dominated(view)
         self._hist_offset = int(view.floor.min())
         self._hist_span = int(view.ell_max.max()) - self._hist_offset + 1
@@ -501,11 +499,10 @@ class BatchedCollector:
 
         ``levels`` is the engine's full ``(R, n)`` matrix; ``active_idx``
         selects the still-running replicas.  The returned boolean vector
-        (one entry per active replica, in ``active_idx`` order) equals
-        ``BatchedEngine._legal_rows`` on the same rows — the run loop
+        (one entry per active replica, in ``active_idx`` order) is the
+        kernels' structure-pass verdict on those rows — the run loop
         uses it for retirement so legality is evaluated exactly once.
         """
-        view = self.view
         self._round += 1
         round_index = self._round
         self.peak_level_bytes = max(self.peak_level_bytes, int(levels.nbytes))
@@ -513,11 +510,7 @@ class BatchedCollector:
         # Skip the fancy-index copy while every replica is still running
         # (the common early rounds) — all downstream uses only read.
         rows = levels if active_arr.size == levels.shape[0] else levels[active_arr]
-        blocked = view.hear_rows(rows != view.ell_max)
-        in_mis = (rows == view.floor) & ~blocked
-        dominated = view.hear_rows(in_mis)
-        others_ok = (rows == view.ell_max) & dominated
-        legal_rows = np.all(in_mis | others_ok, axis=1)
+        in_mis, dominated, legal_rows = self.view.structure(rows)
 
         self._active = active_arr.tolist()
         self._active_arr = active_arr
@@ -540,20 +533,17 @@ class BatchedCollector:
                     _level_histogram(row, self._hist_offset, self._hist_span)
                     for row in rows
                 ]
-        if view.channels == 2:
-            self._col_beeps2 = _row_counts(rows == 0)
         return legal_rows
 
     def observe_beeps(
         self,
-        beep1_rows: npt.NDArray[np.bool_],
+        beeps: BeepObservation,
         stepped_idx: npt.NDArray[np.int64],
     ) -> None:
         """Complete records for the replicas that were actually stepped.
 
-        Channel-2 transmissions are deterministic given the start-of-round
-        levels (``beep2 = (ℓ == 0)``) and were counted during
-        :meth:`observe_structure`; only channel 1 needs the step output.
+        ``beeps`` is what :meth:`BatchedEngine.step` returned: the emitted
+        ``(R', n)`` rows, or their ``(beep1, beep2)`` pair (Algorithm 2).
         """
         active, active_arr = self._active, self._active_arr
         if active is None or active_arr is None:
@@ -573,14 +563,11 @@ class BatchedCollector:
             if not bool(np.array_equal(active_arr[clipped], stepped_arr)):
                 raise RuntimeError("observe_beeps() for an unobserved replica")
 
-        counts1 = _row_counts(beep1_rows)
+        channels: Sequence[Any] = beeps if isinstance(beeps, tuple) else (beeps,)
+        counts = [_row_counts(rows) for rows in channels]
         totals = self._beep_total_arr
-        totals[stepped_arr, 0] += counts1
-        two_channel = self.view.channels == 2
-        if two_channel:
-            beeps2 = self._col_beeps2
-            counts2 = beeps2 if pos is None else beeps2[pos]
-            totals[stepped_arr, 1] += counts2
+        for channel, count in enumerate(counts):
+            totals[stepped_arr, channel] += count
 
         if self._emit:
             pick = (lambda col: col) if pos is None else (lambda col: col[pos])
@@ -588,8 +575,7 @@ class BatchedCollector:
             s_list = pick(self._col_s).tolist()
             p_list = pick(self._col_p).tolist()
             legal_list = pick(self._col_legal).tolist()
-            c1 = counts1.tolist()
-            c2 = counts2.tolist() if two_channel else None
+            per_channel = [count.tolist() for count in counts]
             hists = self._col_hists
             if hists is not None and pos is not None:
                 hists = [hists[j] for j in pos.tolist()]
@@ -609,7 +595,7 @@ class BatchedCollector:
                 record["legal"] = legal_list[k]
                 if hists is not None:
                     record["level_hist"] = hists[k]
-                record["beeps"] = [c1[k], c2[k]] if two_channel else [c1[k]]
+                record["beeps"] = [column[k] for column in per_channel]
                 if channels_state is not None:  # non-perfect channel
                     bound = channels_state[replica]
                     record["dropped"] = bound.last_drops

@@ -119,8 +119,8 @@ def small_graph_zoo():
 
 # ----------------------------------------------------------------------
 # Hand-driven step loops: the reference the fused round kernel is
-# compared against.  Engines run every stabilization without a
-# collector or per-round series through the fused kernel, so the
+# compared against.  Engines run every stabilization but a
+# ``BatchedCollector``-observed one through the fused kernel, so the
 # per-round ``step()`` path is driven here directly, with the same
 # legality cadence as the engines' run loops.
 # ----------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_retired_replicas_freeze(graph):
     assert len(set(int(r) for r in rounds)) > 1  # replicas finish apart
     for k in range(6):
         assert np.array_equal(engine.levels[k], result[k].final_levels)
-        assert engine._legal_rows(engine.levels[k : k + 1])[0]
+    assert engine.legal_mask().all()
 
 
 def test_batched_result_views(graph):

@@ -279,7 +279,7 @@ def test_allocation_audit_catches_a_seeded_leak(monkeypatch):
 def test_allocation_audit_full_grid_is_steady():
     summary = allocation_summary()
     assert summary["ok"] is True
-    assert len(summary["bytes_per_round"]) == 10
+    assert len(summary["bytes_per_round"]) == 12
     for combo, measured in summary["bytes_per_round"].items():
         assert measured <= summary["threshold_bytes"][combo], combo
 
@@ -300,10 +300,13 @@ def test_bench_envelope_embeds_the_allocation_audit(tmp_path, monkeypatch):
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     allocation = payload["envelope"]["parameters"]["allocation"]
     assert allocation["ok"] is True
-    assert len(allocation["bytes_per_round"]) == 10
-    assert {"two_channel×unreliable+drift", "batched×noisy+drift"} <= set(
-        allocation["bytes_per_round"]
-    )
+    assert len(allocation["bytes_per_round"]) == 12
+    assert {
+        "two_channel×unreliable+drift",
+        "batched×noisy+drift",
+        "single+collector",
+        "two_channel+collector",
+    } <= set(allocation["bytes_per_round"])
     opt_out = harness.save_bench_rows(
         "hotpath_audit_test2", [{"n": 8}], audit_allocations=False
     )

@@ -326,8 +326,14 @@ def test_batched_series_bit_identical_to_solo(name, graph):
             )
 
 
-def test_batched_two_channel_beep2_counts():
-    """Channel-2 beeps (deterministic, ℓ==0) survive the batched path."""
+@pytest.mark.parametrize("scheduler", ("synchronous", "drift:0.3,3"))
+def test_batched_two_channel_beep2_counts(scheduler):
+    """Channel-2 beeps survive the batched path, as emitted.
+
+    Under a drifting scheduler a delayed vertex re-emits its stale
+    carrier, so the emitted channel-2 beeps are not ``ℓ == 0`` of the
+    start-of-round levels; the batched counts must follow the emission.
+    """
     graph = gen.erdos_renyi_mean_degree(24, 4.0, seed=11)
     policy = policy_for_variant(graph, "two_channel")
     children = np.random.SeedSequence(23).spawn(2)
@@ -342,6 +348,7 @@ def test_batched_two_channel_beep2_counts():
         algorithm="two_channel",
         arbitrary_start=True,
         collector=batched,
+        scheduler=scheduler,
     )
     for k, child in enumerate(children):
         solo = _solo_collector(graph, policy, two_channel=True)
@@ -351,8 +358,91 @@ def test_batched_two_channel_beep2_counts():
             seed=np.random.default_rng(child),
             arbitrary_start=True,
             collector=solo,
+            scheduler=scheduler,
         )
         assert solo.series("beeps") == batched.series("beeps", k)
+        assert solo.beep_totals == batched.beep_totals[k]
+
+
+# ======================================================================
+# Differential: a collected run ≡ the same engine fed by hand
+# ======================================================================
+def _hand_fed_run(engine, collector, max_rounds, check_every):
+    """``step()`` with the collector fed around it, as the simulator does.
+
+    The stopping rule is the engine's own ``is_legal()``; the collector
+    only reads.
+    """
+    collector.view.adopt_engine(engine)
+    executed = 0
+    while True:
+        should_check = executed % check_every == 0 or executed >= max_rounds
+        collector.observe_structure(engine.levels)
+        if should_check and engine.is_legal():
+            outcome = (True, executed, engine.mis_vertices())
+            break
+        if executed >= max_rounds:
+            outcome = (False, executed, frozenset())
+            break
+        collector.observe_beeps(engine.step())
+        executed += 1
+    collector.finalize(outcome[0], outcome[1])
+    return outcome
+
+
+_DIFF_STRESS = {
+    "ideal": {},
+    "stressed": {"channel": "unreliable:0.05,0.01", "scheduler": "drift:0.1,3"},
+}
+
+
+@pytest.mark.parametrize("every", (1, 2))
+@pytest.mark.parametrize("check_every", (1, 3))
+@pytest.mark.parametrize("stress", sorted(_DIFF_STRESS))
+@pytest.mark.parametrize("variant", ("max_degree", "two_channel"))
+def test_collected_run_matches_hand_fed_step_loop(
+    variant, stress, check_every, every
+):
+    from conftest import assert_same_streams
+
+    from repro.core.engines import SingleChannelEngine, TwoChannelEngine
+
+    graph = gen.erdos_renyi_mean_degree(40, 5.0, seed=3)
+    policy = policy_for_variant(graph, variant)
+    engine_cls = TwoChannelEngine if variant == "two_channel" else SingleChannelEngine
+    engines = [
+        engine_cls(graph, policy, seed=11, **_DIFF_STRESS[stress])
+        for _ in range(2)
+    ]
+    for engine in engines:
+        engine.randomize_levels()
+    registries = [MetricsRegistry(), MetricsRegistry()]
+    # A budget-exhausted run, then a resumed one to stabilization.
+    for budget in (5, 50_000):
+        collectors = [
+            RunCollector(
+                StructureView.from_engine(engine),
+                labels={"budget": budget},
+                registry=registry,
+                every=every,
+                level_hist=True,
+            )
+            for engine, registry in zip(engines, registries)
+        ]
+        result = engines[0].until_stable(
+            budget, check_every=check_every, collector=collectors[0]
+        )
+        outcome = _hand_fed_run(engines[1], collectors[1], budget, check_every)
+        assert (result.stabilized, result.rounds, result.mis) == outcome
+        np.testing.assert_array_equal(result.final_levels, engines[1].levels)
+        np.testing.assert_array_equal(engines[0].levels, engines[1].levels)
+        assert collectors[0].records == collectors[1].records
+        assert collectors[0].beep_totals == collectors[1].beep_totals
+        assert collectors[0].peak_level_bytes == collectors[1].peak_level_bytes
+    assert result.stabilized
+    assert registries[0].snapshot() == registries[1].snapshot()
+    assert engines[0].round_index == engines[1].round_index
+    assert_same_streams(engines[0], engines[1])
 
 
 # ======================================================================

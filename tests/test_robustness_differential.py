@@ -555,16 +555,15 @@ def test_fused_runs_resume_the_scheduler_clock(fused_runs):
 
 
 def test_step_loop_fallback_with_collector(fused_runs):
-    # Metrics attached (a collector): even on the perfect defaults the
-    # step loop must run so every per-round record is emitted,
-    # unperturbed.
+    # Metrics attached (a collector): the run is observed inside the
+    # fused kernel, and every per-round record is emitted, unperturbed.
     graph = _graph(40)
     policy = policy_for_variant(graph, "max_degree")
     engine = SingleChannelEngine(graph, policy, seed=6)
     engine.randomize_levels()
     collector = RunCollector(StructureView.from_engine(engine))
     default = engine.until_stable(max_rounds=50_000, collector=collector)
-    assert not fused_runs  # the step loop ran
+    assert len(fused_runs) == 1  # the fused loop ran
     twin = SingleChannelEngine(graph, policy, seed=6)
     twin.randomize_levels()
     step = step_until_stable(twin, max_rounds=50_000)
@@ -572,25 +571,28 @@ def test_step_loop_fallback_with_collector(fused_runs):
     np.testing.assert_array_equal(default.final_levels, step.final_levels)
     assert len(collector.records) == step.rounds
     assert len(collector.records) == default.rounds
+    assert_same_streams(engine, twin)
 
 
 def test_step_loop_fallback_with_record_series(fused_runs):
-    # record_series needs the per-round loop; the fused kernel bows out.
+    # The per-round S_t and beep series are a collector's series,
+    # recorded inside the fused kernel.
     graph = _graph(40)
     policy = policy_for_variant(graph, "max_degree")
     engine = SingleChannelEngine(graph, policy, seed=6)
     engine.randomize_levels()
-    default = engine.until_stable(max_rounds=50_000, record_series=True)
-    assert not fused_runs  # the step loop ran
+    collector = RunCollector(StructureView.from_engine(engine))
+    default = engine.until_stable(max_rounds=50_000, collector=collector)
+    assert len(fused_runs) == 1  # the fused loop ran
     twin = SingleChannelEngine(graph, policy, seed=6)
     twin.randomize_levels()
     beep_series, stable_series = [], []
     while not twin.is_legal():
         stable_series.append(int(twin.stable_mask().sum()))
-        beep_series.append(int(twin.step().sum()))
+        beep_series.append([int(twin.step().sum())])
     assert default.rounds == len(beep_series)
-    assert default.beep_series == beep_series
-    assert default.stable_series == stable_series
+    assert collector.series("beeps") == beep_series
+    assert collector.series("s_size") == stable_series
 
 
 def test_perfect_channel_records_keep_historical_shape():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_same_streams,
     step_batched,
     step_constant_state,
     step_until_stable,
@@ -176,6 +177,8 @@ def test_batched_fused_run_leaves_streams_where_the_step_loop_does(algorithm):
 
 
 def test_batched_misaligned_cursors_fall_back_byte_identically(fused_runs):
+    # The fused loop adopts each replica's pending tail on its first
+    # refill, so misaligned cursors keep it byte-identical too.
     graph = _graph(36, seed=4)
     policy = policy_for_variant(graph, "max_degree")
     engines = []
@@ -189,13 +192,45 @@ def test_batched_misaligned_cursors_fall_back_byte_identically(fused_runs):
             engine.step(active)
         engines.append(engine)
     default = engines[0]
-    draws = BlockDraws(default._blocks, default._cursor, default._draw_fns)
-    assert not draws.aligned()  # the fused precondition really is violated
-    result = default.run(max_rounds=50_000)
-    assert not fused_runs  # the step loop ran
-    step = step_batched(engines[1], max_rounds=50_000)
-    for default_r, step_r in zip(result, step):
-        _assert_same(default_r, step_r)
+    cursor = default._cursor
+    assert not np.all(cursor == cursor[0])  # the cursors really diverged
+    # Budget 0 hands the unadopted tails straight back; budget 2 retires
+    # nothing and leaves the cursors misaligned again.
+    for budget in (0, 2, 50_000):
+        result = default.run(max_rounds=budget)
+        step = step_batched(engines[1], max_rounds=budget)
+        for default_r, step_r in zip(result, step):
+            _assert_same(default_r, step_r)
+        np.testing.assert_array_equal(default.levels, engines[1].levels)
+    assert len(fused_runs) == 3  # the fused loop ran every time
+    assert_same_streams(default, engines[1])
+
+
+def test_block_draws_adopt_misaligned_tails_across_retirement():
+    # Replica r's stream continues from its own cursor: the pending tail
+    # first, then its generator.  Replica 0 retires before the first
+    # refill (its tail is still pending), replica 1 after six rounds.
+    n, block, seeds = 3, 4, (1, 2, 3)
+    full = [np.random.default_rng(s).random((4 * block, n)) for s in seeds]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    blocks = np.empty((len(seeds), block, n))
+    for r, rng in enumerate(rngs):
+        rng.random(out=blocks[r])
+    start = np.array([1, 4, 2], dtype=np.intp)
+    cursor = start.copy()
+    draws = BlockDraws(blocks, cursor, [rng.random for rng in rngs])
+    draws.retire(0)  # row 0 now serves replica 2
+    for t in range(6):
+        served = draws.serve()
+        np.testing.assert_array_equal(served[0], full[2][start[2] + t])
+        np.testing.assert_array_equal(served[1], full[1][start[1] + t])
+    draws.retire(1)
+    draws.finish()
+    consumed = (0, 6, 6)
+    for r, rng in enumerate(rngs):
+        resumed = np.concatenate((blocks[r, cursor[r]:], rng.random((block, n))))
+        at = start[r] + consumed[r]
+        np.testing.assert_array_equal(resumed[:block], full[r][at : at + block])
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.core.kernels import RoundKernel
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.graphs.mis import check_mis
+from repro.obs import RunCollector, StructureView
 
 
 class TestSingleChannelEngine:
@@ -190,36 +191,39 @@ class TestDriveLoop:
             simulate_single(path4, uniform_policy(path4, 3), check_every=0)
 
     def test_record_series_lengths(self, er_graph):
+        """A collector's per-round series cover every executed round."""
         policy = max_degree_policy(er_graph, c1=4)
+        collector = RunCollector(StructureView.from_policy(er_graph, policy))
         result = simulate_single(
-            er_graph, policy, seed=5, max_rounds=10_000, record_series=True
+            er_graph, policy, seed=5, max_rounds=10_000, collector=collector
         )
         assert result.stabilized
-        assert len(result.beep_series) == result.rounds
-        assert len(result.stable_series) == result.rounds
+        stable_series = collector.series("s_size")
+        assert len(collector.series("beeps")) == result.rounds
+        assert len(stable_series) == result.rounds
         # S_t is monotone nondecreasing (paper, Section 3).
-        assert result.stable_series == sorted(result.stable_series)
+        assert stable_series == sorted(stable_series)
 
     def test_record_series_independent_of_check_cadence(self, er_graph):
         """Recording must not tighten the legality-check cadence.
 
-        Historically ``record_series=True`` forced a legality check every
-        round, silently overriding ``check_every``; now the two knobs are
-        orthogonal: same ``rounds`` either way, and the series cover every
-        executed round.
+        The collector observes every round while legality is still
+        checked every ``check_every`` rounds: same ``rounds`` either way,
+        and the series cover every executed round.
         """
         policy = max_degree_policy(er_graph, c1=4)
         plain = simulate_single(
             er_graph, policy, seed=3, max_rounds=10_000, check_every=8
         )
+        collector = RunCollector(StructureView.from_policy(er_graph, policy))
         recorded = simulate_single(
             er_graph, policy, seed=3, max_rounds=10_000, check_every=8,
-            record_series=True,
+            collector=collector,
         )
         assert recorded.rounds == plain.rounds
         assert recorded.rounds % 8 == 0
-        assert len(recorded.beep_series) == recorded.rounds
-        assert len(recorded.stable_series) == recorded.rounds
+        assert len(collector.series("beeps")) == recorded.rounds
+        assert len(collector.series("s_size")) == recorded.rounds
 
     def test_seed_determinism(self, er_graph):
         policy = max_degree_policy(er_graph, c1=4)
