@@ -1,22 +1,21 @@
-"""E10 — hear-kernel engineering: structure cache + shm sweep speedup.
+"""E10 — hear-kernel engineering: structure cache + fused-round speedup.
 
 One artifact, written to ``results/BENCH_kernels.json``: the
 **Theorem-2.1 smoke sweep** (6 sizes × 20 seeds, batched executor)
 timed on the pre-kernel path — faithfully reconstructed below as
 :class:`LegacyBatchedEngine` — versus the batched engine's step loop,
-and versus the default path (every run through the fused round kernel,
-in-process and through a shared-memory
-:class:`~repro.analysis.sweep.SweepPool`).  The engines run every
+and versus the default path (every run through the fused round
+kernel).  The engines run every
 eligible sweep through the fused kernel, so the legacy and step-loop
 baselines are driven by hand through ``BatchedEngine.step()``
 (:func:`step_loop`).  Samples must be byte-identical across all paths.
 The default-vs-step-loop ratio is gated in CI against regression.
 
-Methodology: every ratio is a *median over adjacent quads* — the four
-paths run back-to-back, repeatedly, and the median per-quad ratio is
-reported.  Scheduler drift cancels within a quad, and the median is
-robust to an occasional stolen quantum in a way best-of-N minima are
-not (see ``docs/performance.md``, "Noise floor").
+Methodology: every ratio is a *median over adjacent triples* — the
+three paths run back-to-back, repeatedly, and the median per-triple
+ratio is reported.  Scheduler drift cancels within a triple, and the
+median is robust to an occasional stolen quantum in a way best-of-N
+minima are not (see ``docs/performance.md``, "Noise floor").
 """
 
 import time
@@ -25,7 +24,7 @@ import numpy as np
 from _harness import print_header, save_bench_rows
 
 from repro.analysis.measurements import StabilizationRounds, graph_for_config
-from repro.analysis.sweep import SweepPool, run_sweep
+from repro.analysis.sweep import run_sweep
 from repro.core.engines import VectorizedResult
 from repro.core.engines.base import MAX_EXPONENT
 from repro.core.engines.batched import BatchedEngine
@@ -195,9 +194,9 @@ class LegacyStabilizationRounds(StepLoopStabilizationRounds):
 
 
 # ----------------------------------------------------------------------
-# Theorem-2.1 smoke sweep: legacy path vs step loop vs default (+ shm)
+# Theorem-2.1 smoke sweep: legacy path vs step loop vs default
 # ----------------------------------------------------------------------
-def _timed_sweep(measure, pool=None):
+def _timed_sweep(measure):
     configs = [{"family": "er", "n": n} for n in SPEEDUP_SIZES]
     start = time.perf_counter()
     result = run_sweep(
@@ -206,7 +205,6 @@ def _timed_sweep(measure, pool=None):
         repetitions=SPEEDUP_REPS,
         master_seed=MASTER_SEED,
         executor="batched",
-        pool=pool,
     )
     seconds = time.perf_counter() - start
     return seconds, [list(cell.samples) for cell in result.cells]
@@ -215,33 +213,28 @@ def _timed_sweep(measure, pool=None):
 def sweep_speedup(pairs=3):
     """Smoke-sweep rows + speedups for the step loop and the default path.
 
-    Adjacent *quads* — legacy, step loop, default (fused),
-    default + shm pool — run back to back, ``pairs`` times; every
-    reported ratio is the median of per-quad ratios, and the samples of
-    all four paths must be byte-identical.
+    Adjacent *triples* — legacy, step loop, default (fused) — run back
+    to back, ``pairs`` times; every reported ratio is the median of
+    per-triple ratios, and the samples of all three paths must be
+    byte-identical.
     """
-    configs = [{"family": "er", "n": n} for n in SPEEDUP_SIZES]
     legacy_measure = LegacyStabilizationRounds(variant="max_degree")
     step_measure = StepLoopStabilizationRounds(variant="max_degree")
     default_measure = StabilizationRounds(variant="max_degree")
-    graphs = [graph_for_config(config) for config in configs]
 
-    with SweepPool(jobs=1, graphs=graphs) as pool:
-        _timed_sweep(legacy_measure)  # warmup
-        _timed_sweep(step_measure)
-        _timed_sweep(default_measure)
-        _timed_sweep(default_measure, pool=pool)
-        measurements = []  # (legacy_s, step_s, default_s, shm_s) quads
-        samples = {}
-        for _ in range(pairs):
-            legacy_s, samples["legacy"] = _timed_sweep(legacy_measure)
-            step_s, samples["step"] = _timed_sweep(step_measure)
-            default_s, samples["default"] = _timed_sweep(default_measure)
-            shm_s, samples["shm"] = _timed_sweep(default_measure, pool=pool)
-            measurements.append((legacy_s, step_s, default_s, shm_s))
+    _timed_sweep(legacy_measure)  # warmup
+    _timed_sweep(step_measure)
+    _timed_sweep(default_measure)
+    measurements = []  # (legacy_s, step_s, default_s) triples
+    samples = {}
+    for _ in range(pairs):
+        legacy_s, samples["legacy"] = _timed_sweep(legacy_measure)
+        step_s, samples["step"] = _timed_sweep(step_measure)
+        default_s, samples["default"] = _timed_sweep(default_measure)
+        measurements.append((legacy_s, step_s, default_s))
 
     identical = all(
-        samples[path] == samples["legacy"] for path in ("step", "default", "shm")
+        samples[path] == samples["legacy"] for path in ("step", "default")
     )
 
     def _median_ratio(num, den):
@@ -251,7 +244,6 @@ def sweep_speedup(pairs=3):
     speedups = {
         "step": _median_ratio(0, 1),
         "default": _median_ratio(0, 2),
-        "shm": _median_ratio(0, 3),
         "default_vs_step": _median_ratio(1, 2),
     }
     median = sorted(measurements, key=lambda t: t[0] / t[1])[len(measurements) // 2]
@@ -280,25 +272,15 @@ def sweep_speedup(pairs=3):
             "speedup_vs_step_loop": round(speedups["default_vs_step"], 2),
             "samples_identical_to_legacy": identical,
         },
-        {
-            "bench": "thm21_sweep",
-            "path": "batched_default_shm_pool",
-            "wall_seconds": round(median[3], 4),
-            "samples": samples_total,
-            "speedup_vs_legacy": round(speedups["shm"], 2),
-            "samples_identical_to_legacy": identical,
-        },
     ]
     return rows, speedups, identical
 
 
 # ----------------------------------------------------------------------
 def run_experiment() -> None:
-    print_header(
-        "E10 (kernels)", "structure cache + shared-memory sweep speedup"
-    )
+    print_header("E10 (kernels)", "structure cache + fused-round sweep speedup")
     sweep_rows, speedups, identical = sweep_speedup()
-    legacy_s, step_s, default_s, shm_s = (r["wall_seconds"] for r in sweep_rows)
+    legacy_s, step_s, default_s = (r["wall_seconds"] for r in sweep_rows)
     print(
         f"Theorem-2.1 smoke sweep ({len(SPEEDUP_SIZES)} sizes × "
         f"{SPEEDUP_REPS} seeds, batched executor):"
@@ -306,7 +288,6 @@ def run_experiment() -> None:
     print(f"  legacy path               : {legacy_s:.3f}s")
     print(f"  step loop                 : {step_s:.3f}s  ({speedups['step']:.1f}x)")
     print(f"  default (fused round)     : {default_s:.3f}s  ({speedups['default']:.1f}x)")
-    print(f"  default + shm worker pool : {shm_s:.3f}s  ({speedups['shm']:.1f}x)")
     print(f"sweep outputs byte-identical across paths: {'PASS' if identical else 'FAIL'}")
     bar_ok = speedups["step"] >= 2.0
     print(
@@ -331,7 +312,7 @@ def run_experiment() -> None:
             "speedup_sizes": list(SPEEDUP_SIZES),
             "speedup_reps": SPEEDUP_REPS,
             "master_seed": MASTER_SEED,
-            "methodology": "ratios: median of adjacent quads",
+            "methodology": "ratios: median of adjacent triples",
         },
     )
     print(f"rows written to {path}")

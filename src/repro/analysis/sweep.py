@@ -43,30 +43,19 @@ Executors
     ``batched`` if the measurement supports it, else ``process`` when
     ``jobs > 1``, else ``serial``.
 
-Shared-memory workers
----------------------
-The parallel executors regenerate each configuration's graph inside
-every worker.  ``shared_graphs=True`` (or an explicit :class:`SweepPool`)
-instead exports each *distinct* graph's derived structure — edge list
-and CSR — into ``multiprocessing.shared_memory`` once, and a
-pool initializer seeds every worker's structure cache with zero-copy
-views (:mod:`repro.core.kernels.shm`).  A :class:`SweepPool` also makes
-the pool *persistent*: several ``run_sweep`` calls reuse the same
-workers and segments instead of re-spawning per sweep.  Samples are
-byte-identical with shared memory on or off — structures are read-only
-and carry no randomness — asserted by ``tests/test_sweep_executors.py``.
+Every parallel path runs on one ``ProcessPoolExecutor`` that the
+``run_sweep`` call creates and shuts down; each worker builds the
+graphs and structures of the configurations it is handed.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -88,7 +77,6 @@ from .tables import format_table
 
 __all__ = [
     "SweepCell",
-    "SweepPool",
     "SweepResult",
     "SweepWorkerError",
     "run_sweep",
@@ -104,11 +92,10 @@ class SweepWorkerError(RuntimeError):
 
     Raised in the parent in place of the bare
     ``concurrent.futures.process.BrokenProcessPool`` so the error names
-    the sweep layer and the cleanup guarantee: the owning
-    :class:`SweepPool`/``run_sweep`` call still shuts the pool down and
-    unlinks every shared segment (the ``finally`` paths RPR701/RPR704
-    enforce statically and the ``--sanitize`` crash probe exercises at
-    runtime).
+    the sweep layer and the cleanup guarantee: the ``run_sweep`` call
+    still shuts its pool down, so no worker outlives it (the ``with``
+    discipline RPR704 enforces statically and the ``--sanitize`` crash
+    probe exercises at runtime).
     """
 
 #: A measurement: (config, rng) → float (e.g. stabilization rounds).
@@ -187,89 +174,6 @@ def spawn_sweep_seeds(
     """The documented seed tree: ``[config][repetition] -> SeedSequence``."""
     root = np.random.SeedSequence(master_seed)
     return [child.spawn(repetitions) for child in root.spawn(num_configs)]
-
-
-class SweepPool:
-    """A persistent worker pool with shared-memory graph structures.
-
-    Construct once, pass to any number of :func:`run_sweep` calls via
-    ``pool=``, and :meth:`close` (or use as a context manager) when
-    done.  The constructor exports the distinct ``graphs``' derived
-    structures into shared memory (``shared_graphs=True``, the default)
-    and arms a pool initializer that seeds each worker's structure cache
-    with zero-copy views onto the segments.
-
-    Lifecycle: the parent owns the segments — :meth:`close` shuts the
-    pool down *first* and unlinks the segments after, so no worker ever
-    outlives the memory it maps.  See ``docs/performance.md``.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        graphs: Sequence[Any] = (),
-        shared_graphs: bool = True,
-    ) -> None:
-        from ..core.kernels import export_structures, seed_worker_structures
-
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-        self._shared = (
-            export_structures(list(graphs)) if (shared_graphs and graphs) else None
-        )
-        if self._shared is not None and self._shared.manifests:
-            self._pool = ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=seed_worker_structures,
-                initargs=(tuple(self._shared.manifests),),
-            )
-        else:
-            self._pool = ProcessPoolExecutor(max_workers=jobs)
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the pool down, then unlink the shared segments.
-
-        Idempotent, and the segments are released even when the
-        shutdown itself raises (e.g. a worker crashed mid-task): the
-        pool-before-segments ordering only matters while workers are
-        alive.
-        """
-        try:
-            self._pool.shutdown(wait=True)
-        finally:
-            if self._shared is not None:
-                self._shared.close()
-                self._shared = None
-
-    def __enter__(self) -> "SweepPool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def _graphs_for_configs(configs: Sequence[Mapping[str, Any]]) -> List[Any]:
-    """Best-effort graph list for a config grid (for structure export).
-
-    Configurations a measurement resolves through
-    :func:`repro.analysis.measurements.graph_for_config` share their
-    structures; anything unresolvable is simply skipped — workers then
-    rebuild that graph locally, exactly as without shared memory.
-    """
-    from .measurements import graph_for_config
-
-    graphs: List[Any] = []
-    for config in configs:
-        try:
-            graphs.append(graph_for_config(config))
-        except Exception:
-            continue
-    return graphs
 
 
 def supports_batch(measure: Measurement) -> bool:
@@ -384,8 +288,6 @@ def run_sweep(
     jobs: int = 1,
     executor: str = "auto",
     metrics: Optional[MetricsOptions] = None,
-    shared_graphs: bool = False,
-    pool: Optional[SweepPool] = None,
 ) -> SweepResult:
     """Run ``measure`` ``repetitions`` times per configuration.
 
@@ -420,17 +322,6 @@ def run_sweep(
         without metrics — collectors are zero-perturbation reads.
         Workers aggregate locally; payloads are merged here in config ×
         repetition order, so record order is executor-independent.
-    shared_graphs:
-        Ship each distinct configuration graph's derived structure to the
-        workers through shared memory (one export, zero-copy attach)
-        instead of rebuilding it per worker.  Builds an ephemeral
-        :class:`SweepPool` for this call; byte-identical samples either
-        way.  Ignored when ``pool`` is given (the pool already decided).
-    pool:
-        An existing :class:`SweepPool` to run on.  The pooled (process /
-        batched-parallel) code paths are used even when ``jobs == 1`` —
-        the pool's worker count governs — and the pool stays open for the
-        caller to reuse.  ``executor="serial"`` still means in-process.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -438,32 +329,7 @@ def run_sweep(
         raise ValueError("jobs must be >= 1")
     configs = list(configs)
     seeds = spawn_sweep_seeds(master_seed, len(configs), repetitions)
-    effective_jobs = pool.jobs if pool is not None else jobs
-    chosen = _resolve_executor(executor, measure, effective_jobs)
-    owned_pool: Optional[SweepPool] = None
-    if pool is None and shared_graphs and chosen != "serial":
-        owned_pool = SweepPool(jobs, graphs=_graphs_for_configs(configs))
-        pool = owned_pool
-    try:
-        return _run_sweep_cells(
-            configs, measure, seeds, chosen, effective_jobs, metrics,
-            pool, progress,
-        )
-    finally:
-        if owned_pool is not None:
-            owned_pool.close()
-
-
-def _run_sweep_cells(
-    configs: Sequence[Mapping[str, Any]],
-    measure: Measurement,
-    seeds: List[List[np.random.SeedSequence]],
-    chosen: str,
-    jobs: int,
-    metrics: Optional[MetricsOptions],
-    pool: Optional[SweepPool],
-    progress: Optional[Callable[[str], None]],
-) -> SweepResult:
+    chosen = _resolve_executor(executor, measure, jobs)
     if metrics is not None:
         if not supports_observation(measure):
             raise ValueError(
@@ -478,34 +344,26 @@ def _run_sweep_cells(
                 "measure_batch_observed()"
             )
 
-    # An explicit pool forces the worker-pool code paths even at
-    # ``jobs == 1`` (so the shared-memory transport is actually
-    # exercised); a "serial" resolution always stays in-process.
-    executor_obj = pool.executor if pool is not None and chosen != "serial" else None
     payloads: List[Mapping[str, Any]] = []
     if metrics is None:
-        if executor_obj is None and (chosen == "serial" or jobs == 1):
+        if chosen == "serial" or jobs == 1:
             per_config = _run_cells_serial(configs, measure, seeds, chosen)
         elif chosen == "batched":
-            per_config = _run_cells_batched_parallel(
-                configs, measure, seeds, jobs, executor_obj
-            )
+            per_config = _run_cells_batched_parallel(configs, measure, seeds, jobs)
         else:  # process cells over workers
-            per_config = _run_cells_process(
-                configs, measure, seeds, jobs, executor_obj
-            )
+            per_config = _run_cells_process(configs, measure, seeds, jobs)
     else:
-        if executor_obj is None and (chosen == "serial" or jobs == 1):
+        if chosen == "serial" or jobs == 1:
             per_config, payloads = _run_cells_serial_observed(
                 configs, measure, seeds, chosen, metrics
             )
         elif chosen == "batched":
             per_config, payloads = _run_cells_batched_parallel_observed(
-                configs, measure, seeds, jobs, metrics, executor_obj
+                configs, measure, seeds, jobs, metrics
             )
         else:
             per_config, payloads = _run_cells_process_observed(
-                configs, measure, seeds, jobs, metrics, executor_obj
+                configs, measure, seeds, jobs, metrics
             )
 
     result = SweepResult()
@@ -550,21 +408,9 @@ def _result(future: "Future[Any]") -> Any:
     except BrokenProcessPool as exc:
         raise SweepWorkerError(
             "a sweep worker process died mid-task; the pool is broken "
-            "(its remaining tasks are lost) but owned pools and shared "
-            "segments are still cleaned up by the enclosing finally"
+            "(its remaining tasks are lost) and run_sweep shuts it down "
+            "before this error leaves the call"
         ) from exc
-
-
-@contextmanager
-def _pool_for(
-    jobs: int, existing: Optional[ProcessPoolExecutor]
-) -> Iterator[ProcessPoolExecutor]:
-    """An executor to submit to: the caller's pool, or an owned one."""
-    if existing is not None:
-        yield existing
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as owned:
-            yield owned
 
 
 def _run_cells_process(
@@ -572,12 +418,11 @@ def _run_cells_process(
     measure: Measurement,
     seeds: List[List[np.random.SeedSequence]],
     jobs: int,
-    executor_obj: Optional[ProcessPoolExecutor] = None,
 ) -> List[List[float]]:
     """(config, seed-chunk) cells over a process pool, order-preserving."""
     repetitions = len(seeds[0]) if seeds else 0
     chunk = max(1, math.ceil(repetitions / jobs))
-    with _pool_for(jobs, executor_obj) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures: List[List["Future[List[float]]"]] = []
         for config, children in zip(configs, seeds):
             futures.append(
@@ -597,10 +442,9 @@ def _run_cells_batched_parallel(
     measure: Measurement,
     seeds: List[List[np.random.SeedSequence]],
     jobs: int,
-    executor_obj: Optional[ProcessPoolExecutor] = None,
 ) -> List[List[float]]:
     """Whole repetition blocks through measure_batch, one task per config."""
-    with _pool_for(jobs, executor_obj) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
             pool.submit(_measure_batch_block, measure, config, children)
             for config, children in zip(configs, seeds)
@@ -638,11 +482,10 @@ def _run_cells_process_observed(
     seeds: List[List[np.random.SeedSequence]],
     jobs: int,
     spec: MetricsOptions,
-    executor_obj: Optional[ProcessPoolExecutor] = None,
 ) -> Tuple[List[List[float]], List[Mapping[str, Any]]]:
     repetitions = len(seeds[0]) if seeds else 0
     chunk = max(1, math.ceil(repetitions / jobs))
-    with _pool_for(jobs, executor_obj) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures: List[
             List["Future[Tuple[List[float], Mapping[str, Any]]]"]
         ] = []
@@ -678,9 +521,8 @@ def _run_cells_batched_parallel_observed(
     seeds: List[List[np.random.SeedSequence]],
     jobs: int,
     spec: MetricsOptions,
-    executor_obj: Optional[ProcessPoolExecutor] = None,
 ) -> Tuple[List[List[float]], List[Mapping[str, Any]]]:
-    with _pool_for(jobs, executor_obj) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
             pool.submit(_observed_batch_block, measure, config, children, spec)
             for config, children in zip(configs, seeds)

@@ -143,9 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "vectorized: solo runs (parallel with --jobs)")
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes for the sweep executor")
-    sweep_p.add_argument("--shared-graphs", action="store_true",
-                         help="ship graph structures to workers via shared "
-                              "memory (parallel executors only)")
     add_stress_args(sweep_p)
     add_metrics_args(sweep_p)
 
@@ -247,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize",
         action="store_true",
         help="also run the runtime sanitizers (errstate traps, frozen "
-        "shared arrays, RNG draw/seed-tree audits, shm leak audit, "
-        "pool crash recovery)",
+        "engine and collector arrays, RNG draw/seed-tree audits, pool "
+        "crash recovery, steady-state allocation audit)",
     )
     check_p.add_argument(
         "--baseline",
@@ -437,7 +434,6 @@ def _cmd_sweep(args) -> int:
         [{"family": args.family, "n": n} for n in sizes],
         measure, repetitions=args.reps, master_seed=args.seed,
         jobs=args.jobs, executor=executor, metrics=_metrics_options(args),
-        shared_graphs=args.shared_graphs,
     )
     print(sweep.to_table(
         ["n"], title=f"{args.family} / {args.variant}: stabilization rounds"

@@ -7,22 +7,14 @@ reception, the blocked/dominated tests, legality — to one
 its fused loops), and share the derived
 adjacency forms (canonical edge array, CSR) through one content-keyed
 :func:`structure_for` cache.  See ``docs/performance.md`` for the cache
-semantics and the shared-memory sweep path.
+semantics.
 """
 
 from .hear import HearKernel
 from .round import BlockDraws, BlockOutcome, PerRoundDraws, RoundKernel
-from .shm import (
-    SharedStructureManifest,
-    SharedStructureSet,
-    attach_structure,
-    export_structures,
-    seed_worker_structures,
-)
 from .structure import (
     GraphStructure,
     clear_structure_cache,
-    seed_structure,
     should_rebuild,
     structure_cache_info,
     structure_for,
@@ -30,11 +22,6 @@ from .structure import (
 )
 
 __all__ = [
-    "SharedStructureManifest",
-    "SharedStructureSet",
-    "attach_structure",
-    "export_structures",
-    "seed_worker_structures",
     "HearKernel",
     "RoundKernel",
     "BlockOutcome",
@@ -42,7 +29,6 @@ __all__ = [
     "BlockDraws",
     "GraphStructure",
     "structure_for",
-    "seed_structure",
     "update_structure",
     "should_rebuild",
     "clear_structure_cache",

@@ -6,7 +6,7 @@ adjacency.  :class:`GraphStructure` bundles the two derived forms of
 that adjacency:
 
 * ``edge_array`` — the canonical ``(m, 2)`` int64 edge list (sorted,
-  u < v), which keys the content digest and the shared-memory export;
+  u < v);
 * ``csr`` — the canonical int32 CSR matrix the hear kernel multiplies
   against (identical, entry for entry, to
   :func:`repro.graphs.io.to_sparse_adjacency`; the symmetric matrix
@@ -18,19 +18,16 @@ module-level **structure cache** (:func:`structure_for`) is keyed by the
 content, so two engines on equal topologies share one structure (and
 therefore one CSR) even when the Graph objects differ.
 The cache is a bounded LRU guarded by a lock, safe to touch from
-collector threads; worker processes are seeded through
-:func:`seed_structure` by the shared-memory sweep path
-(:mod:`repro.core.kernels.shm`).
+collector threads; each sweep worker process fills its own cache.
 
 Shared structures are *read-only by contract*: engines and collectors
 only ever multiply against them (the RPR621 dataflow rule flags in-place
-writes through shared references, and the shared-memory path additionally
-drops the ``writeable`` flag on attached arrays).
+writes through shared references, and the ``--sanitize`` engine-numerics
+check freezes them at runtime).
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional, Union
@@ -47,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "GraphStructure",
     "structure_for",
-    "seed_structure",
     "clear_structure_cache",
     "structure_cache_info",
     "update_structure",
@@ -73,10 +69,6 @@ class GraphStructure:
             self.num_edges = graph.num_edges
         self._edge_array: Optional[npt.NDArray[np.int64]] = None
         self._csr: Optional[sp.csr_matrix] = None
-        self._digest: Optional[str] = None
-        #: SharedMemory segments backing the arrays (attach path only) —
-        #: held so the buffers outlive every view taken on them.
-        self._segments: tuple = ()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -141,17 +133,6 @@ class GraphStructure:
         """
         return self.csr
 
-    @property
-    def digest(self) -> str:
-        """Content digest keying shared-memory manifests across processes."""
-        if self._digest is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(np.int64(self.n).tobytes())
-            h.update(np.int64(self.num_edges).tobytes())
-            h.update(np.ascontiguousarray(self.edge_array).tobytes())
-            self._digest = h.hexdigest()
-        return self._digest
-
     def __repr__(self) -> str:
         return f"GraphStructure(n={self.n}, m={self.num_edges})"
 
@@ -190,17 +171,6 @@ def structure_for(graph: Graph) -> GraphStructure:
         while len(_cache) > _CACHE_CAPACITY:
             _cache.popitem(last=False)
         return structure
-
-
-def seed_structure(structure: GraphStructure) -> None:
-    """Install a pre-built structure (the shared-memory attach path)."""
-    if structure.graph is None:
-        raise ValueError("only graph-keyed structures can seed the cache")
-    with _cache_lock:
-        _cache[structure.graph] = structure
-        _cache.move_to_end(structure.graph)
-        while len(_cache) > _CACHE_CAPACITY:
-            _cache.popitem(last=False)
 
 
 def clear_structure_cache() -> None:

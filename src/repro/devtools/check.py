@@ -18,10 +18,10 @@ Runs, in order:
 4. **engine-contract** — the runtime registry sweep from
    :mod:`repro.devtools.contract`.
 5. **sanitizers** (only with ``--sanitize``) — the runtime traps in
-   :mod:`repro.devtools.sanitize`: errstate + frozen shared arrays over
-   the engine fixtures, RNG draw audits, seed-tree audits, the
-   shared-memory leak audit, the pool worker-crash recovery probe, and
-   the steady-state allocation audit
+   :mod:`repro.devtools.sanitize`: errstate + frozen engine and
+   collector arrays over the engine fixtures, RNG draw audits,
+   seed-tree audits, the pool worker-crash recovery probe, and the
+   steady-state allocation audit
    (:mod:`repro.devtools.hotpath.audit`).
 
 ``--sarif out.sarif`` additionally writes every RPR finding as SARIF
@@ -323,8 +323,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--sanitize",
         action="store_true",
         help="also run the runtime sanitizers (errstate traps, frozen "
-        "shared arrays, RNG draw/seed-tree audits, shm leak audit, "
-        "pool crash recovery, steady-state allocation audit)",
+        "engine and collector arrays, RNG draw/seed-tree audits, pool "
+        "crash recovery, steady-state allocation audit)",
     )
     parser.add_argument(
         "--baseline",

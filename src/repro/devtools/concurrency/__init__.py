@@ -1,8 +1,8 @@
 """Concurrency & process-lifecycle analysis (the RPR7xx rules).
 
 The family of ``repro check`` that reasons about what crosses the
-*process* boundary — shared-memory segment lifecycles, pool shutdown
-discipline, fork-captured module state, and service-state ownership —
+*process* boundary — pool shutdown discipline, fork-captured module
+state, and service-state ownership —
 running on the shared interprocedural driver
 (:mod:`repro.devtools.pipeline.driver`); :mod:`.engine` holds its
 lifecycle lattice and sinks.
@@ -32,57 +32,26 @@ __all__ = [
 
 CONCURRENCY_RULES: Tuple[RuleInfo, ...] = (
     RuleInfo(
-        rule_id="RPR701",
-        title="shared-memory segment leaked or unlinked under a live pool",
-        rationale=(
-            "A multiprocessing.shared_memory segment (or a "
-            "SharedStructureSet exporting them) created on some path "
-            "without a close+unlink on every exit leaks /dev/shm bytes "
-            "until interpreter exit; unlinking it while a worker pool "
-            "created in the same scope is still running invalidates the "
-            "mapping under every worker that attached it (use-after-"
-            "unlink).  Own segments with a context manager, or close "
-            "them on all paths *after* the pool shuts down — the "
-            "ordering contract docs/performance.md documents and "
-            "SweepPool.close() implements."
-        ),
-    ),
-    RuleInfo(
-        rule_id="RPR702",
-        title="in-place mutation reaches an attached cross-process array",
-        rationale=(
-            "Arrays attached from a shared-memory manifest "
-            "(attach_structure) are zero-copy views every sibling worker "
-            "maps; they are exported read-only precisely because an "
-            "in-place store, augmented assignment, out= target or "
-            "mutating method call through such a view — possibly via "
-            "several helper calls — corrupts all workers at once "
-            "(RPR621's failure class across the process boundary).  "
-            "Copy before writing."
-        ),
-    ),
-    RuleInfo(
         rule_id="RPR703",
         title="worker callable captures fork-inherited mutable module state",
         rationale=(
             "A callable handed to a pool (submit/map/initializer) that "
-            "reads a module-level RNG or shared-memory segment — or "
-            "directly mutates a module-level cache — runs against state "
-            "cloned at fork/spawn time: every worker inherits the *same* "
-            "generator state (correlated streams) or a segment handle "
-            "the parent may unlink underneath it.  Pass RNGs and "
-            "segments explicitly as task arguments (the sweep workers' "
-            "rng_from_sequence(child) pattern)."
+            "reads a module-level RNG — or directly mutates a "
+            "module-level cache — runs against state cloned at "
+            "fork/spawn time: every worker inherits the *same* "
+            "generator state (correlated streams), and cache writes "
+            "never reach the parent.  Pass RNGs explicitly as task "
+            "arguments (the sweep workers' rng_from_sequence(child) "
+            "pattern)."
         ),
     ),
     RuleInfo(
         rule_id="RPR704",
         title="process-pool lifecycle discipline violated",
         rationale=(
-            "A ProcessPoolExecutor/SweepPool must be context-managed or "
-            "shut down on every path (leaked pools strand worker "
-            "processes and, for SweepPool, the shared segments they "
-            "map); submitting to a pool after close()/shutdown() raises "
+            "A ProcessPoolExecutor must be context-managed or shut down "
+            "on every path (leaked pools strand worker processes); "
+            "submitting to a pool after close()/shutdown() raises "
             "only at runtime, deep inside a sweep; and collecting "
             "as_completed() results into a positional list ties sample "
             "order to OS scheduling, breaking the documented "

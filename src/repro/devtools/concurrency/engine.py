@@ -1,30 +1,27 @@
-"""The process-lifecycle interpreter behind RPR701–705.
+"""The process-lifecycle interpreter behind RPR703–705.
 
 Where the RPR6xx family tracks *values* (seed provenance, dtypes,
-aliases), this one tracks *resources with a lifecycle* across call hops:
-shared-memory segments, `SharedStructureSet`s, process pools, a
-`MISService`'s private state, plus two value lattices that cross the
-process boundary (``attached`` arrays, ``service``/``service.topology``
-handles).
+aliases), this one tracks *resources with a lifecycle* across call hops
+— process pools — plus the ``service``/``service.topology`` handles of
+a `MISService` whose private state only its op loop may change.
 
 It runs on the shared summary-based driver
 (:mod:`repro.devtools.pipeline.driver`): every function is analyzed
 once with symbolic parameter markers (``p:0`` …).  A summary records
 
-* whether the function **returns a fresh resource** (``fresh:pool`` …)
-  — so a caller of a factory two hops away owns the close obligation,
-* which parameters it **closes / unlinks / shuts down** — so a
-  ``cleanup(segment)`` helper discharges the obligation at its call
-  site, and
-* which parameters reach a **sink** (an in-place mutation, a
-  ``submit``, a topology mutator) — so passing an attached view or a
-  closed pool into a helper chain is flagged at the concrete call site.
+* whether the function **returns a fresh pool** (``fresh:pool``) — so
+  a caller of a factory two hops away owns the shutdown obligation,
+* which parameters it **closes / shuts down** — so a ``cleanup(pool)``
+  helper discharges the obligation at its call site, and
+* which parameters reach a **sink** (a ``submit``, a topology mutator,
+  an attribute store) — so passing a closed pool or a service into a
+  helper chain is flagged at the concrete call site.
 
 Lifecycle checking is a *must* analysis: branches merge with AND on
-``closed``/``unlinked`` and OR on ``escaped``; a resource that escapes
-the function (returned, stored on an attribute, put in a container,
-handed to an unknown callee) transfers its obligation to the owner and
-is never flagged locally — that keeps the engine quiet on ownership
+``shut`` and OR on ``escaped``; a pool that escapes the function
+(returned, stored on an attribute, put in a container, handed to an
+unknown callee) transfers its obligation to the owner and is never
+flagged locally — that keeps the engine quiet on ownership
 patterns like ``self._pool = ProcessPoolExecutor(...)``.  A bare
 ``if x is not None: x.close()`` guard counts as closing on both merged
 paths (the idiomatic owned-resource finally block).
@@ -44,25 +41,18 @@ __all__ = ["ConcurrencyAnalyzer", "CSummary"]
 # ----------------------------------------------------------------------
 # Vocabulary
 # ----------------------------------------------------------------------
-ATTACHED = "attached"  #: cross-process array / structure view
 SERVICE = "service"  #: a MISService instance
 SERVICE_TOPO = "service.topology"  #: the topology obtained from a service
 TOPO_OF_MARKER = "topo.read"  #: ``.topology`` read off a parameter marker
 
-#: Resource kinds and what discharging each obligation requires.
-SEGMENT = "segment"  #: raw shared_memory.SharedMemory — close + unlink
-SHMSET = "shmset"  #: SharedStructureSet — close (unlinks internally)
-POOL = "pool"  #: ProcessPoolExecutor / SweepPool — shutdown/close
-
+#: Return tag of a function that hands its caller a fresh process pool.
+_FRESH_POOL = "fresh:pool"
 _FRESH_PREFIX = "fresh:"
 _RES_PREFIX = "res:"
 
 #: Resolved-callee suffixes recognized as producers.
-_ATTACH_PRODUCERS = ("attach_structure",)
-_SHMSET_PRODUCERS = ("export_structures", "SharedStructureSet")
-_POOL_PRODUCERS = ("ProcessPoolExecutor", "SweepPool")
+_POOL_PRODUCERS = ("ProcessPoolExecutor",)
 _SERVICE_PRODUCERS = ("MISService",)
-_SEGMENT_CLASS = "SharedMemory"
 _AS_COMPLETED = "as_completed"
 
 #: Module-level bindings that become fork hazards (RPR703).
@@ -72,16 +62,11 @@ _RNG_PRODUCER_SUFFIXES = (
 )
 _CACHE_CTORS = ("dict", "list", "set", "OrderedDict", "defaultdict", "deque")
 
-_RELEASE_METHODS = frozenset({"close", "unlink", "shutdown"})
+_RELEASE_METHODS = frozenset({"close", "shutdown"})
 _SUBMIT_METHODS = frozenset({"submit", "map"})
 _TOPO_MUTATORS = frozenset({
     "add_node", "remove_node", "add_edge", "remove_edge",
 })
-_INPLACE_METHODS = frozenset({
-    "fill", "sort", "partition", "put", "setdiag", "eliminate_zeros",
-    "sum_duplicates", "resize", "setfield", "itemset",
-})
-_VIEW_METHODS = frozenset({"transpose", "reshape", "ravel", "squeeze"})
 _CONTAINER_MUTATORS = frozenset({
     "append", "add", "clear", "discard", "extend", "insert", "pop",
     "popitem", "remove", "setdefault", "update",
@@ -89,13 +74,6 @@ _CONTAINER_MUTATORS = frozenset({
 
 #: Modules allowed to touch service/topology state directly.
 _SERVICE_HOMES = ("repro.serve",)
-
-#: What each resource kind must see before function exit.
-_REQUIRED: Dict[str, Tuple[str, ...]] = {
-    SEGMENT: ("close", "unlink"),
-    SHMSET: ("close",),
-    POOL: ("shutdown",),
-}
 
 _FORK_SCAN_DEPTH = 4
 
@@ -108,7 +86,7 @@ def _res_ids(tags: Tags) -> List[str]:
 class CSinkHit:
     """A sink one parameter of a function reaches (transitively)."""
 
-    kind: str  # "mutate" | "submit" | "topo" | "attr-store"
+    kind: str  # "submit" | "topo" | "attr-store"
     detail: str
     line: int
 
@@ -117,17 +95,17 @@ class CSinkHit:
 class CSummary:
     """What a caller needs to know about a callee."""
 
-    ret: Tags = EMPTY  #: may carry ``fresh:<kind>`` / ATTACHED / SERVICE
-    param_effects: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    ret: Tags = EMPTY  #: may carry ``fresh:pool`` / SERVICE
+    #: Parameters the function closes or shuts down.
+    released: FrozenSet[int] = field(default_factory=frozenset)
     param_sinks: Dict[int, Tuple[CSinkHit, ...]] = field(default_factory=dict)
 
 
 @dataclass
 class _Resource:
-    """One tracked resource creation site (function-local identity)."""
+    """One tracked pool creation site (function-local identity)."""
 
     rid: str
-    kind: str
     line: int
     col: int
     detail: str
@@ -135,18 +113,17 @@ class _Resource:
 
 @dataclass
 class _ResState:
-    """Per-path lifecycle state of one resource."""
+    """Per-path lifecycle state of one pool."""
 
-    done: FrozenSet[str] = EMPTY  #: subset of {"close","unlink","shutdown"}
+    shut: bool = False  #: ``close()``/``shutdown()`` seen on this path
     escaped: bool = False
-    #: Context-managed: release is guaranteed at block exit, but the
-    #: resource stays *live* inside the block (submits are fine, and
-    #: releasing sibling segments under it is still use-after-unlink).
+    #: Context-managed: shutdown is guaranteed at block exit, but the
+    #: pool stays *live* inside the block (submits are fine).
     managed: bool = False
 
     def copy(self) -> "_ResState":
         return _ResState(
-            done=self.done, escaped=self.escaped, managed=self.managed
+            shut=self.shut, escaped=self.escaped, managed=self.managed
         )
 
 
@@ -179,7 +156,7 @@ class _State:
                 # Created on the other branch only: keep its state as-is.
                 self.res[rid] = theirs.copy()
             else:
-                mine.done = mine.done & theirs.done  # must-analysis: AND
+                mine.shut = mine.shut and theirs.shut  # must-analysis: AND
                 mine.escaped = mine.escaped or theirs.escaped
                 mine.managed = mine.managed or theirs.managed
         self.closed_names |= other.closed_names
@@ -243,8 +220,6 @@ class ConcurrencyAnalyzer(Analyzer[CSummary]):
         tail = self.project.resolve(module, name).rsplit(".", 1)[-1]
         if tail in _RNG_PRODUCER_SUFFIXES:
             return ("rng", f"a module-level RNG ({name})")
-        if tail == _SEGMENT_CLASS:
-            return ("segment", f"a module-level shared-memory segment ({name})")
         if tail in _CACHE_CTORS:
             return ("cache", f"a module-level mutable container ({name})")
         return None
@@ -254,10 +229,10 @@ class ConcurrencyAnalyzer(Analyzer[CSummary]):
     ) -> Tuple[Tuple[str, str], ...]:
         """``(name, detail)`` fork hazards a worker callable captures.
 
-        RNG/segment reads are chased transitively through project-local
-        callees; cache *mutations* count only in the callable's own body
-        (worker initializers legitimately seed their per-process caches
-        through helpers like ``seed_structure``).
+        RNG reads are chased transitively through project-local callees;
+        cache *mutations* count only in the callable's own body (workers
+        legitimately fill their per-process caches through helpers like
+        ``structure_for``).
         """
         cached = self._fork_reads.get(fn.qualname)
         if cached is not None:
@@ -281,7 +256,7 @@ class ConcurrencyAnalyzer(Analyzer[CSummary]):
                     if hazard is None or node.id in local_names:
                         continue
                     kind, detail = hazard
-                    if kind in ("rng", "segment"):
+                    if kind == "rng":
                         hits.append((node.id, detail))
                     elif self._mutates_name(body, node.id):
                         hits.append((node.id, detail + " it mutates"))
@@ -338,7 +313,7 @@ class _FunctionWalker:
         self.resources: Dict[str, _Resource] = {}
         self.exits: List[Dict[str, _ResState]] = []
         self.ret_tags: Tags = EMPTY
-        self.param_effects: Dict[int, Set[str]] = {}
+        self.released: Set[int] = set()
         self.param_sinks: Dict[int, List[CSinkHit]] = {}
         #: Pending return-states awaiting an enclosing ``finally`` body.
         self._finally_stack: List[List[_State]] = []
@@ -358,10 +333,7 @@ class _FunctionWalker:
         self._check_leaks()
         return CSummary(
             ret=self.ret_tags,
-            param_effects={
-                i: frozenset(effects)
-                for i, effects in self.param_effects.items()
-            },
+            released=frozenset(self.released),
             param_sinks={
                 i: tuple(hits) for i, hits in self.param_sinks.items()
             },
@@ -372,28 +344,16 @@ class _FunctionWalker:
 
     def _check_leaks(self) -> None:
         for rid, resource in self.resources.items():
-            rule = "RPR704" if resource.kind == POOL else "RPR701"
-            required = _REQUIRED[resource.kind]
             for exit_state in self.exits:
                 st = exit_state.get(rid)
-                if st is None or st.escaped or st.managed:
+                if st is None or st.escaped or st.managed or st.shut:
                     continue
-                missing = [op for op in required if op not in st.done]
-                if not missing:
-                    continue
-                if resource.kind == POOL:
-                    message = (
-                        f"{resource.detail} is not shut down on every "
-                        "path — use a context manager or call "
-                        "shutdown()/close() on all exits"
-                    )
-                else:
-                    message = (
-                        f"{resource.detail} is missing "
-                        f"{'+'.join(missing)} on some path — leaked "
-                        "shared memory persists until interpreter exit"
-                    )
-                self._emit(rule, (resource.line, resource.col), message)
+                self._emit(
+                    "RPR704", (resource.line, resource.col),
+                    f"{resource.detail} is not shut down on every path — "
+                    "use a context manager or call shutdown()/close() on "
+                    "all exits",
+                )
                 break  # one finding per creation site
 
     def _emit(self, rule: str, at: Union[ast.AST, Tuple[int, int]], message: str) -> None:
@@ -414,10 +374,8 @@ class _FunctionWalker:
                 tags = self.eval(stmt.value, state)
                 self._escape(tags, state)
                 ret = set(t for t in tags if not t.startswith(_RES_PREFIX))
-                for rid in _res_ids(tags):
-                    resource = self.resources.get(rid)
-                    if resource is not None:
-                        ret.add(_FRESH_PREFIX + resource.kind)
+                if any(rid in self.resources for rid in _res_ids(tags)):
+                    ret.add(_FRESH_POOL)
                 self.ret_tags |= frozenset(ret)
             if self._finally_stack:
                 # An enclosing finally still runs before this exit.
@@ -426,8 +384,7 @@ class _FunctionWalker:
                 self._snapshot_exit(state)
             return True
         if isinstance(stmt, ast.Raise):
-            # Exception paths carry no close obligation here; the
-            # runtime finalize guard (SharedStructureSet) covers them.
+            # Exception paths carry no shutdown obligation here.
             return True
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             self._walk_assign(stmt, state)
@@ -498,9 +455,7 @@ class _FunctionWalker:
     def _walk_for(self, stmt: "ast.For | ast.AsyncFor", state: _State) -> None:
         iter_tags = self.eval(stmt.iter, state)
         self._check_unordered_merge(stmt, state)
-        element = frozenset(
-            t for t in iter_tags if t == ATTACHED or t.startswith("p:")
-        )
+        element = frozenset(t for t in iter_tags if t.startswith("p:"))
         self._bind_target(stmt.target, element, state)
         self._walk_body(stmt.body, state)
         self._walk_body(stmt.orelse, state)
@@ -550,8 +505,8 @@ class _FunctionWalker:
         managed: List[str] = []
         for item in stmt.items:
             tags = self.eval(item.context_expr, state)
-            # A context-managed resource is released by the protocol —
-            # at block *exit*; inside the block it is still live.
+            # A context-managed pool is shut down by the protocol — at
+            # block *exit*; inside the block it is still live.
             for rid in _res_ids(tags):
                 st = state.res.get(rid)
                 if st is not None:
@@ -563,9 +518,7 @@ class _FunctionWalker:
         for rid in managed:
             st = state.res.get(rid)
             if st is not None:
-                st.done = st.done | frozenset(
-                    _REQUIRED[self.resources[rid].kind]
-                )
+                st.shut = True
         return terminated
 
     def _walk_try(self, stmt: ast.Try, state: _State) -> bool:
@@ -601,9 +554,7 @@ class _FunctionWalker:
         state: _State,
     ) -> None:
         if isinstance(stmt, ast.AugAssign):
-            value_tags = self.eval(stmt.value, state)
-            self._flag_mutation_target(stmt.target, state, "augmented assignment")
-            self._escape(value_tags, state)
+            self._escape(self.eval(stmt.value, state), state)
             return
         value = stmt.value
         tags = self.eval(value, state) if value is not None else EMPTY
@@ -633,13 +584,7 @@ class _FunctionWalker:
                 state.closed_names.discard(name)
             return
         if isinstance(target, ast.Subscript):
-            base_tags = self.eval(target.value, state)
-            if ATTACHED in base_tags:
-                self._flag_rpr702(target, "store")
-            for index in markers(base_tags):
-                self._record_sink(
-                    index, CSinkHit("mutate", "subscript store", target.lineno)
-                )
+            self.eval(target.value, state)
         self._escape(tags, state)
 
     def _check_service_attr_store(
@@ -661,33 +606,8 @@ class _FunctionWalker:
                          target.lineno),
             )
 
-    def _flag_mutation_target(
-        self, target: ast.expr, state: _State, how: str
-    ) -> None:
-        if isinstance(target, ast.Name):
-            tags = state.env.get(target.id, EMPTY)
-        elif isinstance(target, (ast.Subscript, ast.Attribute)):
-            tags = self.eval(target.value, state)
-        else:
-            tags = EMPTY
-        if ATTACHED in tags:
-            self._flag_rpr702(target, how)
-        for index in markers(tags):
-            self._record_sink(index, CSinkHit("mutate", how, target.lineno))
-
-    def _flag_rpr702(self, at: Union[ast.AST, Tuple[int, int]], how: str) -> None:
-        self._emit(
-            "RPR702", at,
-            f"in-place {how} on an array attached from a shared-memory "
-            "manifest — attached views are read-only and mapped by every "
-            "sibling worker; copy before writing",
-        )
-
     def _record_sink(self, index: int, hit: CSinkHit) -> None:
         self.param_sinks.setdefault(index, []).append(hit)
-
-    def _record_effect(self, index: int, effect: str) -> None:
-        self.param_effects.setdefault(index, set()).add(effect)
 
     def _escape(self, tags: Tags, state: _State) -> None:
         for rid in _res_ids(tags):
@@ -724,8 +644,7 @@ class _FunctionWalker:
             base = self.eval(node.value, state)
             self.eval(node.slice, state)
             return frozenset(
-                t for t in base
-                if t == ATTACHED or t.startswith("p:") or t == SERVICE_TOPO
+                t for t in base if t.startswith("p:") or t == SERVICE_TOPO
             )
         if isinstance(node, ast.Starred):
             return self.eval(node.value, state)
@@ -747,9 +666,7 @@ class _FunctionWalker:
                              ast.DictComp)):
             for gen in node.generators:
                 iter_tags = self.eval(gen.iter, state)
-                element = frozenset(
-                    t for t in iter_tags if t == ATTACHED or t.startswith("p:")
-                )
+                element = frozenset(t for t in iter_tags if t.startswith("p:"))
                 self._bind_target(gen.target, element, state)
                 for cond in gen.ifs:
                     self.eval(cond, state)
@@ -774,8 +691,6 @@ class _FunctionWalker:
             return state.env[name]
         base = self.eval(node.value, state)
         out: Set[str] = set(t for t in base if t.startswith("p:"))
-        if ATTACHED in base and node.attr != "copy":
-            out.add(ATTACHED)
         if node.attr == "topology":
             if SERVICE in base:
                 out.add(SERVICE_TOPO)
@@ -790,14 +705,11 @@ class _FunctionWalker:
     # ------------------------------------------------------------------
     # Calls
     # ------------------------------------------------------------------
-    def _new_resource(
-        self, kind: str, node: ast.Call, detail: str, state: _State
-    ) -> Tags:
+    def _new_resource(self, node: ast.Call, detail: str, state: _State) -> Tags:
         self._res_counter += 1
         rid = f"r{self._res_counter}"
         self.resources[rid] = _Resource(
-            rid=rid, kind=kind,
-            line=node.lineno, col=node.col_offset, detail=detail,
+            rid=rid, line=node.lineno, col=node.col_offset, detail=detail,
         )
         state.res[rid] = _ResState()
         return frozenset({_RES_PREFIX + rid})
@@ -818,36 +730,10 @@ class _FunctionWalker:
         callee = self.analyzer.resolve_call(self.module, node, self.fn)
         if callee is not None:
             return self._apply_function(node, callee, state)
-        if isinstance(node.func, ast.Attribute):
-            self._check_inplace_method(node, node.func.attr, base_tags, state)
         # Unknown callee: resources passed as positional arguments escape.
         for tags in self._eval_args_generic(node, state):
             self._escape(tags, state)
-        if ATTACHED in base_tags and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _VIEW_METHODS:
-                return frozenset({ATTACHED})
         return EMPTY
-
-    def _check_inplace_method(
-        self, node: ast.Call, attr: str, base_tags: Tags, state: _State
-    ) -> None:
-        """RPR702: mutating method calls and ``out=`` writes."""
-        if attr in _INPLACE_METHODS:
-            if ATTACHED in base_tags:
-                self._flag_rpr702(node, f".{attr}() call")
-            for index in markers(base_tags):
-                self._record_sink(
-                    index, CSinkHit("mutate", f".{attr}() call", node.lineno)
-                )
-        for keyword in node.keywords:
-            if keyword.arg == "out":
-                out_tags = self.eval(keyword.value, state)
-                if ATTACHED in out_tags:
-                    self._flag_rpr702(node, "out= write")
-                for index in markers(out_tags):
-                    self._record_sink(
-                        index, CSinkHit("mutate", "out= write", node.lineno)
-                    )
 
     def _eval_args_generic(self, node: ast.Call, state: _State) -> List[Tags]:
         """Evaluate every argument; returns the positional ones' tags."""
@@ -859,33 +745,12 @@ class _FunctionWalker:
     def _known_producer(
         self, node: ast.Call, resolved: str, state: _State
     ) -> Optional[Tags]:
-        """Model the shm/pool/service construction API by name."""
+        """Model the pool/service construction API by name."""
         tail = resolved.rsplit(".", 1)[-1]
-        if tail in _ATTACH_PRODUCERS:
-            self._escape_all_args(node, state)
-            return frozenset({ATTACHED})
-        if tail in _SHMSET_PRODUCERS:
-            self._escape_all_args(node, state)
-            return self._new_resource(
-                SHMSET, node, f"SharedStructureSet ({tail})", state
-            )
         if tail in _POOL_PRODUCERS:
             self._check_initializer(node)
             self._escape_all_args(node, state)
-            return self._new_resource(POOL, node, f"process pool ({tail})", state)
-        if tail == _SEGMENT_CLASS:
-            create = any(
-                kw.arg == "create"
-                and isinstance(kw.value, ast.Constant)
-                and bool(kw.value.value)
-                for kw in node.keywords
-            )
-            self._escape_all_args(node, state)
-            if create:
-                return self._new_resource(
-                    SEGMENT, node, "shared-memory segment", state
-                )
-            return frozenset({ATTACHED})  # worker-side: no ownership
+            return self._new_resource(node, f"process pool ({tail})", state)
         if tail in _SERVICE_PRODUCERS:
             self._escape_all_args(node, state)
             return frozenset({SERVICE})
@@ -930,7 +795,7 @@ class _FunctionWalker:
         base_name = _dotted(func.value)
 
         if attr in _RELEASE_METHODS:
-            self._apply_release(attr, base_tags, base_name, node, state)
+            self._apply_release(base_tags, base_name, state)
             self._eval_args_generic(node, state)
             return EMPTY
         if attr in _SUBMIT_METHODS:
@@ -942,69 +807,28 @@ class _FunctionWalker:
             return EMPTY
         return None
 
-    def _apply_release(
-        self,
-        op: str,
-        base_tags: Tags,
-        base_name: str,
-        node: ast.Call,
-        state: _State,
-    ) -> None:
-        for rid in _res_ids(base_tags):
-            resource = self.resources.get(rid)
-            st = state.res.get(rid)
-            if resource is None or st is None:
-                continue
-            if resource.kind == POOL:
-                st.done = st.done | frozenset({"shutdown"})
-            elif op == "close" and resource.kind == SHMSET:
-                st.done = st.done | frozenset({"close"})
-                self._check_release_ordering(node, state)
-            else:
-                st.done = st.done | frozenset({op})
-                if op == "unlink":
-                    self._check_release_ordering(node, state)
-        for index in markers(base_tags):
-            self._record_effect(index, op)
+    def _apply_release(self, base_tags: Tags, base_name: str, state: _State) -> None:
+        self._shut(_res_ids(base_tags), state)
+        self.released.update(markers(base_tags))
         if base_name:
             state.closed_names.add(base_name)
 
-    def _check_release_ordering(self, node: ast.Call, state: _State) -> None:
-        """RPR701: segments released while a same-scope pool still runs."""
-        for rid, st in state.res.items():
-            resource = self.resources.get(rid)
-            if (
-                resource is not None
-                and resource.kind == POOL
-                and not st.escaped
-                and "shutdown" not in st.done
-            ):
-                self._emit(
-                    "RPR701", node,
-                    "shared-memory segments released before the pool that "
-                    "maps them shuts down (use-after-unlink) — shut the "
-                    "pool down first, then close/unlink",
-                )
-                return
+    @staticmethod
+    def _shut(rids: List[str], state: _State) -> None:
+        for rid in rids:
+            st = state.res.get(rid)
+            if st is not None:
+                st.shut = True
 
     def _check_submit(
         self, node: ast.Call, base_tags: Tags, base_name: str, state: _State
     ) -> None:
         # RPR704: submit on a closed/shut-down pool.
-        closed = False
-        for rid in _res_ids(base_tags):
-            resource = self.resources.get(rid)
-            st = state.res.get(rid)
-            if (
-                resource is not None
-                and resource.kind == POOL
-                and st is not None
-                and "shutdown" in st.done
-            ):
-                closed = True
-        if base_name and base_name in state.closed_names:
-            closed = True
-        if closed:
+        closed = any(
+            rid in state.res and state.res[rid].shut
+            for rid in _res_ids(base_tags)
+        )
+        if closed or (base_name and base_name in state.closed_names):
             self._emit(
                 "RPR704", node,
                 "submit on a pool that was already closed/shut down on "
@@ -1057,7 +881,7 @@ class _FunctionWalker:
             )
             self._apply_param(
                 node, tags, binding.expr,
-                summary.param_effects.get(binding.index, frozenset()),
+                binding.index in summary.released,
                 summary.param_sinks.get(binding.index, ()),
                 state,
             )
@@ -1065,15 +889,10 @@ class _FunctionWalker:
             frozenset(t for t in summary.ret if not t.startswith(_FRESH_PREFIX)),
             passed,
         )
-        for tag in summary.ret:
-            if tag.startswith(_FRESH_PREFIX):
-                kind = tag[len(_FRESH_PREFIX):]
-                detail = {
-                    SEGMENT: "shared-memory segment",
-                    SHMSET: f"SharedStructureSet (via {callee.name}())",
-                    POOL: f"process pool (via {callee.name}())",
-                }.get(kind, kind)
-                ret |= self._new_resource(kind, node, detail, state)
+        if _FRESH_POOL in summary.ret:
+            ret |= self._new_resource(
+                node, f"process pool (via {callee.name}())", state
+            )
         return ret
 
     def _apply_param(
@@ -1081,40 +900,20 @@ class _FunctionWalker:
         node: ast.Call,
         tags: Tags,
         arg: ast.expr,
-        effects: FrozenSet[str],
+        released: bool,
         sinks: Tuple[CSinkHit, ...],
         state: _State,
     ) -> None:
         rids = _res_ids(tags)
-        if effects:
-            for rid in rids:
-                resource = self.resources.get(rid)
-                st = state.res.get(rid)
-                if resource is None or st is None:
-                    continue
-                ops = set(effects)
-                if resource.kind == POOL and "close" in ops:
-                    ops.add("shutdown")
-                if resource.kind == SHMSET and "close" in ops:
-                    self._check_release_ordering(node, state)
-                if resource.kind == SEGMENT and "unlink" in ops:
-                    self._check_release_ordering(node, state)
-                st.done = st.done | frozenset(ops)
-            for marker_index in markers(tags):
-                for effect in effects:
-                    self._record_effect(marker_index, effect)
+        if released:
+            self._shut(rids, state)
+            self.released.update(markers(tags))
         elif rids:
             self._escape(tags, state)
         for hit in sinks:
-            if hit.kind == "mutate" and ATTACHED in tags:
-                self._flag_rpr702(
-                    node, f"{hit.detail} (via callee at line {hit.line})"
-                )
             if hit.kind == "submit":
                 closed = any(
-                    "shutdown" in state.res[rid].done
-                    for rid in rids
-                    if rid in state.res
+                    state.res[rid].shut for rid in rids if rid in state.res
                 )
                 arg_name = _dotted(arg)
                 if closed or (arg_name and arg_name in state.closed_names):

@@ -9,7 +9,9 @@ runtime booby-trapped:
   overflow or a NaN-producing operation raises instead of wrapping;
 * **frozen shared arrays** — every graph-derived array an engine shares
   with collectors (the CSR adjacency triplet, its transpose, the ℓmax
-  vector) is flipped to ``writeable=False`` for the duration of the
+  vector), and every array of the observing collector's
+  :class:`~repro.obs.StructureView` (its level floor, ℓmax and
+  adjacency), is flipped to ``writeable=False`` for the duration of the
   run, so any in-place mutation raises ``ValueError`` at the offending
   store (the dynamic twin of RPR621);
 * **RNG draw audit** — each solo engine's generator is replayed against
@@ -20,14 +22,10 @@ runtime booby-trapped:
 * **seed-tree audit** — a serial sweep's samples are recomputed from
   the documented ``root.spawn(configs) → child.spawn(reps)`` tree via
   the blessed :func:`repro.devtools.seeding.rng_from_sequence`;
-* **shm leak audit** — the runtime twin of RPR701: after exercising the
-  shared-memory export paths, every exported segment must appear
-  unlinked in :func:`repro.core.kernels.shm.leaked_segments`, including
-  a set abandoned without ``close()`` (the ``weakref.finalize`` guard);
 * **pool crash recovery** — worker-crash injection, the runtime twin of
   RPR704: a sweep worker calls ``os._exit`` mid-task and the parent
-  must surface :class:`repro.analysis.sweep.SweepWorkerError`, shut the
-  pool down, and leak no segment;
+  must surface :class:`repro.analysis.sweep.SweepWorkerError` and shut
+  the pool down, leaving no worker process alive;
 * **allocation audit** — the runtime twin of the RPR8xx hot-path rules
   (:mod:`repro.devtools.hotpath.audit`): every engine combo is
   driven to steady state and its net retained bytes/round, measured
@@ -38,9 +36,8 @@ The runtime checks run under a :func:`watchdog` that dumps all thread
 stacks if they hang, converting a deadlock into a diagnosable failure.
 
 The same traps are available to the whole test suite: running pytest
-with ``REPRO_SANITIZE=1`` arms autouse fixtures (see
-``tests/conftest.py``) that wrap every test in the errstate guard and
-assert the segment audit is clean at session end.
+with ``REPRO_SANITIZE=1`` arms an autouse fixture (see
+``tests/conftest.py``) that wraps every test in the errstate guard.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ __all__ = [
     "check_rng_draw_discipline",
     "check_batched_seed_tree",
     "check_sweep_seed_tree",
-    "check_shm_leak_audit",
     "check_sweep_pool_worker_crash",
     "check_hotpath_allocation_audit",
     "run_sanitizers",
@@ -114,31 +110,45 @@ def watchdog(seconds: float) -> Iterator[None]:
         faulthandler.cancel_dump_traceback_later()
 
 
-def engine_shared_arrays(engine: object) -> List[npt.NDArray[Any]]:
-    """The arrays ``engine`` shares with collectors / other replicas.
+def _unique_arrays(candidates: Sequence[object]) -> List[npt.NDArray[Any]]:
+    """The ndarrays among ``candidates``, deduplicated by identity.
 
-    Deduplicated by identity: appending an array twice would make
-    :func:`frozen_arrays` restore the wrong ``writeable`` flag on exit.
+    Freezing an array twice in one :func:`frozen_arrays` call would make
+    it restore the wrong ``writeable`` flag on exit.
     """
     arrays: List[npt.NDArray[Any]] = []
     seen: Set[int] = set()
-
-    def add(candidate: object) -> None:
+    for candidate in candidates:
         if isinstance(candidate, np.ndarray) and id(candidate) not in seen:
             seen.add(id(candidate))
             arrays.append(candidate)
+    return arrays
 
-    matrix = getattr(engine, "adjacency", None)
-    if matrix is not None:
-        for part in ("data", "indices", "indptr"):
-            add(getattr(matrix, part, None))
+
+def _csr_parts(matrix: object) -> List[object]:
+    return [getattr(matrix, part, None) for part in ("data", "indices", "indptr")]
+
+
+def engine_shared_arrays(engine: object) -> List[npt.NDArray[Any]]:
+    """The arrays ``engine`` shares with collectors / other replicas."""
     structure = getattr(engine, "structure", None)
-    if structure is not None:
+    return _unique_arrays([
+        *_csr_parts(getattr(engine, "adjacency", None)),
         # The already-built edge array only — reading the lazy property
         # here would build it as a side effect of the audit.
-        add(getattr(structure, "_edge_array", None))
-    add(getattr(engine, "ell_max", None))
-    return arrays
+        getattr(structure, "_edge_array", None),
+        getattr(engine, "ell_max", None),
+    ])
+
+
+def _view_arrays(view: object) -> List[npt.NDArray[Any]]:
+    """The arrays a collector's :class:`~repro.obs.StructureView` reads:
+    its level floor, ℓmax and adjacency."""
+    return _unique_arrays([
+        getattr(view, "floor", None),
+        getattr(view, "ell_max", None),
+        *_csr_parts(getattr(view, "adjacency", None)),
+    ])
 
 
 @contextmanager
@@ -165,7 +175,11 @@ def _fixture_graphs() -> List[Tuple[str, Any]]:
 
 
 def check_engine_numerics() -> SanitizerResult:
-    """Engines + batched sweep fixtures under errstate and frozen arrays."""
+    """Engines + batched sweep fixtures under errstate and frozen arrays.
+
+    The observed run also freezes its collector's view arrays, so a
+    collector writing through ``view.floor`` fails here, not silently.
+    """
     from ..core.engines.batched import BatchedEngine
     from ..core.engines.single import SingleChannelEngine
     from ..core.engines.two_channel import TwoChannelEngine
@@ -179,13 +193,12 @@ def check_engine_numerics() -> SanitizerResult:
                 engine = engine_cls(graph, policy, _AUDIT_SEED)
                 with errstate_guard(), frozen_arrays(engine_shared_arrays(engine)):
                     # A bare fused run, then one observed by a collector.
-                    for observed in (False, True):
-                        engine.randomize_levels()
-                        collector = (
-                            RunCollector(StructureView.from_engine(engine))
-                            if observed else None
-                        )
-                        engine.until_stable(10_000, collector=collector)
+                    engine.randomize_levels()
+                    engine.until_stable(10_000)
+                    engine.randomize_levels()
+                    view = StructureView.from_engine(engine)
+                    with frozen_arrays(_view_arrays(view)):
+                        engine.until_stable(10_000, collector=RunCollector(view))
             batched = BatchedEngine(graph, policy, replicas=3, seed=_AUDIT_SEED)
             batched.randomize_levels()
             with errstate_guard(), frozen_arrays(engine_shared_arrays(batched)):
@@ -200,7 +213,10 @@ def check_engine_numerics() -> SanitizerResult:
     return SanitizerResult(
         name="engine-numerics",
         ok=True,
-        detail="solo+batched fixtures clean under errstate and frozen arrays",
+        detail=(
+            "solo+batched fixtures clean under errstate, frozen engine "
+            "arrays and frozen collector views"
+        ),
     )
 
 
@@ -314,61 +330,6 @@ def check_sweep_seed_tree() -> SanitizerResult:
     )
 
 
-def check_shm_leak_audit() -> SanitizerResult:
-    """Every exported segment must be unlinked by end of run.
-
-    Exercises the normal ``close()`` path, a second (idempotent)
-    ``close()``, and the ``weakref.finalize`` guard on a set abandoned
-    without closing — the runtime twin of RPR701.
-    """
-    import gc
-
-    from ..core.kernels.shm import export_structures, leaked_segments
-
-    graphs = [graph for _, graph in _fixture_graphs()]
-    with watchdog(120.0):
-        shared = export_structures(graphs)
-        exported = leaked_segments()
-        shared.close()
-        shared.close()  # idempotent: second close must be a no-op
-        after_close = leaked_segments()
-        # The finalize guard: abandon a set without ever closing it.
-        orphan = export_structures(graphs)  # repro: allow[RPR701]
-        orphan_exported = leaked_segments()
-        del orphan
-        gc.collect()
-        after_gc = leaked_segments()
-    if not exported:
-        return SanitizerResult(
-            name="shm-leak-audit",
-            ok=False,
-            detail="export_structures registered nothing with the audit",
-        )
-    if after_close:
-        return SanitizerResult(
-            name="shm-leak-audit",
-            ok=False,
-            detail=f"segments survived close(): {after_close}",
-        )
-    if not orphan_exported or after_gc:
-        return SanitizerResult(
-            name="shm-leak-audit",
-            ok=False,
-            detail=(
-                "the finalize guard left abandoned segments linked: "
-                f"{after_gc}"
-            ),
-        )
-    return SanitizerResult(
-        name="shm-leak-audit",
-        ok=True,
-        detail=(
-            f"{len(exported)} exported segment(s) unlinked by close() "
-            "and by the finalize guard; audit registry empty"
-        ),
-    )
-
-
 def _crash_measure(config: Mapping[str, Any], rng: np.random.Generator) -> float:
     """Module-level probe that kills its own worker process mid-task."""
     import os
@@ -382,52 +343,55 @@ def check_sweep_pool_worker_crash() -> SanitizerResult:
     """Kill a pool worker mid-sweep; the parent must clean up fully.
 
     Expects :class:`repro.analysis.sweep.SweepWorkerError` in place of
-    the bare ``BrokenProcessPool``, a clean pool shutdown, and no
-    segment left in the leak audit — the runtime twin of RPR704.
+    the bare ``BrokenProcessPool``, and no worker process outliving the
+    ``run_sweep`` call — the runtime twin of RPR704.
     """
-    from ..analysis.sweep import SweepPool, SweepWorkerError, run_sweep
-    from ..core.kernels.shm import leaked_segments
+    import multiprocessing
 
-    graphs = [graph for _, graph in _fixture_graphs()]
+    from ..analysis.sweep import SweepWorkerError, run_sweep
+
     failure = ""
     with watchdog(240.0):
-        before = set(leaked_segments())
-        with SweepPool(2, graphs=graphs) as pool:
-            try:
-                run_sweep(
-                    [{"crash": 1}],
-                    _crash_measure,
-                    repetitions=2,
-                    master_seed=_AUDIT_SEED,
-                    executor="process",
-                    pool=pool,
-                )
-            except SweepWorkerError:
-                pass  # the expected, named failure
-            except Exception as exc:
-                failure = (
-                    "worker crash surfaced as "
-                    f"{type(exc).__name__} instead of SweepWorkerError"
-                )
-            else:
-                failure = "worker crash produced no error at all"
-        leaked = [name for name in leaked_segments() if name not in before]
+        before = {child.pid for child in multiprocessing.active_children()}
+        try:
+            run_sweep(
+                [{"crash": 1}],
+                _crash_measure,
+                repetitions=2,
+                master_seed=_AUDIT_SEED,
+                jobs=2,
+                executor="process",
+            )
+        except SweepWorkerError:
+            pass  # the expected, named failure
+        except Exception as exc:
+            failure = (
+                "worker crash surfaced as "
+                f"{type(exc).__name__} instead of SweepWorkerError"
+            )
+        else:
+            failure = "worker crash produced no error at all"
+        survivors = [
+            child.pid
+            for child in multiprocessing.active_children()
+            if child.pid not in before
+        ]
     if failure:
         return SanitizerResult(
             name="pool-crash-recovery", ok=False, detail=failure
         )
-    if leaked:
+    if survivors:
         return SanitizerResult(
             name="pool-crash-recovery",
             ok=False,
-            detail=f"segments leaked across the crash: {leaked}",
+            detail=f"worker processes outlived the sweep: {survivors}",
         )
     return SanitizerResult(
         name="pool-crash-recovery",
         ok=True,
         detail=(
-            "worker os._exit surfaced as SweepWorkerError; pool closed "
-            "and no segment leaked"
+            "worker os._exit surfaced as SweepWorkerError; the pool shut "
+            "down and no worker outlived the sweep"
         ),
     )
 
@@ -470,7 +434,6 @@ def run_sanitizers() -> List[SanitizerResult]:
         check_rng_draw_discipline(),
         check_batched_seed_tree(),
         check_sweep_seed_tree(),
-        check_shm_leak_audit(),
         check_sweep_pool_worker_crash(),
         check_hotpath_allocation_audit(),
     ]

@@ -71,14 +71,14 @@ DATAFLOW = Case(
 
 CONCURRENCY = Case(
     family=concurrency.FAMILY,
-    rule_ids=("RPR701", "RPR702", "RPR703", "RPR704", "RPR705"),
+    rule_ids=("RPR703", "RPR704", "RPR705"),
     seeded_source=(
-        "from multiprocessing.shared_memory import SharedMemory\n"
-        "def run(num):\n"
-        "    seg = SharedMemory(create=True, size=num)\n"
-        "    return seg.name\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "def run(task):\n"
+        "    pool = ProcessPoolExecutor(2)\n"
+        "    return pool.submit(task).result()\n"
     ),
-    seeded_rule="RPR701",
+    seeded_rule="RPR704",
 )
 
 HOTPATH = Case(

@@ -4,9 +4,7 @@ Running pytest with ``REPRO_SANITIZE=1`` arms the sanitizer fixtures
 below: every test then executes under
 ``np.errstate(over='raise', invalid='raise', divide='raise')`` so
 silent numeric corruption (scalar integer overflow, NaN production)
-fails the test that caused it, and a session-scoped leak audit asserts
-that every shared-memory segment the suite exported was unlinked by the
-end of the run.  See :mod:`repro.devtools.sanitize`.
+fails the test that caused it.  See :mod:`repro.devtools.sanitize`.
 """
 
 import contextlib
@@ -28,27 +26,6 @@ def _sanitize_numerics():
 
     with errstate_guard():
         yield
-
-
-@pytest.fixture(scope="session", autouse=_SANITIZE)
-def _sanitize_segment_audit():
-    """End-of-session shm leak audit (armed by ``REPRO_SANITIZE=1``).
-
-    Any segment exported during the suite and never unlinked — an
-    exception path that skipped ``SharedStructureSet.close()`` and
-    dodged the finalize guard — fails the session loudly instead of
-    leaking /dev/shm bytes.
-    """
-    yield
-    import gc
-
-    from repro.core.kernels.shm import leaked_segments
-
-    gc.collect()  # let finalize guards of dropped sets run first
-    leaked = leaked_segments()
-    assert not leaked, (
-        f"shared-memory segments leaked by the test session: {leaked}"
-    )
 
 
 @pytest.fixture
@@ -260,14 +237,12 @@ def step_constant_state(engine, max_rounds):
 # comes from:
 #
 # * ``auto``   -- built lazily by ``structure_for`` on a cold cache;
-# * ``sparse`` -- prebuilt on the graph rebuilt from its scipy CSR
-#   adjacency, then seeded;
-# * ``dense``  -- prebuilt on the graph rebuilt from its dense n x n
-#   adjacency matrix, then seeded;
-# * ``bitset`` -- attached zero-copy from a shared-memory export (the
-#   process-pool worker path: read-only views), then seeded.
+# * ``sparse`` -- built by ``structure_for`` on the graph rebuilt from
+#   its scipy CSR adjacency (an equal, distinct Graph object);
+# * ``dense``  -- built by ``structure_for`` on the graph rebuilt from
+#   its dense n x n adjacency matrix.
 # ----------------------------------------------------------------------
-STRUCTURE_SOURCES = ("auto", "sparse", "dense", "bitset")
+STRUCTURE_SOURCES = ("auto", "sparse", "dense")
 
 
 @contextlib.contextmanager
@@ -277,25 +252,13 @@ def structure_source(graph, source):
     Yields the structure every engine built on ``graph`` inside the
     block picks up; the cache is cleared on entry and on exit.
     """
-    from repro.core.kernels import (
-        GraphStructure,
-        clear_structure_cache,
-        seed_structure,
-        structure_for,
-    )
-    from repro.core.kernels.shm import attach_structure, export_structures
+    from repro.core.kernels import clear_structure_cache, structure_for
     from repro.graphs.io import to_sparse_adjacency
 
     clear_structure_cache()
-    shared = None
     try:
         if source == "auto":
             structure = structure_for(graph)
-        elif source == "bitset":
-            shared = export_structures([graph])
-            clear_structure_cache()
-            structure = attach_structure(shared.manifests[0])
-            seed_structure(structure)
         elif source in ("sparse", "dense"):
             adjacency = to_sparse_adjacency(graph)
             if source == "dense":
@@ -305,15 +268,12 @@ def structure_source(graph, source):
                 graph.num_vertices,
                 [(u, v) for u, v in zip(rows.tolist(), cols.tolist()) if u < v],
             )
-            assert rebuilt == graph
-            structure = GraphStructure(rebuilt)
-            structure.csr  # force the build before seeding
-            seed_structure(structure)
+            assert rebuilt == graph and rebuilt is not graph
+            structure = structure_for(rebuilt)
+            structure.csr  # force the build on the rebuilt graph
         else:
             raise ValueError(f"unknown structure source {source!r}")
         assert structure_for(graph) is structure
         yield structure
     finally:
         clear_structure_cache()
-        if shared is not None:
-            shared.close()

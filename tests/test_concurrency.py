@@ -1,8 +1,8 @@
 """The concurrency & process-lifecycle analyzer: every RPR7xx rule.
 
 Covers: the fixture corpus (one flagging and one clean file per rule,
-with the RPR701 factory case split across a module boundary and a ≥2-hop
-interprocedural flag case per rule), the must-analysis edge cases
+with a ≥2-hop interprocedural flag case per rule), the must-analysis
+edge cases
 (escapes, context managers, try/finally, raise paths), and — through
 the shared :mod:`analysis_cases` checks — pragma handling at both
 granularities, baseline round-trips, SARIF output, the ``repro check``
@@ -49,33 +49,6 @@ def test_rule_passes_its_clean_fixture(corpus_report, rule_id):
 
 def test_corpus_parses_cleanly(corpus_report):
     assert corpus_report.errors == []
-    assert rules_in(corpus_report, "df701_lib") == []
-
-
-def test_rpr701_crosses_the_module_boundary(corpus_report):
-    """The factory's fresh segment becomes the caller's obligation."""
-    flagged = [
-        v for v in corpus_report.violations
-        if v.symbol.endswith(".leak_from_factory")
-    ]
-    assert len(flagged) == 1
-    assert "df701_flag" in flagged[0].path  # not the factory module
-
-
-def test_rpr701_flags_unlink_under_a_live_pool(corpus_report):
-    [violation] = [
-        v for v in corpus_report.violations
-        if v.symbol.endswith(".unlink_under_live_pool")
-    ]
-    assert "use-after-unlink" in violation.message
-
-
-def test_rpr702_names_the_helper_hop(corpus_report):
-    [violation] = [
-        v for v in corpus_report.violations if v.symbol.endswith(".run")
-        and "df702_flag" in v.path
-    ]
-    assert "via callee" in violation.message
 
 
 def test_rpr703_names_the_captured_state_through_a_hop(corpus_report):
@@ -105,101 +78,6 @@ def test_rpr705_flags_the_helper_hop(corpus_report):
 # ----------------------------------------------------------------------
 # Interprocedural behavior on in-memory sources
 # ----------------------------------------------------------------------
-def test_rpr701_escaped_segments_are_the_callers_problem():
-    """Returning or attribute-storing a segment transfers the obligation."""
-    report = analyze_sources({
-        "m": (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def open_scratch(num):\n"
-            "    return SharedMemory(create=True, size=num)\n"
-            "class Holder:\n"
-            "    def __init__(self, num):\n"
-            "        self.seg = SharedMemory(create=True, size=num)\n"
-        )
-    })
-    assert report.violations == []
-
-
-def test_rpr701_raise_paths_carry_no_close_obligation():
-    report = analyze_sources({
-        "m": (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def run(num):\n"
-            "    seg = SharedMemory(create=True, size=num)\n"
-            "    if num < 0:\n"
-            "        raise ValueError(num)\n"
-            "    seg.close()\n"
-            "    seg.unlink()\n"
-            "    return 0\n"
-        )
-    })
-    assert report.violations == []
-
-
-def test_rpr701_close_without_unlink_still_leaks():
-    report = analyze_sources({
-        "m": (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def run(num):\n"
-            "    seg = SharedMemory(create=True, size=num)\n"
-            "    try:\n"
-            "        return seg.name\n"
-            "    finally:\n"
-            "        seg.close()\n"
-        )
-    })
-    assert [v.rule for v in report.violations] == ["RPR701"]
-
-
-def test_rpr701_attach_side_has_no_unlink_obligation():
-    """Attached (create-less) segments are worker-side: no ownership."""
-    report = analyze_sources({
-        "m": (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def peek(name):\n"
-            "    seg = SharedMemory(name=name)\n"
-            "    return seg.size\n"
-        )
-    })
-    assert report.violations == []
-
-
-def test_rpr702_out_kwarg_reaches_the_attached_view():
-    report = analyze_sources({
-        "m": (
-            "import numpy as np\n"
-            "from repro.core.kernels.shm import attach_structure\n"
-            "def run(manifest, x):\n"
-            "    view = attach_structure(manifest).edge_array\n"
-            "    np.add(view, x, out=view)\n"
-            "    return view\n"
-        )
-    })
-    assert [v.rule for v in report.violations] == ["RPR702"]
-
-
-def test_rpr702_mutation_three_hops_from_the_attach():
-    report = analyze_sources({
-        "a": (
-            "def saturate(block):\n"
-            "    block += 1\n"
-            "    return block\n"
-        ),
-        "b": (
-            "from a import saturate\n"
-            "def rescale(block):\n"
-            "    return saturate(block)\n"
-        ),
-        "c": (
-            "from b import rescale\n"
-            "from repro.core.kernels.shm import attach_structure\n"
-            "def run(manifest):\n"
-            "    return rescale(attach_structure(manifest).csr)\n"
-        ),
-    })
-    assert [(v.rule, v.path) for v in report.violations] == [("RPR702", "c.py")]
-
-
 def test_rpr703_initializer_capture_is_flagged():
     report = analyze_sources({
         "m": (
@@ -220,7 +98,7 @@ def test_rpr703_direct_cache_mutation_vs_helper_seeding():
     """Only mutation in the submitted callable's own body counts.
 
     Calling a helper that mutates a module cache (the blessed
-    ``structure_for``/``seed_structure`` worker idiom) stays quiet.
+    ``structure_for`` worker idiom) stays quiet.
     """
     flagged = analyze_sources({
         "m": (
@@ -253,14 +131,14 @@ def test_rpr703_direct_cache_mutation_vs_helper_seeding():
 
 
 def test_rpr704_guarded_owner_with_finally_close_is_clean():
-    """The run_sweep owned-pool idiom: conditional create, finally close."""
+    """The owned-pool idiom: conditional create, finally close."""
     report = analyze_sources({
         "m": (
-            "from repro.analysis.sweep import SweepPool\n"
-            "def run(graphs, jobs):\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "def run(jobs):\n"
             "    owned = None\n"
             "    if jobs > 1:\n"
-            "        owned = SweepPool(jobs, graphs)\n"
+            "        owned = ProcessPoolExecutor(jobs)\n"
             "    try:\n"
             "        return 1\n"
             "    finally:\n"
@@ -340,5 +218,5 @@ test_check_flags_baselines_and_exports_a_seeded_leak = (
     cases.check_flags_baselines_and_exports(CASE)
 )
 test_docs_cover_every_concurrency_rule = cases.docs_cover_every_rule(
-    CASE, performance=("concurrency & lifecycle contract", "RPR701")
+    CASE, performance=("concurrency & lifecycle contract", "RPR704")
 )

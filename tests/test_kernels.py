@@ -1,19 +1,16 @@
-"""The hear kernel, the structure cache, and shared memory.
+"""The hear kernel and the structure cache.
 
 The hear kernel answers "who heard ≥ 1 beep" through the graph's int32
 CSR adjacency.  This suite checks it against an independent oracle —
 the heard set built straight from the graph's edge list — across ≥ 8
 graph families (including a degree ≥ 256 hub, the PR-1 int8-overflow
 class), both directly and as the hear of every engine, and pins the
-content-keyed structure cache and the shared-memory export/attach
-roundtrip used by sweep workers.
+content-keyed structure cache.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.measurements import StabilizationRounds
-from repro.analysis.sweep import SweepPool, run_sweep
 from repro.core.engines import base as base_module
 from repro.core.engines import batched as batched_module
 from repro.core.engines import constant_state as constant_state_module
@@ -22,12 +19,8 @@ from repro.core.engines.constant_state import simulate_constant_state
 from repro.core.engines.single import simulate_single
 from repro.core.engines.two_channel import simulate_two_channel
 from repro.core.kernels import (
-    GraphStructure,
     HearKernel,
-    attach_structure,
     clear_structure_cache,
-    export_structures,
-    seed_structure,
     structure_cache_info,
     structure_for,
 )
@@ -109,13 +102,13 @@ def test_structure_cache_capacity_is_bounded():
     assert structure_cache_info()["size"] == capacity
 
 
-def test_seed_structure_installs_prebuilt_entry():
+def test_equal_graph_hits_the_built_structure():
     clear_structure_cache()
     graph = gen.cycle(9)
-    prebuilt = GraphStructure(graph)
-    prebuilt.csr  # force the build
-    seed_structure(prebuilt)
-    assert structure_for(Graph(9, graph.edges)) is prebuilt
+    built = structure_for(graph)
+    csr = built.csr  # force the build
+    twin = structure_for(Graph(9, graph.edges))
+    assert twin is built and twin.csr is csr
     assert structure_cache_info()["hits"] == 1
 
 
@@ -227,120 +220,3 @@ def test_batched_outcomes_identical_across_kernels(
     expected = run()
     use_oracle()
     assert run() == expected
-
-
-# ----------------------------------------------------------------------
-# Shared-memory export / attach roundtrip
-# ----------------------------------------------------------------------
-def test_shared_memory_roundtrip_preserves_every_form():
-    graph = gen.erdos_renyi(48, 0.2, seed=SEED)
-    original = structure_for(graph)
-    shared = export_structures([graph, gen.erdos_renyi(48, 0.2, seed=SEED)])
-    try:
-        assert len(shared.manifests) == 1  # digest-deduplicated
-        attached = attach_structure(shared.manifests[0])
-        assert attached.graph == graph
-        assert attached.digest == original.digest
-        exported = {
-            "edges": (attached.edge_array, original.edge_array),
-            "csr_data": (attached.csr.data, original.csr.data),
-            "csr_indices": (attached.csr.indices, original.csr.indices),
-            "csr_indptr": (attached.csr.indptr, original.csr.indptr),
-        }
-        for field, (ours, theirs) in exported.items():
-            assert ours.dtype == theirs.dtype, field
-            np.testing.assert_array_equal(ours, theirs, err_msg=field)
-            # Attached views are read-only: a stray in-place write must raise.
-            assert not ours.flags.writeable, field
-        with pytest.raises((ValueError, RuntimeError)):
-            attached.edge_array[0, 0] = 99
-        # Hearing through an attached structure matches the original.
-        mask = np.zeros(48, dtype=bool)
-        mask[::5] = True
-        np.testing.assert_array_equal(
-            HearKernel(attached).hear(mask), HearKernel(original).hear(mask)
-        )
-        attached._segments[0].close()
-    finally:
-        shared.close()
-
-
-def test_shared_segment_holds_edges_and_csr_only():
-    """Edges (int64 pairs) + CSR data/indices (int32) + indptr, no more."""
-    graph = gen.erdos_renyi(48, 0.2, seed=SEED)
-    n, m = graph.num_vertices, graph.num_edges
-    with export_structures([graph]) as shared:
-        manifest = shared.manifests[0]
-        assert manifest.total_bytes == 8 * 2 * m + 4 * 2 * m + 4 * 2 * m + 4 * (n + 1)
-
-
-# ----------------------------------------------------------------------
-# Sweep byte-identity with shared-memory workers on and off
-# ----------------------------------------------------------------------
-SWEEP_CONFIGS = [
-    {"family": "er", "n": 24},
-    {"family": "cycle", "n": 20},
-    {"family": "er", "n": 24},  # duplicate topology → one shared segment
-]
-
-
-def _sweep_samples(**kwargs):
-    result = run_sweep(
-        SWEEP_CONFIGS,
-        StabilizationRounds(variant="max_degree"),
-        repetitions=3,
-        master_seed=SEED,
-        **kwargs,
-    )
-    return [list(cell.samples) for cell in result.cells]
-
-
-@pytest.mark.parametrize("executor", ["process", "batched"])
-def test_sweep_is_byte_identical_with_shared_memory_workers(executor):
-    reference = _sweep_samples(executor="serial")
-    plain = _sweep_samples(executor=executor, jobs=2)
-    shared = _sweep_samples(executor=executor, jobs=2, shared_graphs=True)
-    assert plain == reference
-    assert shared == reference
-
-
-def test_persistent_sweep_pool_reuses_workers_byte_identically():
-    from repro.analysis.measurements import graph_for_config
-
-    reference = _sweep_samples(executor="serial")
-    graphs = [graph_for_config(config) for config in SWEEP_CONFIGS]
-    with SweepPool(jobs=2, graphs=graphs) as pool:
-        first = _sweep_samples(executor="process", pool=pool)
-        second = _sweep_samples(executor="batched", pool=pool)
-    assert first == reference
-    assert second == reference
-
-
-# ----------------------------------------------------------------------
-# Segment lifecycle: idempotent close, finalize guard, audit registry
-# ----------------------------------------------------------------------
-def test_shared_set_close_is_idempotent_and_audited():
-    from repro.core.kernels.shm import leaked_segments
-
-    before = set(leaked_segments())
-    shared = export_structures([gen.cycle(12)])
-    exported = [n for n in leaked_segments() if n not in before]
-    assert len(exported) == 1
-    shared.close()
-    assert [n for n in leaked_segments() if n not in before] == []
-    shared.close()  # second close: no FileNotFoundError, no state change
-    assert shared.manifests == []
-
-
-def test_finalize_guard_unlinks_abandoned_segments():
-    """A set dropped without close() must not strand its segments."""
-    import gc
-
-    from repro.core.kernels.shm import leaked_segments
-
-    before = set(leaked_segments())
-    shared = export_structures([gen.cycle(12)])  # repro: allow[RPR701]
-    name = [n for n in leaked_segments() if n not in before][0]
-    del shared
-    gc.collect()
-    assert name not in leaked_segments()

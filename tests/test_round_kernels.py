@@ -270,8 +270,7 @@ def test_solo_fused_survives_rebind_that_grows_the_id_space():
 # The ids are the hear kernels this axis selected while there was more
 # than one; each now names a structure source (``conftest.py``).
 @pytest.mark.parametrize(
-    "source", ("sparse", "dense", "bitset"),
-    ids=("sparse_int32", "dense_bool", "bitset"),
+    "source", ("sparse", "dense"), ids=("sparse_int32", "dense_bool"),
 )
 def test_fused_run_uses_the_engines_hear_kernel(monkeypatch, source):
     graph = _graph(48, seed=1)

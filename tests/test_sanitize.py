@@ -1,7 +1,7 @@
 """The runtime sanitizers: traps must trap, audits must pass on the tree.
 
-Proves (a) an injected in-place mutation of an engine-shared array
-raises under the freeze, (b) an injected scalar integer overflow raises
+Proves (a) an injected in-place mutation of an engine-shared array, or
+of a collector's view, raises under the freeze, (b) an injected scalar integer overflow raises
 under the errstate guard, (c) the RNG draw / seed-tree audits accept
 the current engines and would reject off-contract draws, and (d) the
 ``repro check --sanitize`` gate is green end to end.
@@ -18,6 +18,7 @@ import pytest
 from repro.core.engines.single import SingleChannelEngine
 from repro.core.knowledge import max_degree_policy
 from repro.devtools.sanitize import (
+    check_engine_numerics,
     engine_shared_arrays,
     errstate_guard,
     frozen_arrays,
@@ -48,6 +49,22 @@ def test_frozen_arrays_trap_injected_graph_mutation():
     # Flags are restored afterwards.
     assert all(a.flags.writeable for a in shared)
     engine.ell_max[0] = engine.ell_max[0]  # writable again
+
+
+def test_engine_numerics_traps_a_write_through_the_collector_view(monkeypatch):
+    """A collector that writes ``view.floor`` mid-run fails the check."""
+    from repro.obs import RunCollector
+
+    original = RunCollector.observe_masks
+
+    def scribble(self, *args, **kwargs):
+        self.view.floor[0] = self.view.floor[0]
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RunCollector, "observe_masks", scribble)
+    result = check_engine_numerics()
+    assert not result.ok
+    assert "read-only" in result.detail
 
 
 def test_frozen_arrays_restore_on_error():
@@ -104,7 +121,6 @@ def test_run_sanitizers_all_green():
         "rng-draw-audit",
         "batched-seed-tree",
         "sweep-seed-tree",
-        "shm-leak-audit",
         "pool-crash-recovery",
         "hotpath-allocation-audit",
     ]
@@ -133,7 +149,6 @@ def test_check_sanitize_gate_is_green():
         "rng-draw-audit": True,
         "batched-seed-tree": True,
         "sweep-seed-tree": True,
-        "shm-leak-audit": True,
         "pool-crash-recovery": True,
         "hotpath-allocation-audit": True,
     }
