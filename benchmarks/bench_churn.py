@@ -29,6 +29,7 @@ of the edges of an already-stable network) is kept as a cross-check of
 the same claim from the offline side.
 """
 
+import os
 import sys
 
 import numpy as np
@@ -179,7 +180,9 @@ def run_serve_bench(full: bool = False) -> list:
         },
         profile=profiler.snapshot(),
     )
-    print(f"wrote {path}")
+    # Repository-relative, so the transcript does not depend on where
+    # the checkout lives.
+    print(f"wrote results/{os.path.basename(path)}")
     return rows
 
 

@@ -7,14 +7,14 @@ Cornejo-Haeupler-Kuhn's beep-only MIS) targets channels that drop and
 fabricate carrier-sense bits, which is exactly the stress regime
 ROADMAP item 5 asks about.  This module supplies those channels as
 small value objects behind a registry mirroring the engine
-registry, applied vectorized by every engine between the hear-matvec
-and the level update.
+registry, applied vectorized by every engine between the hear and the
+level update.
 
 Semantics
 ---------
 Perturbation is **receiver-side**: a channel model acts on the
-aggregated carrier-sense bit each vertex computed (the output of
-``kernel.hear``), not on individual transmissions.  Per (receiver,
+aggregated carrier-sense bit each vertex computed (a row of the
+round's ``hear_rows`` block), not on individual transmissions.  Per (receiver,
 round):
 
 * :class:`PerfectChannel` — the paper's model; the identity.

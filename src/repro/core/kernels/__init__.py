@@ -2,7 +2,7 @@
 
 The execution engines delegate every "who heard ≥ 1 beep" aggregation —
 reception, the blocked/dominated tests, legality — to one
-:class:`HearKernel` (an int32 CSR product), run every round through the
+:class:`HearKernel` (over the CSR adjacency), run every round through the
 :class:`RoundKernel` (one round per ``step()``, whole stabilizations in
 its fused loops), and share the derived
 adjacency forms (canonical edge array, CSR) through one content-keyed

@@ -1,7 +1,9 @@
 """The round kernel: the one implementation of an engine round.
 
-The hear kernels (:mod:`repro.core.kernels.hear`) accelerate one
-*operation* of the round; a :class:`RoundKernel` owns the *full* round
+The hear kernel (:mod:`repro.core.kernels.hear`) computes one
+*operation* of the round — for a block, one replica-packed OR-gather
+over the CSR pattern per ≤ 64 rows, Algorithm 2's two channels stacked
+into one block; a :class:`RoundKernel` owns the *full* round
 (beep decision → stress gate → hear → channel → level update, plus
 legality/retirement in its run loops) for a ``(k, n)`` block of
 replicas, over preallocated int32 planes with the hear delegated to the
@@ -43,7 +45,8 @@ doubles per replica per round, served either per round
 (:class:`PerRoundDraws`) or through the batched engine's contiguous
 pre-draw blocks (:class:`BlockDraws`); beep probabilities come from one
 ``np.power`` construction, hear masks equal ``(A @ beeps) > 0``
-exactly, and the level update is an exact integer blend.  A fused run
+exactly (the block path ORs over the all-ones CSR pattern, so it
+counts nothing and cannot overflow), and the level update is an exact integer blend.  A fused run
 therefore equals the same engine's ``step()`` loop bit for bit —
 per-row ``rounds``/``mis``/``final_levels``, every generator position
 and every channel counter — which the fused-kernel identity tests and

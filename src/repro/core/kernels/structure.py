@@ -7,8 +7,8 @@ that adjacency:
 
 * ``edge_array`` — the canonical ``(m, 2)`` int64 edge list (sorted,
   u < v);
-* ``csr`` — the canonical int32 CSR matrix the hear kernel multiplies
-  against (identical, entry for entry, to
+* ``csr`` — the canonical int32 CSR matrix the hear kernel reads
+  (all stored entries 1; identical, entry for entry, to
   :func:`repro.graphs.io.to_sparse_adjacency`; the symmetric matrix
   doubles as its own transpose, so ``csr_t is csr``).
 
@@ -21,7 +21,7 @@ The cache is a bounded LRU guarded by a lock, safe to touch from
 collector threads; each sweep worker process fills its own cache.
 
 Shared structures are *read-only by contract*: engines and collectors
-only ever multiply against them (the RPR621 dataflow rule flags in-place
+only ever read them (the RPR621 dataflow rule flags in-place
 writes through shared references, and the ``--sanitize`` engine-numerics
 check freezes them at runtime).
 """
@@ -73,7 +73,24 @@ class GraphStructure:
     # ------------------------------------------------------------------
     @classmethod
     def from_csr(cls, csr: sp.csr_matrix) -> "GraphStructure":
-        """Wrap a foreign, already-built adjacency matrix (uncacheable)."""
+        """Wrap a foreign, already-built adjacency matrix (uncacheable).
+
+        Every stored entry must be positive: the hear kernel reads the
+        sparsity pattern, so a stored zero or negative weight would make
+        it disagree with ``(A @ x) > 0``.  Positive weights are replaced
+        by the all-ones int32 pattern every built structure stores, so
+        both hear paths read one form.
+        """
+        if np.any(csr.data <= 0):
+            raise ValueError(
+                "adjacency stores an entry <= 0; the hear kernel reads the "
+                "sparsity pattern, so every stored entry must be positive"
+            )
+        if csr.data.dtype != np.int32 or np.any(csr.data != 1):
+            csr = sp.csr_matrix(
+                (np.ones(csr.nnz, dtype=np.int32), csr.indices, csr.indptr),
+                shape=csr.shape,
+            )
         structure = cls(None)
         structure.n = int(csr.shape[0])
         structure.num_edges = int(csr.nnz) // 2

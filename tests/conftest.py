@@ -233,7 +233,7 @@ def step_constant_state(engine, max_rounds):
 # content-keyed structure cache.  Every source must leave trajectories
 # bit-identical.  The names are those of the hear kernels the same test
 # axes selected while there was more than one, so the test ids stay
-# stable; each now names where the one int32-CSR kernel's structure
+# stable; each now names where the one CSR hear kernel's structure
 # comes from:
 #
 # * ``auto``   -- built lazily by ``structure_for`` on a cold cache;

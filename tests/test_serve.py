@@ -340,7 +340,7 @@ def test_incremental_beats_rebuild_at_n512():
     """The BENCH_serve acceptance claim: ≥3x median single-edge latency.
 
     Measured at the specified scale (n=512) on a short stream; the
-    committed BENCH_serve.json records the full-stream numbers (~9x).
+    committed BENCH_serve.json records the full-stream numbers (~10x).
     """
     graph = erdos_renyi(512, 0.015, seed=0)
     cap = graph.max_degree() + 6
