@@ -94,13 +94,15 @@ class _Words:
 class _PackedHear:
     """The replica-packed OR-gather over one CSR pattern.
 
-    ``starts`` are the CSR row starts as ``reduceat`` offsets and
-    ``empty`` the rows with no stored entry, whose ``reduceat`` value is
-    the next row's first word and must be zeroed.
+    ``indices`` is an intp copy of the CSR column indices (``np.take``
+    would otherwise convert the int32 indices on every call), ``starts``
+    are the CSR row starts as ``reduceat`` offsets and ``empty`` the rows
+    with no stored entry, whose ``reduceat`` value is the next row's
+    first word and must be zeroed.
     """
 
     def __init__(self, csr: Any):
-        self.indices = csr.indices
+        self.indices = csr.indices.astype(np.intp)
         self.n = int(csr.shape[0])
         indptr = csr.indptr
         self.starts = indptr[:-1].astype(np.intp)

@@ -6,11 +6,12 @@ adjacency.  :class:`GraphStructure` bundles the two derived forms of
 that adjacency:
 
 * ``edge_array`` — the canonical ``(m, 2)`` int64 edge list (sorted,
-  u < v);
+  u < v): the graph's own read-only array;
 * ``csr`` — the canonical int32 CSR matrix the hear kernel reads
   (all stored entries 1; identical, entry for entry, to
   :func:`repro.graphs.io.to_sparse_adjacency`; the symmetric matrix
-  doubles as its own transpose, so ``csr_t is csr``).
+  is its own transpose).  It wraps copies of the graph's
+  ``indptr``/``indices``, so the structure owns the arrays it shares.
 
 Both forms are built lazily and exactly once per structure; the
 module-level **structure cache** (:func:`structure_for`) is keyed by the
@@ -104,17 +105,15 @@ class GraphStructure:
     def edge_array(self) -> npt.NDArray[np.int64]:
         """Canonical ``(m, 2)`` int64 edge array (sorted, u < v).
 
-        Present for graph-keyed structures (built lazily from the
-        Graph's edge tuple) and for incrementally patched structures
+        Present for graph-keyed structures (the Graph's own read-only
+        array) and for incrementally patched structures
         (:func:`update_structure` splices the array directly, so the
         patched structure needs no Graph object at all).
         """
         if self._edge_array is None:
             if self.graph is None:
                 raise ValueError("structure wraps a bare CSR; no edge list")
-            self._edge_array = np.asarray(
-                self.graph.edges, dtype=np.int64
-            ).reshape(-1, 2)
+            self._edge_array = self.graph.edge_array
         return self._edge_array
 
     @property
@@ -122,33 +121,20 @@ class GraphStructure:
         """The symmetric int32 CSR adjacency (canonical form).
 
         Entry-identical to :func:`repro.graphs.io.to_sparse_adjacency`:
-        scipy's COO→CSR conversion sorts and deduplicates, and the edge
-        list is already canonical, so construction order cannot leak into
-        the result.
+        the Graph's CSR pattern is sorted and deduplicated, so
+        construction order cannot leak into the result.  A patched
+        structure without a Graph builds one from its edge array.
         """
         if self._csr is None:
-            edges = self.edge_array
-            if edges.size == 0:
-                self._csr = sp.csr_matrix((self.n, self.n), dtype=np.int32)
-            else:
-                rows = np.concatenate([edges[:, 0], edges[:, 1]])
-                cols = np.concatenate([edges[:, 1], edges[:, 0]])
-                data = np.ones(rows.size, dtype=np.int32)
-                self._csr = sp.csr_matrix(
-                    (data, (rows, cols)), shape=(self.n, self.n), dtype=np.int32
-                )
+            graph = self.graph
+            if graph is None:
+                graph = Graph(self.n, self.edge_array)
+            indices = graph.indices.copy()
+            self._csr = sp.csr_matrix(
+                (np.ones(indices.size, dtype=np.int32), indices, graph.indptr.copy()),
+                shape=(self.n, self.n),
+            )
         return self._csr
-
-    @property
-    def csr_t(self) -> sp.csr_matrix:
-        """The transpose — the same object, by symmetry.
-
-        ``A == A.T`` for an undirected adjacency, and the CSR form is
-        canonical, so the pre-PR ``adjacency.transpose().tocsr()`` copy
-        held byte-identical arrays; sharing the object halves the memory
-        and keeps every downstream product bit-identical.
-        """
-        return self.csr
 
     def __repr__(self) -> str:
         return f"GraphStructure(n={self.n}, m={self.num_edges})"
@@ -170,7 +156,7 @@ _misses = 0
 def structure_for(graph: Graph) -> GraphStructure:
     """The shared :class:`GraphStructure` of ``graph`` (content-keyed).
 
-    Graphs hash/compare by ``(n, edges)``, so equal topologies map to one
+    Graphs hash/compare by ``(n, edge_array)``, so equal topologies map to one
     structure regardless of object identity — the edge array and CSR are
     built once per graph and shared across engine instances, replicas,
     and observability views.
@@ -350,17 +336,17 @@ def update_structure(
         )
 
     if should_rebuild(structure, delta):
-        if graph is None:
-            edges = _patch_edge_array(
-                # Grown id spaces only ever *add* vertices, so old keys
-                # decode identically under the new modulus.
-                structure.edge_array,
-                max(delta.new_n, 1),
-                _edge_pairs(delta.removed),
-                _edge_pairs(delta.added),
-            )
-            graph = Graph(delta.new_n, [(int(u), int(v)) for u, v in edges])
-        return structure_for(graph)
+        if graph is not None:
+            return structure_for(graph)
+        # The patched array goes straight into the Graph, which keeps
+        # its own canonical copy.  Grown id spaces only ever *add*
+        # vertices, so old keys decode identically under the new modulus.
+        return structure_for(Graph(delta.new_n, _patch_edge_array(
+            structure.edge_array,
+            max(delta.new_n, 1),
+            _edge_pairs(delta.removed),
+            _edge_pairs(delta.added),
+        )))
 
     removed = _edge_pairs(delta.removed)
     added = _edge_pairs(delta.added)

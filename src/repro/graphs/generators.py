@@ -209,8 +209,23 @@ def barbell(clique: int, bridge: int) -> Graph:
 # ----------------------------------------------------------------------
 # Random families
 # ----------------------------------------------------------------------
+def _skip_block(mean_edges: float) -> int:
+    """First block size: the edge count stays below ``m̄ + 6√m̄`` with
+    overwhelming probability, so the block almost never runs short."""
+    return int(mean_edges + 6.0 * math.sqrt(mean_edges)) + 16
+
+
 def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> Graph:
-    """G(n, p): each of the C(n,2) edges present independently w.p. ``p``."""
+    """G(n, p): each of the C(n,2) edges present independently w.p. ``p``.
+
+    Geometric skipping (Batagelj–Brandes), O(n + m) expected time, with
+    the skips drawn in blocks: ``rng.random(k)`` yields the same doubles
+    as ``k`` scalar calls, so the edges and the generator's final stream
+    position equal those of the one-draw-per-edge loop.  Draw ``i`` jumps
+    the linear pair index ``L = v(v-1)/2 + w`` (pairs ``w < v`` ordered by
+    ``v``, then ``w``) by ``1 + int(skip_i)``; the loop stops at the
+    first draw that passes the last pair, and consumes that draw too.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
     rng = _rng(seed)
@@ -218,23 +233,37 @@ def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> Graph:
         return Graph(n)
     if p == 1.0:
         return complete(n)
-    # Geometric skipping (Batagelj–Brandes): O(n + m) expected time.
-    edges: List[Tuple[int, int]] = []
     log_q = math.log1p(-p)
-    v, w = 1, -1
+    pairs = n * (n - 1) // 2
     # Skip lengths are clamped at n^2 (past every remaining pair): for
     # denormally small p the division can reach float infinity, and an
     # unclamped int() would overflow.
     max_skip = float(n) * n + 2.0
-    while v < n:
-        skip = min(math.log(1.0 - rng.random()) / log_q, max_skip)
-        w += 1 + int(skip)
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            edges.append((w, v))
-    return Graph(n, edges)
+    k = _skip_block(p * pairs)
+    saved = rng.bit_generator.state
+    while True:
+        block = 1.0 - rng.random(k)
+        # math.log, not np.log: the two can differ in the last ulp, and
+        # one flipped int(skip) would change the graph.
+        logs = np.fromiter(map(math.log, block.tolist()), dtype=np.float64, count=k)
+        with np.errstate(over="ignore"):  # clamped just below
+            skips = np.minimum(logs / log_q, max_skip).astype(np.int64)
+        index = np.cumsum(skips + 1) - 1
+        if index[-1] >= pairs:
+            break
+        rng.bit_generator.state = saved
+        k *= 2
+    drawn = int(np.searchsorted(index, pairs)) + 1  # the overshooting draw too
+    rng.bit_generator.state = saved
+    rng.random(drawn)
+    index = index[: drawn - 1]
+    # Triangular inverse: v = floor((1 + sqrt(1 + 8L)) / 2), corrected
+    # by one either way where the float root rounds across an integer.
+    v = ((1.0 + np.sqrt(8.0 * index + 1.0)) // 2.0).astype(np.int64)
+    v -= v * (v - 1) // 2 > index
+    v += (v + 1) * v // 2 <= index
+    w = index - v * (v - 1) // 2
+    return Graph(n, np.stack([w, v], axis=1))
 
 
 def erdos_renyi_mean_degree(n: int, mean_degree: float, seed: SeedLike = None) -> Graph:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .graph import Graph
 
 __all__ = [
@@ -36,12 +38,20 @@ def deg2(graph: Graph, v: int) -> int:
 
 
 def deg2_all(graph: Graph) -> Tuple[int, ...]:
-    """``deg₂`` for every vertex, indexed by vertex id."""
-    degrees = graph.degrees()
-    return tuple(
-        max((degrees[u] for u in graph.closed_neighborhood(v)), default=0)
-        for v in graph.vertices()
-    )
+    """``deg₂`` for every vertex, indexed by vertex id.
+
+    One ``maximum.reduceat`` of the neighbours' degrees over the CSR rows
+    that have any; an isolated vertex keeps its own degree, 0.
+    """
+    indptr = graph.indptr
+    degrees = np.diff(indptr)
+    best = degrees.copy()
+    rows = np.flatnonzero(degrees)
+    if rows.size:
+        neighbor_max = np.maximum.reduceat(degrees[graph.indices], indptr[rows])
+        np.maximum(best[rows], neighbor_max, out=neighbor_max)
+        best[rows] = neighbor_max
+    return tuple(best.tolist())
 
 
 def bfs_distances(graph: Graph, source: int) -> List[Optional[int]]:

@@ -145,8 +145,9 @@ def test_verify_backend_rejects_graph_mutators():
         outcome = get_engine("vectorized").run(
             graph, policy, variant, seed, max_rounds, arbitrary_start
         )
-        # Simulate an engine that edits the shared topology in place.
-        object.__setattr__(graph, "_edges", graph.edges[:-1])
+        # Simulate an engine that edits the shared topology in place: the
+        # canonical edge array is the state equality reads.
+        object.__setattr__(graph, "_pairs", graph.edge_array[:-1])
         return outcome
 
     backend = EngineBackend(name="mutator", run=mutating_run)
