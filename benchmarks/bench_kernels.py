@@ -29,6 +29,7 @@ from repro.core.engines import VectorizedResult
 from repro.core.engines.base import MAX_EXPONENT
 from repro.core.engines.batched import BatchedEngine
 from repro.core.kernels.round import pruned_legality
+from repro.devtools.seeding import rng_from_sequence
 from repro.graphs.io import to_sparse_adjacency
 
 #: The Theorem-2.1 smoke sweep (same shape as bench_engines.py).
@@ -177,7 +178,7 @@ class StepLoopStabilizationRounds(StabilizationRounds):
         engine = self.engine_cls(
             graph,
             self._policy(config, graph),
-            seed_sequences=list(seed_sequences),
+            rngs=[rng_from_sequence(s) for s in seed_sequences],
             algorithm="two_channel" if self.variant == "two_channel" else "single",
         )
         if self.arbitrary_start:

@@ -39,6 +39,7 @@ from ..core.engines.batched import simulate_batched
 from ..core.engines.single import simulate_single
 from ..core.engines.two_channel import simulate_two_channel
 from ..core.runner import policy_for_variant
+from ..devtools.seeding import rng_from_sequence
 from ..graphs.generators import by_name
 
 if TYPE_CHECKING:
@@ -129,7 +130,7 @@ class StabilizationRounds:
         block = simulate_batched(
             graph,
             policy,
-            seed_sequences=list(seed_sequences),
+            rngs=[rng_from_sequence(s) for s in seed_sequences],
             algorithm=algorithm,
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,
@@ -193,7 +194,7 @@ class StabilizationRounds:
         block = simulate_batched(
             graph,
             policy,
-            seed_sequences=list(seed_sequences),
+            rngs=[rng_from_sequence(s) for s in seed_sequences],
             algorithm="two_channel" if two_channel else "single",
             max_rounds=self.max_rounds,
             arbitrary_start=self.arbitrary_start,

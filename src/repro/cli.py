@@ -173,9 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument("--algorithm", choices=("single", "two_channel"),
                          default="single")
-    serve_p.add_argument("--engine", choices=("vectorized", "batched"),
-                         default="vectorized",
-                         help="resumable execution engine")
     serve_p.add_argument("--rebuild-per-op", action="store_true",
                          help="baseline mode: rebuild the full derived "
                               "structure on every mutation instead of "
@@ -505,7 +502,6 @@ def _cmd_serve(args) -> int:
         graph,
         degree_cap=cap,
         algorithm=args.algorithm,
-        engine=args.engine,
         channel=channel,
         scheduler=scheduler,
         seed=rng_from_sequence(engine_seq),
@@ -520,7 +516,7 @@ def _cmd_serve(args) -> int:
     mode = "rebuild-per-op" if args.rebuild_per_op else "incremental"
     print(
         f"{args.family}(n={graph.num_vertices}, m={graph.num_edges}) "
-        f"cap={cap} engine={args.engine}/{args.algorithm} [{mode}]"
+        f"cap={cap} algorithm={args.algorithm} [{mode}]"
     )
     print(f"served {summary['ops']} ops from {source}: "
           f"{summary['rejected']} rejected, "

@@ -53,7 +53,6 @@ from .engines import (
     VectorizedResult,
     available_engines,
     get_engine,
-    register_engine,
     simulate_batched,
     simulate_constant_state,
     simulate_single,
@@ -123,7 +122,6 @@ __all__ = [
     "simulate_batched",
     # engine registry
     "EngineBackend",
-    "register_engine",
     "get_engine",
     "available_engines",
     # churn

@@ -108,11 +108,10 @@ class ConstantStateEngine:
         stream position and the channel counters afterwards.
         """
         membership = self.in_mis.reshape(1, self.n)
-        draws = PerRoundDraws([self.rng], self.n)
+        draws = PerRoundDraws([self.rng], self._draws)
         outcomes, executed = self._kernel().run_constant(
             membership, draws, max_rounds, self._stress_rows, self.round_index
         )
-        draws.finish()
         self.round_index += executed
         outcome = outcomes[0]
         return VectorizedResult(

@@ -1,4 +1,4 @@
-"""Engine-backend registry: pluggable execution backends, one semantics.
+"""Engine-backend registry: the named execution backends, one semantics.
 
 The high-level entry points (:func:`repro.core.runner.compute_mis`, the
 CLI) dispatch on an engine *name* rather than on hard-coded ``if``
@@ -15,7 +15,7 @@ expects; ``channel`` / ``scheduler`` select the stress models of
 ``None`` meaning the byte-identical perfect/synchronous defaults; the
 contract checker only pins the six leading parameters.)
 
-Built-in backends:
+The backends (a literal table, :data:`_REGISTRY`):
 
 * ``"vectorized"`` — the numpy/scipy solo engines (default, fast).
 * ``"reference"``  — the semantics-defining object-per-node engine.
@@ -23,16 +23,16 @@ Built-in backends:
   with one replica (useful to exercise the batched code path end to
   end; its seed stream differs from ``"vectorized"`` because the seed
   is spawned through a ``SeedSequence`` child).
-
-Future backends (sharded, GPU, remote) register themselves with
-:func:`register_engine` and instantly become available to ``compute_mis``
-and every CLI ``--engine`` flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
+
+from .batched import simulate_batched
+from .single import SingleChannelEngine
+from .two_channel import TwoChannelEngine
 
 if TYPE_CHECKING:
     from ...devtools.seeding import SeedLike
@@ -41,8 +41,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "EngineBackend",
-    "register_engine",
-    "unregister_engine",
     "get_engine",
     "available_engines",
 ]
@@ -58,39 +56,6 @@ class EngineBackend:
     name: str
     run: BackendRunner
     description: str = ""
-    #: Extra capability flags (e.g. ``{"batched": True}``) for consumers
-    #: that want to pick backends by feature rather than by name.
-    capabilities: Mapping[str, Any] = field(default_factory=dict)
-
-
-_REGISTRY: Dict[str, EngineBackend] = {}
-
-
-def register_engine(
-    name: str,
-    run: BackendRunner,
-    description: str = "",
-    capabilities: Optional[Mapping[str, Any]] = None,
-    overwrite: bool = False,
-) -> EngineBackend:
-    """Register a backend under ``name``; returns the registry entry."""
-    if not name:
-        raise ValueError("engine name must be non-empty")
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(f"engine {name!r} is already registered")
-    backend = EngineBackend(
-        name=name,
-        run=run,
-        description=description,
-        capabilities=dict(capabilities or {}),
-    )
-    _REGISTRY[name] = backend
-    return backend
-
-
-def unregister_engine(name: str) -> None:
-    """Remove a backend (mainly for tests of the registry itself)."""
-    _REGISTRY.pop(name, None)
 
 
 def get_engine(name: str) -> EngineBackend:
@@ -122,19 +87,10 @@ def _run_vectorized(
     channel: Any = None,
     scheduler: Any = None,
 ) -> Any:
-    from .single import simulate_single
-    from .two_channel import simulate_two_channel
-
-    simulate = simulate_two_channel if variant == "two_channel" else simulate_single
-    return simulate(
-        graph,
-        policy,
-        seed=seed,
-        max_rounds=max_rounds,
-        arbitrary_start=arbitrary_start,
-        collector=collector,
-        channel=channel,
-        scheduler=scheduler,
+    engine_cls = TwoChannelEngine if variant == "two_channel" else SingleChannelEngine
+    return engine_cls.simulate(
+        graph, policy, seed, max_rounds, arbitrary_start=arbitrary_start,
+        collector=collector, channel=channel, scheduler=scheduler,
     )
 
 
@@ -183,39 +139,23 @@ def _run_batched(
     channel: Any = None,
     scheduler: Any = None,
 ) -> Any:
-    from .batched import simulate_batched
-
     algorithm = "two_channel" if variant == "two_channel" else "single"
-    outcome = simulate_batched(
-        graph,
-        policy,
-        replicas=1,
-        seed=seed,
-        algorithm=algorithm,
-        max_rounds=max_rounds,
-        arbitrary_start=arbitrary_start,
-        collector=collector,
-        channel=channel,
-        scheduler=scheduler,
-    )
-    return outcome[0]
+    return simulate_batched(
+        graph, policy, replicas=1, seed=seed, algorithm=algorithm,
+        max_rounds=max_rounds, arbitrary_start=arbitrary_start,
+        collector=collector, channel=channel, scheduler=scheduler,
+    )[0]
 
 
-register_engine(
-    "vectorized",
-    _run_vectorized,
-    description="numpy/scipy solo engines (fast, default)",
-    capabilities={"observability": "solo"},
-)
-register_engine(
-    "reference",
-    _run_reference,
-    description="object-per-node semantics-defining engine (slow, exact)",
-    capabilities={"observability": "solo"},
-)
-register_engine(
-    "batched",
-    _run_batched,
-    description="multi-replica (R, n) engine; one sparse matmul per round",
-    capabilities={"batched": True, "observability": "batched"},
-)
+_REGISTRY: Dict[str, EngineBackend] = {
+    "vectorized": EngineBackend(
+        "vectorized", _run_vectorized, "numpy/scipy solo engines (fast, default)"
+    ),
+    "reference": EngineBackend(
+        "reference", _run_reference,
+        "object-per-node semantics-defining engine (slow, exact)",
+    ),
+    "batched": EngineBackend(
+        "batched", _run_batched, "multi-replica (R, n) engine; one hear per round"
+    ),
+}

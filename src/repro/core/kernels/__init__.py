@@ -11,7 +11,7 @@ semantics.
 """
 
 from .hear import HearKernel
-from .round import BlockDraws, BlockOutcome, PerRoundDraws, RoundKernel
+from .round import BlockOutcome, PerRoundDraws, RoundKernel
 from .structure import (
     GraphStructure,
     clear_structure_cache,
@@ -26,7 +26,6 @@ __all__ = [
     "RoundKernel",
     "BlockOutcome",
     "PerRoundDraws",
-    "BlockDraws",
     "GraphStructure",
     "structure_for",
     "update_structure",

@@ -41,12 +41,12 @@ wrapping them still sees every call.
 Byte-identity contract
 ----------------------
 The random draw layout is one ``Generator.random(out=)`` fill of ``n``
-doubles per replica per round, served either per round
-(:class:`PerRoundDraws`) or through the batched engine's contiguous
-pre-draw blocks (:class:`BlockDraws`); beep probabilities come from one
-``np.power`` construction, hear masks equal ``(A @ beeps) > 0``
-exactly (the block path ORs over the all-ones CSR pattern, so it
-counts nothing and cannot overflow), and the level update is an exact integer blend.  A fused run
+doubles per live replica per round (:class:`PerRoundDraws`, the one
+draw source), so every generator stops exactly where its last consumed
+draw ended; beep probabilities come from one ``np.power``
+construction, hear masks equal ``(A @ beeps) > 0`` exactly (the block
+path ORs over the all-ones CSR pattern, so it counts nothing and cannot
+overflow), and the level update is an exact integer blend.  A fused run
 therefore equals the same engine's ``step()`` loop bit for bit —
 per-row ``rounds``/``mis``/``final_levels``, every generator position
 and every channel counter — which the fused-kernel identity tests and
@@ -65,7 +65,7 @@ permutation recorded so outcomes land on the right replica.  Every
 per-round pass (draws, beeps, hear, blend, prune) then runs on a dense
 live prefix with no index materialization.  A retired replica's
 generator freezes at its retirement position exactly like the step
-loop's (its draw stream is simply dropped from the refill set), and the
+loop's (its draw stream is simply dropped from the draw set), and the
 caller's level block is rebuilt row for row from the recorded
 retirement copies on exit, so the in-place result is identical to the
 engines'.
@@ -74,7 +74,7 @@ engines'.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -90,7 +90,6 @@ __all__ = [
     "MAX_EXPONENT",
     "RoundKernel",
     "PerRoundDraws",
-    "BlockDraws",
     "constant_legality",
     "pruned_legality",
     "structure_pass",
@@ -217,30 +216,31 @@ class BlockOutcome:
 class PerRoundDraws:
     """Serve one ``(k, n)`` round of uniforms with zero run-ahead.
 
-    One ``Generator.random(out=row)`` per replica per round — the exact
-    draw layout of the solo engines, leaving every generator parked at
-    the consumption position when the run returns.  This is the adapter
-    the solo fast paths must use: callers like the fault-recovery
-    measurement reuse ``engine.rng`` *between* runs, so the generator
-    may not run ahead of the trajectory.
+    One ``Generator.random(out=row)`` per live replica per round into
+    the caller's ``(k, n)`` float64 buffer — the draw layout of every
+    engine round, leaving each generator parked at its consumption
+    position when the run returns.  Callers like the fault-recovery
+    measurement reuse ``engine.rng`` *between* runs, so no generator
+    may run ahead of its trajectory.
     """
 
-    __slots__ = ("_fns", "_buf", "_nlive")
+    __slots__ = ("_fns", "_buf", "_rows", "_nlive")
 
-    def __init__(self, rngs: Sequence[np.random.Generator], n: int):
+    def __init__(
+        self, rngs: Sequence[np.random.Generator], buf: npt.NDArray[np.float64]
+    ):
         self._fns = [rng.random for rng in rngs]
-        self._buf = np.empty((len(self._fns), n), dtype=np.float64)
+        self._buf = buf
+        # Row views bound once: serving a round makes no array objects.
+        self._rows = list(buf[: len(self._fns)])
         self._nlive = len(self._fns)
 
     def serve(self) -> npt.NDArray[np.float64]:
-        buf = self._buf
         fns = self._fns
+        rows = self._rows
         for i in range(self._nlive):
-            fns[i](out=buf[i])
-        return buf
-
-    def finish(self) -> None:
-        """No reconciliation needed — the generators never run ahead."""
+            fns[i](out=rows[i])
+        return self._buf
 
     def retire(self, row: int) -> None:
         """Compaction support: the last live stream takes over ``row``.
@@ -249,154 +249,6 @@ class PerRoundDraws:
         """
         self._nlive -= 1
         self._fns[row] = self._fns[self._nlive]
-
-
-class BlockDraws:
-    """Serve rounds from shared per-replica pre-draw blocks, adaptively.
-
-    Wraps the batched engine's *own* ``(R, block, n)`` pre-draw storage,
-    cursor vector, and bound draw functions, so fused and step-loop runs
-    on the same engine consume one continuous stream.  Any rounds the
-    engine already pre-drew are consumed first: in place when the
-    cursors are aligned (the hot serve is then a Python-int compare and
-    a strided view), else adopted by the first refill, which moves each
-    replica's pending tail to the front of its row and fills the rest
-    from its generator (which sits right after the tail).
-
-    Refills **grow geometrically** (8 → 16 → … → the engine's block
-    length) instead of always drawing the full block: a stabilization
-    run at n = 64 lasts ~30 rounds while the engine's block holds 256,
-    so the legacy path generates ~8× the uniforms it consumes.  A
-    replica still consumes a contiguous prefix of its own stream —
-    uniform doubles are generated sequentially, so chunk size never
-    changes a served value — which keeps trajectories byte-identical;
-    only the generator run-ahead shrinks.  :meth:`finish` hands every
-    replica's unserved pre-drawn values back to the engine on exit, so
-    step-loop rounds can follow a fused run without skipping or
-    replaying a draw.
-    """
-
-    __slots__ = (
-        "_blocks",
-        "_cursor",
-        "_fns",
-        "_block",
-        "_chunk",
-        "_pos",
-        "_grow",
-        "_nlive",
-        "_ids",
-        "_tails",
-        "_heads",
-    )
-
-    def __init__(
-        self,
-        blocks: npt.NDArray[np.float64],
-        cursor: npt.NDArray[np.intp],
-        draw_fns: Sequence,
-        min_chunk: int = 8,
-    ):
-        self._blocks = blocks
-        self._cursor = cursor
-        self._fns = list(draw_fns)
-        self._block = block = blocks.shape[1]
-        self._chunk = block
-        self._grow = min(min_chunk, block)
-        self._nlive = blocks.shape[0]
-        #: Replica id of each block row (compaction permutes the rows).
-        self._ids = list(range(self._nlive))
-        #: Unserved pre-drawn values of each retired replica.
-        self._tails: Dict[int, npt.NDArray[np.float64]] = {}
-        #: Per row, the pending tail the first refill adopts (misaligned
-        #: entry cursors only; ``None`` once adopted or when aligned).
-        self._heads: Optional[List[npt.NDArray[np.float64]]] = None
-        # Aligned: rows [pos, chunk) are already-drawn stream to serve
-        # before any refill (a fresh engine starts exhausted).
-        self._pos = int(cursor[0]) if cursor.size else 0
-        if not np.all(cursor == self._pos):
-            self._heads = [blocks[r, c:].copy() for r, c in enumerate(cursor.tolist())]
-            self._pos = block
-
-    def serve(self) -> npt.NDArray[np.float64]:
-        pos = self._pos
-        if pos == self._chunk:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._blocks[:, pos]
-
-    def _refill(self) -> None:
-        """Draw the next chunk of every live row (adopting pending tails)."""
-        blocks, fns, heads = self._blocks, self._fns, self._heads
-        chunk = self._grow
-        if heads is not None:
-            chunk = max([chunk] + [head.shape[0] for head in heads[: self._nlive]])
-        if chunk >= self._block:
-            chunk = self._block
-        else:
-            self._grow = chunk * 2
-        for r in range(self._nlive):
-            start = 0
-            if heads is not None:
-                start = heads[r].shape[0]
-                blocks[r, :start] = heads[r]
-            fns[r](out=blocks[r, start:chunk])
-        self._heads = None
-        self._chunk = chunk
-
-    def retire(self, row: int) -> None:
-        """Compaction support: the last live stream takes over ``row``.
-
-        The retired replica's not-yet-served values are kept for
-        :meth:`finish` — its generator is frozen *after* them.  The
-        relocated replica's unserved values follow it into ``row`` (one
-        strided row copy, once per retirement), so it keeps consuming
-        the exact values its generator already produced.
-        """
-        pos, chunk = self._pos, self._chunk
-        self._tails[self._ids[row]] = self._unserved(row)
-        self._nlive -= 1
-        last = self._nlive
-        if row != last:
-            self._fns[row] = self._fns[last]
-            self._ids[row] = self._ids[last]
-            if self._heads is not None:
-                self._heads[row] = self._heads[last]
-            else:
-                self._blocks[row, pos:chunk] = self._blocks[last, pos:chunk]
-
-    def _unserved(self, row: int) -> npt.NDArray[np.float64]:
-        """A copy of ``row``'s drawn-but-unserved values."""
-        if self._heads is not None:
-            return self._heads[row]
-        return self._blocks[row, self._pos:self._chunk].copy()
-
-    def finish(self) -> None:
-        """Hand the unserved pre-drawn values back to the engine.
-
-        With a full-width serving window and no retirements the whole
-        block holds valid contiguous stream, so the engine keeps
-        consuming from ``pos``.  Otherwise each replica's unserved
-        values (retired replicas' from :meth:`retire`, live rows' from
-        the block) move to the end of its own engine row, with its
-        cursor at their start: the engine's next step serves them, then
-        refills from the generator — which sits right after them — so
-        every replica's stream continues exactly where the step loop
-        would have left it.  Cursors are then generally misaligned, and
-        the engine's next run adopts them on its first refill.
-        """
-        pos, chunk, block = self._pos, self._chunk, self._block
-        if chunk == block and not self._tails and self._heads is None:
-            self._cursor[:] = pos
-            return
-        tails = dict(self._tails)
-        for row in range(self._nlive):
-            tails[self._ids[row]] = self._unserved(row)
-        for replica, tail in tails.items():
-            start = block - tail.shape[0]
-            self._blocks[replica, start:] = tail
-            self._cursor[replica] = start
 
 
 # ----------------------------------------------------------------------
@@ -434,22 +286,26 @@ class RoundKernel:
         self._two = algorithm == "two_channel"
         self._constant = algorithm == "constant_state"
         self.n = -1
+        self.ell_max: Optional[npt.NDArray[np.int64]] = None
         self.rebind(hear, ell_max)
 
     def rebind(self, hear: HearKernel, ell_max: npt.ArrayLike = None) -> None:
         """Re-target the kernel at the engine's rebound hear kernel.
 
-        The policy tables are rebuilt from ``ell_max``; the per-round
-        scratch is reallocated only when the vertex count changed, so a
-        fixed-``n`` topology delta costs no allocation beyond the tables.
+        The policy tables are rebuilt when ``ell_max`` is a new array
+        (engines hand back the same read-only array while the policy
+        holds); the per-round scratch is reallocated only when the
+        vertex count changed, so a fixed-``n`` topology delta under the
+        same policy costs no allocation at all.
         """
         self._hear = hear
         self.structure = hear.structure
         n = hear.structure.n
-        if not self._constant:
-            self.ell_max = np.asarray(ell_max, dtype=np.int64)
-            if self.ell_max.shape not in ((), (n,)):
-                raise ValueError(f"ell_max must be scalar or shape ({n},)")
+        ell = None if self._constant else np.asarray(ell_max, dtype=np.int64)
+        if ell is not None and ell.shape not in ((), (n,)):
+            raise ValueError(f"ell_max must be scalar or shape ({n},)")
+        if ell is not None and ell is not self.ell_max:
+            self.ell_max = ell
             floor = (
                 -self.ell_max if self._single else np.zeros_like(self.ell_max)
             )
@@ -551,7 +407,7 @@ class RoundKernel:
     def run_block(
         self,
         levels: npt.NDArray[np.int32],
-        draws: "PerRoundDraws | BlockDraws",
+        draws: "PerRoundDraws",
         max_rounds: int,
         check_every: int = 1,
         stress: StressRows = None,
@@ -641,7 +497,7 @@ class RoundKernel:
         perm: List[int],
         outcomes: List[Optional[BlockOutcome]],
         executed: int,
-        draws: "PerRoundDraws | BlockDraws",
+        draws: "PerRoundDraws",
         stress: StressRows,
         verdict: Optional[Verdict] = None,
     ) -> int:
@@ -811,7 +667,7 @@ class RoundKernel:
     def run_constant(
         self,
         in_mis: npt.NDArray[np.bool_],
-        draws: "PerRoundDraws | BlockDraws",
+        draws: "PerRoundDraws",
         max_rounds: int,
         stress: StressRows = None,
         round_index: int = 0,
@@ -867,7 +723,7 @@ class RoundKernel:
         perm: List[int],
         outcomes: List[Optional[BlockOutcome]],
         executed: int,
-        draws: "PerRoundDraws | BlockDraws",
+        draws: "PerRoundDraws",
         stress: StressRows,
     ) -> int:
         legal = constant_legality(

@@ -142,9 +142,8 @@ def compute_mis(
         Round budget (default :func:`default_round_budget`).
     engine:
         A registered backend name — ``"vectorized"`` (fast, default),
-        ``"reference"`` (the semantics-defining object engine),
-        ``"batched"``, or any backend added via
-        :func:`repro.core.engines.register_engine`.
+        ``"reference"`` (the semantics-defining object engine) or
+        ``"batched"``.
     policy:
         Explicit :class:`EllMaxPolicy` overriding the variant's default.
     collector:

@@ -4,7 +4,7 @@ Everything this repo claims (Theorems 2.1/2.2, Corollary 2.3) rests on
 bit-reproducible randomized executions.  The bug classes that can
 silently invalidate a reproduction — global RNG use, unseeded
 ``default_rng()``, wall-clock reads inside simulation paths, float
-``==`` on probabilities, engines drifting from the ``EngineBase``
+``==`` on probabilities, backends drifting from the registry
 contract — are mechanically detectable, and this package detects them:
 
 * :mod:`~repro.devtools.seeding` — the single blessed seed-coercion
@@ -17,7 +17,7 @@ contract — are mechanically detectable, and this package detects them:
   families on one interprocedural driver.  Rule catalogue:
   ``docs/linting.md``.
 * :mod:`~repro.devtools.contract` — the *runtime* engine-contract
-  checker (``EngineBase`` surface, Graph immutability) behind
+  checker (backend surface, Graph immutability) behind
   ``repro check`` and the registry regression tests.
 * :mod:`~repro.devtools.sanitize` — the runtime sanitizers behind
   ``repro check --sanitize``.
@@ -38,7 +38,6 @@ __all__ = [
     "derive_seed_sequence",
     "lint_paths",
     "LintReport",
-    "verify_engine_class",
     "verify_backend",
     "verify_registry",
 ]
@@ -49,7 +48,6 @@ __all__ = [
 _LAZY = {
     "lint_paths": ("repro.devtools.rules", "lint_paths"),
     "LintReport": ("repro.devtools.rules", "LintReport"),
-    "verify_engine_class": ("repro.devtools.contract", "verify_engine_class"),
     "verify_backend": ("repro.devtools.contract", "verify_backend"),
     "verify_registry": ("repro.devtools.contract", "verify_registry"),
 }

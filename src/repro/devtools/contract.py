@@ -1,12 +1,9 @@
 """Runtime engine-contract verification.
 
 The static RPR4xx lint rules catch contract drift syntactically; this
-module checks the same contract *behaviorally*, by inspecting classes
-and actually running registered backends on a tiny fixture graph:
+module checks the same contract *behaviorally*, by inspecting and
+actually running registered backends on a tiny fixture graph:
 
-* :func:`verify_engine_class` — an :class:`EngineBase` subclass
-  declares its level range (``uses_negative_levels``, which also picks
-  its round-kernel algorithm) and accepts a ``seed`` at construction.
 * :func:`verify_backend` — a registered backend callable has the
   uniform ``(graph, policy, variant, seed, max_rounds,
   arbitrary_start)`` signature, returns an outcome exposing
@@ -23,7 +20,6 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable, Dict, List
 
-from ..core.engines.base import EngineBase
 from ..core.engines.registry import EngineBackend, available_engines, get_engine
 from ..core.knowledge import EllMaxPolicy, max_degree_policy
 from ..graphs.graph import Graph
@@ -31,7 +27,6 @@ from ..graphs.mis import is_maximal_independent_set
 
 __all__ = [
     "BACKEND_PARAMS",
-    "verify_engine_class",
     "verify_backend",
     "verify_registry",
 ]
@@ -54,30 +49,6 @@ _FIXTURE_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3))
 def _fixture() -> "tuple[Graph, EllMaxPolicy]":
     graph = Graph(5, _FIXTURE_EDGES)
     return graph, max_degree_policy(graph)
-
-
-def verify_engine_class(cls: type) -> List[str]:
-    """Problems with an :class:`EngineBase` subclass (empty = conformant)."""
-    problems: List[str] = []
-    if not (isinstance(cls, type) and issubclass(cls, EngineBase)):
-        return [f"{cls!r} is not an EngineBase subclass"]
-    if not isinstance(getattr(cls, "uses_negative_levels", None), bool):
-        problems.append(
-            f"{cls.__name__} does not declare uses_negative_levels"
-        )
-    try:
-        signature = inspect.signature(cls.__init__)
-    except (TypeError, ValueError):  # pragma: no cover - C-level __init__
-        return problems
-    params = signature.parameters
-    accepts_kwargs = any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-    if "seed" not in params and not accepts_kwargs:
-        problems.append(
-            f"{cls.__name__}.__init__ does not accept a 'seed' parameter"
-        )
-    return problems
 
 
 def _signature_problems(run: Callable[..., Any], name: str) -> List[str]:

@@ -2,8 +2,8 @@
 
 The static analyzer proves the hot region *looks* allocation-free;
 this module measures that it *is*.  Each engine combo is
-driven past its warmup (lazy scratch binding, carrier creation, block
-pre-draws) and then stepped for a fixed window between two
+driven past its warmup (lazy scratch binding, carrier creation) and
+then stepped for a fixed window between two
 ``tracemalloc`` snapshots, with a ``gc.collect()`` fence on each side
 so only genuinely *retained* memory counts.  The metric is **net
 retained bytes per round**: temporaries that die inside the round are
@@ -48,8 +48,8 @@ __all__ = [
 _AUDIT_SEED = 20240807
 
 #: Rounds stepped before the first snapshot — enough for every lazy
-#: scratch path (CSR block buffers, channel masks, carriers, pre-drawn
-#: uniform blocks) to have been bound at least once.
+#: scratch path (CSR block buffers, channel masks, carriers) to have
+#: been bound at least once.
 _WARMUP_ROUNDS = 12
 
 #: Rounds measured between the snapshots.
@@ -305,16 +305,18 @@ def _fused_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
             low = -6 if algo == "single" else 0
             init = rng.integers(low, 7, size=(replicas, n)).astype(np.int32)
         state = init.copy()
+        buf = np.empty(state.shape, dtype=np.float64)
 
         def step(
             kern: Any = kern,
             init: Any = init,
             state: Any = state,
             rng: Any = rng,
+            buf: Any = buf,
             constant: bool = constant,
         ) -> object:
             np.copyto(state, init)
-            draws = PerRoundDraws([rng] * state.shape[0], state.shape[1])
+            draws = PerRoundDraws([rng] * state.shape[0], buf)
             if constant:
                 _, executed = kern.run_constant(state, draws, 8)
             else:

@@ -61,8 +61,7 @@ _DRIVER_NAMES = frozenset({
 _SETUP_NAMES = frozenset({
     "__init__", "__post_init__", "rebind", "bind", "bind_stress_models",
     "randomize_levels", "set_levels", "adopt_engine", "finalize",
-    "finalize_replica", "from_engine", "from_batched_engine",
-    "from_policy",
+    "finalize_replica", "from_engine", "from_policy",
 })
 
 #: Module-level functions that are hot roots wherever they are defined.

@@ -77,41 +77,23 @@ class StructureView:
     channels: int = 1
     graph: Optional[Graph] = None  # lazy-build source when adjacency is None
     kernel: Any = None  # HearKernel, adopted from the engine or lazy-built
-    #: BoundChannel of the observed solo engine — adopted only when the
-    #: channel is non-perfect, so perfect-channel records stay exactly
-    #: the historical shape (no ``dropped``/``spurious`` fields).
-    channel_state: Any = None
-    #: Per-replica BoundChannel list of the observed batched engine.
+    #: Per-row BoundChannel list of the observed engine (a solo run
+    #: reads row 0) — adopted only when the channel is non-perfect, so
+    #: perfect-channel records stay exactly the historical shape (no
+    #: ``dropped``/``spurious`` fields).
     channels_state: Any = None
 
     # ------------------------------------------------------------------
     @classmethod
     def from_engine(cls, engine: Any) -> "StructureView":
-        """View onto a solo :class:`EngineBase`-style engine."""
-        floor = (
-            -engine.ell_max
-            if getattr(engine, "uses_negative_levels", True)
-            else np.zeros_like(engine.ell_max)
-        )
-        channels = 1 if getattr(engine, "uses_negative_levels", True) else 2
-        return cls(
-            adjacency=engine.adjacency,
-            ell_max=engine.ell_max,
-            floor=floor,
-            channels=channels,
-            kernel=getattr(engine, "kernel", None),
-        )
-
-    @classmethod
-    def from_batched_engine(cls, engine: Any) -> "StructureView":
-        """View onto a :class:`BatchedEngine`."""
+        """View onto an engine: a :class:`BatchedEngine` or a solo facade."""
         single = engine.algorithm == "single"
         return cls(
             adjacency=engine.adjacency,
             ell_max=engine.ell_max,
             floor=-engine.ell_max if single else np.zeros_like(engine.ell_max),
             channels=1 if single else 2,
-            kernel=getattr(engine, "kernel", None),
+            kernel=engine.kernel,
         )
 
     @classmethod
@@ -157,10 +139,6 @@ class StructureView:
         # ever inspects the engine-owned counters after a step, so the
         # zero-perturbation contract is untouched.  Perfect channels are
         # deliberately not adopted — records keep the historical shape.
-        if self.channel_state is None:
-            bound = getattr(engine, "channel", None)
-            if bound is not None and not bound.is_perfect:
-                self.channel_state = bound
         if self.channels_state is None:
             bound_list = getattr(engine, "channels", None)
             if bound_list and not bound_list[0].is_perfect:
@@ -389,10 +367,10 @@ class RunCollector:
         if record is None:  # not an emitted round (``every`` cadence)
             return
         record["beeps"] = counts
-        channel_state = self.view.channel_state
-        if channel_state is not None:  # non-perfect channel adopted
-            record["dropped"] = channel_state.last_drops
-            record["spurious"] = channel_state.last_spurious
+        channels_state = self.view.channels_state
+        if channels_state is not None:  # non-perfect channel adopted
+            record["dropped"] = channels_state[0].last_drops
+            record["spurious"] = channels_state[0].last_spurious
         self.records.append(record)
         if self.sink is not None:
             self.sink.emit(record)
@@ -414,13 +392,13 @@ class RunCollector:
             channel_counter.inc(total)
         hist.observe(float(rounds))
         peak.set_max(self.peak_level_bytes)
-        channel_state = self.view.channel_state
-        if channel_state is not None:  # non-perfect channel adopted
+        channels_state = self.view.channels_state
+        if channels_state is not None:  # non-perfect channel adopted
             self.registry.counter("channel_dropped_beeps_total").inc(
-                channel_state.drops_total
+                channels_state[0].drops_total
             )
             self.registry.counter("channel_spurious_beeps_total").inc(
-                channel_state.spurious_total
+                channels_state[0].spurious_total
             )
 
     # ------------------------------------------------------------------

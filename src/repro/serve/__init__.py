@@ -30,7 +30,6 @@ from .ops import (
 )
 from .service import (
     ALGORITHMS,
-    ENGINES,
     MISService,
     OpResult,
     ServeError,
@@ -40,7 +39,6 @@ from .workload import WORKLOAD_MIXES, generate_ops
 
 __all__ = [
     "ALGORITHMS",
-    "ENGINES",
     "MISService",
     "MUTATION_OPS",
     "OP_NAMES",

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple,
 )
 
 import numpy as np
 
-from ..core.engines import BatchedEngine, SingleChannelEngine, TwoChannelEngine
-from ..core.engines.base import EngineBase
+from ..core.engines import SingleChannelEngine, TwoChannelEngine
 from ..core.kernels import (
     GraphStructure,
     should_rebuild,
@@ -55,10 +54,9 @@ from ..graphs.mutable import MutableTopology, TopologyDelta, TopologyError
 from ..obs import MetricsRegistry, MetricSink, wall_clock
 from .ops import Op
 
-__all__ = ["ALGORITHMS", "ENGINES", "MISService", "OpResult", "ServeError", "ServeReport"]
+__all__ = ["ALGORITHMS", "MISService", "OpResult", "ServeError", "ServeReport"]
 
 ALGORITHMS: Tuple[str, ...] = ("single", "two_channel")
-ENGINES: Tuple[str, ...] = ("vectorized", "batched")
 
 #: Latency percentiles every summary reports.
 _PCTS = (50.0, 95.0, 99.0)
@@ -171,9 +169,6 @@ class MISService:
         the service commits to for its whole lifetime.
     algorithm:
         ``"single"`` (Algorithm 1) or ``"two_channel"`` (Algorithm 2).
-    engine:
-        ``"vectorized"`` (solo array engine) or ``"batched"`` (the
-        (R, n) engine with one replica, exercising that code path).
     channel, scheduler:
         Stress models (:mod:`repro.beeping.channels` /
         :mod:`repro.beeping.schedulers`): serve under an unreliable
@@ -202,7 +197,6 @@ class MISService:
         graph: Graph,
         degree_cap: Optional[int] = None,
         algorithm: str = "single",
-        engine: str = "vectorized",
         channel: Optional[object] = None,
         scheduler: Optional[object] = None,
         seed: SeedLike = 0,
@@ -215,15 +209,10 @@ class MISService:
             raise ValueError(
                 f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}"
             )
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose one of {ENGINES}"
-            )
         if degree_cap is None:
             degree_cap = max(graph.max_degree(), 1)
         self.topology = MutableTopology(graph, degree_cap=degree_cap)
         self.algorithm = algorithm
-        self.engine_name = engine
         self.rebuild_per_op = rebuild_per_op
         self.registry = registry
         self.sink = sink
@@ -234,19 +223,12 @@ class MISService:
         self._ell = policy.max_ell_max
         self._policy = policy
         self._budget = default_round_budget(graph, policy)
-        if engine == "batched":
-            self._engine: Union[EngineBase, BatchedEngine] = BatchedEngine(
-                graph, policy, replicas=1, seed=seed,
-                algorithm=algorithm, channel=channel, scheduler=scheduler,
-            )
-        elif algorithm == "two_channel":
-            self._engine = TwoChannelEngine(
-                graph, policy, seed=seed, channel=channel, scheduler=scheduler,
-            )
-        else:
-            self._engine = SingleChannelEngine(
-                graph, policy, seed=seed, channel=channel, scheduler=scheduler,
-            )
+        engine_cls = (
+            TwoChannelEngine if algorithm == "two_channel" else SingleChannelEngine
+        )
+        self._engine = engine_cls(
+            graph, policy, seed=seed, channel=channel, scheduler=scheduler,
+        )
         # (topology version, full MIS) the last re-stabilization left, and
         # the live-restricted answer memoized for one version.
         self._served: Tuple[int, FrozenSet[int]] = (-1, frozenset())
@@ -265,12 +247,8 @@ class MISService:
         stopped at are served instead, never the pre-mutation answer.
         """
         engine = self._engine
-        if isinstance(engine, BatchedEngine):
-            outcome = engine.run(max_rounds=self._budget)[0]
-            full = outcome.mis if outcome.stabilized else engine.mis_vertices(0)
-        else:
-            outcome = engine.until_stable(self._budget)
-            full = outcome.mis if outcome.stabilized else engine.mis_vertices()
+        outcome = engine.until_stable(self._budget)
+        full = outcome.mis if outcome.stabilized else engine.mis_vertices()
         self._served = (self.topology.version, full)
         if not outcome.stabilized:
             raise ServeError(

@@ -126,31 +126,23 @@ def fused_runs(monkeypatch):
 def stream_states(engine):
     """Where every random stream of ``engine`` continues.
 
-    Per trajectory: the next ``block`` main-stream uniforms it would
-    consume (a batched replica serves its unconsumed pre-drawn values
-    first; the generator itself may run ahead of them), and the exact
-    generator states of its channel and scheduler streams.  Advances
-    the main generators: call once, at the end of a comparison.
+    Per trajectory: the next ``n`` main-stream uniforms it would
+    consume, and the exact generator states of its channel and
+    scheduler streams.  A solo level engine is read through its one-row
+    block.  Advances the main generators: call once, at the end of a
+    comparison.
     """
     def state(rng):
         return None if rng is None else rng.bit_generator.state
 
-    if hasattr(engine, "rngs"):
-        block = engine._draw_block
-        rows = [
-            np.concatenate((
-                engine._blocks[r, engine._cursor[r]:].ravel(),
-                engine.rngs[r].random(block * engine.n),
-            ))[: block * engine.n]
-            for r in range(engine.replicas)
-        ]
-        stresses = engine._stress
+    if hasattr(engine, "in_mis"):  # the two-state baseline: one stream
+        rows = [(engine.rng, engine._stress)]
     else:
-        rows = [engine.rng.random(engine.n)]
-        stresses = [engine._stress]
+        block = getattr(engine, "_block", engine)
+        rows = list(zip(block.rngs, block._stress))
     return [
-        (row, state(s.channel_rng), state(s.scheduler_rng))
-        for row, s in zip(rows, stresses)
+        (rng.random(engine.n), state(s.channel_rng), state(s.scheduler_rng))
+        for rng, s in rows
     ]
 
 

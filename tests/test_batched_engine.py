@@ -73,15 +73,16 @@ def test_replicas_match_solo_two_channel(graph, arbitrary_start):
         assert np.array_equal(batch[k].final_levels, solo.final_levels)
 
 
-def test_explicit_seed_sequences_equal_spawned(graph):
-    """The sweep executor's hook: handing children explicitly."""
+def test_explicit_rngs_equal_spawned(graph):
+    """The sweep executor's hook: handing the replica generators explicitly."""
     policy = max_degree_policy(graph, c1=6)
     children = _children(9, 3)
     via_seed = simulate_batched(
         graph, policy, replicas=3, seed=9, arbitrary_start=True
     )
     via_children = simulate_batched(
-        graph, policy, seed_sequences=children, arbitrary_start=True
+        graph, policy, rngs=[np.random.default_rng(c) for c in children],
+        arbitrary_start=True,
     )
     for a, b in zip(via_seed, via_children):
         assert a.rounds == b.rounds
@@ -151,7 +152,10 @@ def test_constructor_validation(graph):
     with pytest.raises(ValueError, match="algorithm"):
         BatchedEngine(graph, policy, replicas=2, algorithm="tripled")
     with pytest.raises(ValueError, match="replicas"):
-        BatchedEngine(graph, policy, replicas=2, seed_sequences=_children(0, 3))
+        BatchedEngine(
+            graph, policy, replicas=2,
+            rngs=[np.random.default_rng(c) for c in _children(0, 3)],
+        )
 
 
 def test_legal_mask_and_mis_vertices(graph):

@@ -306,7 +306,7 @@ def test_batched_series_bit_identical_to_solo(name, graph):
     simulate_batched(
         graph,
         policy,
-        seed_sequences=children,
+        rngs=[np.random.default_rng(c) for c in children],
         algorithm="single",
         arbitrary_start=True,
         collector=batched,
@@ -344,7 +344,7 @@ def test_batched_two_channel_beep2_counts(scheduler):
     simulate_batched(
         graph,
         policy,
-        seed_sequences=children,
+        rngs=[np.random.default_rng(c) for c in children],
         algorithm="two_channel",
         arbitrary_start=True,
         collector=batched,

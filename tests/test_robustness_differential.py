@@ -460,9 +460,10 @@ def test_step_loop_fallback_under_stress(variant, stress, fused_runs):
     twin.randomize_levels()
     budget = default_round_budget(graph, policy)
     fused = engine.until_stable(budget)
-    assert engine._fused is not None and fused_runs == [engine._fused]
+    kernel = engine._block._fused
+    assert kernel is not None and fused_runs == [kernel]
     step = step_until_stable(twin, budget)
-    assert fused_runs == [engine._fused]  # the twin only stepped
+    assert fused_runs == [kernel]  # the twin only stepped
     assert (fused.stabilized, fused.rounds, fused.mis) == (
         step.stabilized, step.rounds, step.mis,
     )

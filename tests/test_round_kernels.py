@@ -1,16 +1,16 @@
 """The fused round kernel: byte-identity with the step loop, and fallbacks.
 
 The contract (docs/performance.md, "Fused round kernel"): every run
-without a collector or per-round series, and with aligned batched draw
-cursors, goes through the fused loop of the
+without a ``BatchedCollector`` goes through the fused loop of the
 :class:`~repro.core.kernels.RoundKernel`, and reproduces the per-step
 loop *byte for byte*, including where every RNG stream continues
-afterwards (stressed runs: ``tests/test_robustness_differential.py``).  The reference here is the same engine driven by
-hand through ``step()`` (the helpers in ``conftest.py``).  These tests
-pin the identity on all three algorithms, solo and batched, the check
-cadence, survival across a topology ``rebind``, the batched
-draw-cursor fallback, and that the fused path hears through the
-engine's own hear kernel.
+afterwards (stressed runs: ``tests/test_robustness_differential.py``).
+The reference here is the same engine driven by hand through
+``step()`` (the helpers in ``conftest.py``).  These tests pin the
+identity on all three algorithms, solo and batched, the check cadence,
+survival across a topology ``rebind``, fused runs after a hand-stepped
+row subset, and that the fused path hears through the engine's own
+hear kernel.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ from repro.core.engines.constant_state import (
 )
 from repro.core.engines.single import SingleChannelEngine
 from repro.core.engines.two_channel import TwoChannelEngine
-from repro.core.kernels import BlockDraws, HearKernel, structure_for
+from repro.core.kernels import HearKernel, structure_for
 from repro.core.runner import compute_mis, policy_for_variant
 from repro.graphs.generators import by_name
 
@@ -61,7 +61,7 @@ def test_solo_fused_run_is_byte_identical(engine_cls, variant):
     step_engine.randomize_levels()
     fused = fused_engine.until_stable(max_rounds=50_000)
     step = step_until_stable(step_engine, max_rounds=50_000)
-    assert fused_engine._fused is not None  # the fused kernel ran
+    assert fused_engine._block._fused is not None  # the fused kernel ran
     _assert_same(fused, step)
     assert fused.final_levels.dtype == np.int64
     np.testing.assert_array_equal(fused_engine.levels, step_engine.levels)
@@ -151,9 +151,9 @@ def test_batched_fused_run_is_byte_identical(algorithm, check_every):
 
 @pytest.mark.parametrize("algorithm", ("single", "two_channel"))
 def test_batched_fused_run_leaves_streams_where_the_step_loop_does(algorithm):
-    # Each replica's unserved pre-drawn uniforms go back to the engine,
-    # so a second run (here after a fixed-n rebind) continues every
-    # stream exactly where the step loop would have left it.
+    # No uniform is drawn ahead, so a second run (here after a fixed-n
+    # rebind) continues every stream exactly where the step loop would
+    # have left it.
     graph = _graph(60, seed=1)
     patched = _graph(60, seed=8)
     variant = "two_channel" if algorithm == "two_channel" else "max_degree"
@@ -176,26 +176,22 @@ def test_batched_fused_run_leaves_streams_where_the_step_loop_does(algorithm):
         _assert_same(again_r, step_r)
 
 
-def test_batched_misaligned_cursors_fall_back_byte_identically(fused_runs):
-    # The fused loop adopts each replica's pending tail on its first
-    # refill, so misaligned cursors keep it byte-identical too.
+def test_batched_fused_run_after_partial_steps_is_byte_identical(fused_runs):
+    # Hand-stepping a row subset leaves the replicas at different
+    # stream positions; the fused loop draws each row from its own
+    # generator, so it stays byte-identical to the step loop.
     graph = _graph(36, seed=4)
     policy = policy_for_variant(graph, "max_degree")
     engines = []
     for _ in range(2):
         engine = BatchedEngine(graph, policy, replicas=4, seed=9)
         engine.randomize_levels()
-        # Step replicas 1..3 a few rounds while replica 0 sits out: its
-        # pre-draw cursor stops advancing, so the block cursors diverge.
+        # Step replicas 1..3 a few rounds while replica 0 sits out.
         active = np.array([False, True, True, True])
         for _ in range(3):
             engine.step(active)
         engines.append(engine)
     default = engines[0]
-    cursor = default._cursor
-    assert not np.all(cursor == cursor[0])  # the cursors really diverged
-    # Budget 0 hands the unadopted tails straight back; budget 2 retires
-    # nothing and leaves the cursors misaligned again.
     for budget in (0, 2, 50_000):
         result = default.run(max_rounds=budget)
         step = step_batched(engines[1], max_rounds=budget)
@@ -204,33 +200,6 @@ def test_batched_misaligned_cursors_fall_back_byte_identically(fused_runs):
         np.testing.assert_array_equal(default.levels, engines[1].levels)
     assert len(fused_runs) == 3  # the fused loop ran every time
     assert_same_streams(default, engines[1])
-
-
-def test_block_draws_adopt_misaligned_tails_across_retirement():
-    # Replica r's stream continues from its own cursor: the pending tail
-    # first, then its generator.  Replica 0 retires before the first
-    # refill (its tail is still pending), replica 1 after six rounds.
-    n, block, seeds = 3, 4, (1, 2, 3)
-    full = [np.random.default_rng(s).random((4 * block, n)) for s in seeds]
-    rngs = [np.random.default_rng(s) for s in seeds]
-    blocks = np.empty((len(seeds), block, n))
-    for r, rng in enumerate(rngs):
-        rng.random(out=blocks[r])
-    start = np.array([1, 4, 2], dtype=np.intp)
-    cursor = start.copy()
-    draws = BlockDraws(blocks, cursor, [rng.random for rng in rngs])
-    draws.retire(0)  # row 0 now serves replica 2
-    for t in range(6):
-        served = draws.serve()
-        np.testing.assert_array_equal(served[0], full[2][start[2] + t])
-        np.testing.assert_array_equal(served[1], full[1][start[1] + t])
-    draws.retire(1)
-    draws.finish()
-    consumed = (0, 6, 6)
-    for r, rng in enumerate(rngs):
-        resumed = np.concatenate((blocks[r, cursor[r]:], rng.random((block, n))))
-        at = start[r] + consumed[r]
-        np.testing.assert_array_equal(resumed[:block], full[r][at : at + block])
 
 
 # ----------------------------------------------------------------------
@@ -245,10 +214,10 @@ def _rebind_twins(patched, new_policy=None):
         engine.randomize_levels()
     fused_engine.until_stable(max_rounds=50_000)
     step_until_stable(step_engine, max_rounds=50_000)
-    kernel = fused_engine._fused
+    kernel = fused_engine._block._fused
     fused_engine.rebind(structure_for(patched), new_policy)
     step_engine.rebind(structure_for(patched), new_policy)
-    assert fused_engine._fused is kernel
+    assert fused_engine._block._fused is kernel
     assert kernel.n == patched.num_vertices
     fused = fused_engine.until_stable(max_rounds=50_000)
     step = step_until_stable(step_engine, max_rounds=50_000)
@@ -292,6 +261,6 @@ def test_fused_run_uses_the_engines_hear_kernel(monkeypatch, source):
             monkeypatch.setattr(HearKernel, method, counted)
         solo.until_stable(max_rounds=50_000)
         batched.run(max_rounds=50_000)
-    assert solo._fused._hear is solo.kernel
+    assert solo._block._fused._hear is solo.kernel
     assert batched._fused._hear is batched.kernel
     assert {id(k) for k in calls} == {id(solo.kernel), id(batched.kernel)}

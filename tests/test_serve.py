@@ -21,7 +21,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.engines import BatchedEngine
 from repro.graphs import Graph, MutableTopology, TopologyError
 from repro.graphs.generators import erdos_renyi
 from repro.obs import InMemorySink, MetricsRegistry
@@ -196,19 +195,15 @@ def test_served_stream_stays_legal_and_reads_are_consistent():
     )
 
 
-@pytest.mark.parametrize("algorithm,engine", [
-    ("single", "vectorized"),
-    ("two_channel", "vectorized"),
-    ("single", "batched"),
-])
-def test_deterministic_replay(algorithm, engine):
+@pytest.mark.parametrize("algorithm", ["single", "two_channel"])
+def test_deterministic_replay(algorithm):
     graph = _graph()
     cap = graph.max_degree() + 2
     outcomes = []
     for _ in range(2):
         ops = generate_ops("churn-heavy", 120, 5, graph, degree_cap=cap)
         service = MISService(
-            graph, degree_cap=cap, seed=5, algorithm=algorithm, engine=engine
+            graph, degree_cap=cap, seed=5, algorithm=algorithm
         )
         outcomes.append(service.run(ops).outcomes())
     assert outcomes[0] == outcomes[1]
@@ -267,30 +262,24 @@ def test_growth_extends_policy_and_stays_legal():
 
 def _engine_answer(service):
     """The answer recomputed from the engine's current levels."""
-    engine = service._engine
-    if isinstance(engine, BatchedEngine):
-        members = engine.mis_vertices(0)
-    else:
-        members = engine.mis_vertices()
+    members = service._engine.mis_vertices()
     return tuple(sorted(v for v in members if service.topology.is_live(v)))
 
 
 @pytest.mark.parametrize("mix", ["churn-heavy", "burst"])
-@pytest.mark.parametrize("algorithm,engine,channel", [
-    ("single", "vectorized", None),
-    ("two_channel", "vectorized", None),
-    ("single", "batched", None),
-    ("single", "vectorized", "lossy:0.05"),  # stressed: fused too
+@pytest.mark.parametrize("algorithm,channel", [
+    ("single", None),
+    ("two_channel", None),
+    ("single", "lossy:0.05"),  # stressed: fused too
 ])
 def test_served_mis_matches_engine_after_every_op(
-    mix, algorithm, engine, channel, fused_runs
+    mix, algorithm, channel, fused_runs
 ):
     graph = _graph()
     cap = graph.max_degree() + 2
     ops = generate_ops(mix, 300, 4, graph, degree_cap=cap)
     service = MISService(
-        graph, degree_cap=cap, seed=4, algorithm=algorithm, engine=engine,
-        channel=channel,
+        graph, degree_cap=cap, seed=4, algorithm=algorithm, channel=channel,
     )
     seen = {"DEL_NODE": 0, "reuse": 0, "growth": 0}
     for op in ops:
@@ -305,7 +294,7 @@ def test_served_mis_matches_engine_after_every_op(
     assert all(seen.values()), seen
     assert service.verify_legal()
     assert fused_runs
-    assert set(fused_runs) == {service._engine._fused}
+    assert set(fused_runs) == {service._engine._block._fused}
 
 
 def test_reads_share_one_tuple_until_a_mutation():

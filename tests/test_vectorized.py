@@ -40,7 +40,7 @@ class TestSingleChannelEngine:
         # the uniform-ℓmax lookup table and the direct formula (taken
         # for a non-uniform ℓmax) must both give it.
         engine = SingleChannelEngine(path4, uniform_policy(path4, 4))
-        kernel = engine._kernel()
+        kernel = engine._block._kernel()
         assert kernel._p_table is not None
         levels = np.array([[-4, 0, 2, 4]], dtype=np.int32)
         assert list(kernel._probabilities(levels, 1)[0]) == [1.0, 1.0, 0.25, 0.0]
