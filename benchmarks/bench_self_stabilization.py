@@ -12,7 +12,10 @@ pattern*; and legal configurations are closed under the dynamics.
 * recovery rounds for the adversarial patterns (all-silent deadlock
   attempt, all-prominent fake MIS, threshold),
 * the fresh-run baseline on the same graphs — recovery should land in
-  the same band (corruption is no worse than a cold start).
+  the same band (corruption is no worse than a cold start),
+* fault containment: recovery rounds after corrupting k seeded vertices
+  of a legal configuration, at n = 2^12 and 2^16 — do they track k
+  rather than n?
 """
 
 import numpy as np
@@ -20,12 +23,16 @@ import numpy as np
 from _harness import print_header, seed_for, sizes_and_reps
 
 from repro.analysis.sweep import run_sweep
+from repro.beeping.faults import TargetedCorruption
 from repro.core import max_degree_policy
 from repro.core.engines import SingleChannelEngine
 from repro.graphs.generators import by_name
 
 RHOS = [0.01, 0.05, 0.25, 0.5, 1.0]
 PATTERNS = ["all_silent", "all_prominent", "threshold"]
+CONTAINMENT_SIZES = [2**12, 2**16]
+CONTAINMENT_KS = [1, 4, 16, 64, 256, 1024]
+CONTAINMENT_SEEDS = 10
 
 
 def _corrupt(engine: SingleChannelEngine, mode, rng) -> None:
@@ -114,6 +121,69 @@ def run_experiment(full: bool = False) -> dict:
     return outputs
 
 
+def containment_rounds(n: int, seeds: int = CONTAINMENT_SEEDS) -> dict:
+    """``{k: [recovery rounds per seed]}`` after k targeted corruptions.
+
+    Per seed: stabilize ER(n) from an arbitrary start once, then for
+    each k restore that legal configuration, corrupt k seeded vertices
+    to uniform levels (:class:`TargetedCorruption`) and count the
+    rounds ``until_stable`` needs.  The engine's generator carries on
+    across the k in order, so every count is deterministic.
+    """
+    graph = by_name("er", n, seed=seed_for("E5c", n))
+    policy = max_degree_policy(graph, c1=15)
+    rounds = {k: [] for k in CONTAINMENT_KS}
+    for s in range(seeds):
+        engine = SingleChannelEngine(graph, policy, seed=seed_for("E5c-engine", n, s))
+        engine.randomize_levels()
+        if not engine.until_stable(200_000).stabilized:
+            raise RuntimeError(f"E5 containment: first stabilization failed (n={n})")
+        legal = engine.levels.copy()
+        for k in CONTAINMENT_KS:
+            engine.levels = legal.copy()
+            rng = np.random.default_rng(seed_for("E5c-fault", n, k, s))
+            victims = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            TargetedCorruption(victims).apply_levels(engine, rng)
+            recovery = engine.until_stable(200_000)
+            if not recovery.stabilized:
+                raise RuntimeError(f"E5 containment: recovery failed (n={n}, k={k})")
+            rounds[k].append(recovery.rounds)
+    return rounds
+
+
+def run_containment() -> dict:
+    """The fault-containment table: recovery rounds against k and n."""
+    from repro.analysis.tables import format_rows
+
+    measured = {n: containment_rounds(n) for n in CONTAINMENT_SIZES}
+    small, large = CONTAINMENT_SIZES[0], CONTAINMENT_SIZES[-1]
+    rows, ratios = [], []
+    for k in CONTAINMENT_KS:
+        row = {"corrupted k": str(k)}
+        for n in CONTAINMENT_SIZES:
+            samples = measured[n][k]
+            row[f"mean (n={n})"] = f"{np.mean(samples):.1f}"
+            row[f"max (n={n})"] = f"{max(samples)}"
+        ratios.append(np.mean(measured[large][k]) / max(np.mean(measured[small][k]), 1e-9))
+        row[f"n={large} / n={small}"] = f"{ratios[-1]:.2f}x"
+        rows.append(row)
+    print()
+    print(
+        format_rows(
+            rows,
+            title=f"fault containment: k targeted corruptions of a legal "
+            f"configuration, ER, {CONTAINMENT_SEEDS} seeds",
+        )
+    )
+    print()
+    print(
+        f"claim check: at every k, mean recovery at n = {large} is "
+        f"{min(ratios):.2f}x-{max(ratios):.2f}x that at n = {small} "
+        f"({large // small}x the vertices)."
+    )
+    return measured
+
+
 # ----------------------------------------------------------------------
 def bench_recovery_from_full_corruption(benchmark):
     """Time stabilize→corrupt→recover on ER(128)."""
@@ -151,3 +221,4 @@ def bench_recovery_band_matches_cold_start(benchmark):
 
 if __name__ == "__main__":
     run_experiment(full=True)
+    run_containment()

@@ -43,7 +43,7 @@ from ..devtools.seeding import rng_from_sequence
 from ..graphs.generators import by_name
 
 if TYPE_CHECKING:
-    from ..core.engines.base import EngineBase, VectorizedResult
+    from ..core.engines.base import VectorizedResult
     from ..core.knowledge import EllMaxPolicy
     from ..graphs.graph import Graph
     from ..obs.harness import SweepRecorder
@@ -274,6 +274,7 @@ class FaultRecoveryRounds:
         rng: np.random.Generator,
         config: Mapping[str, Any],
     ) -> float:
+        from ..beeping.faults import fault_from_spec
         from ..core.engines.single import SingleChannelEngine
         from ..core.engines.two_channel import TwoChannelEngine
 
@@ -284,33 +285,8 @@ class FaultRecoveryRounds:
         first = engine.until_stable(self.max_rounds)
         if not first.stabilized:
             raise RuntimeError(f"initial stabilization failed: {dict(config)}")
-        self._corrupt_levels(engine)
+        fault_from_spec(self.fault).apply_levels(engine, engine.rng)
         recovery = engine.until_stable(self.max_rounds)
         if not recovery.stabilized:
             raise RuntimeError(f"recovery failed within budget: {dict(config)}")
         return float(recovery.rounds)
-
-    def _corrupt_levels(self, engine: "EngineBase") -> None:
-        """Level-array equivalents of the reference fault injectors."""
-        spec = self.fault
-        if spec == "random":
-            engine.randomize_levels()
-            return
-        if spec.startswith("bernoulli:"):
-            rho = float(spec.split(":", 1)[1])
-            hits = engine.rng.random(engine.n) < rho
-            floor = engine._floor_vector()
-            span = engine.ell_max - floor + 1
-            fresh = engine.rng.integers(0, span, size=engine.n).astype(np.int64) + floor
-            engine.levels = np.where(hits, fresh, engine.levels)
-            return
-        if spec == "all_silent":
-            engine.levels = engine.ell_max.copy()
-            return
-        if spec == "all_prominent":
-            engine.levels = engine._floor_vector().copy()
-            return
-        if spec == "threshold":
-            engine.levels = engine.ell_max - 1
-            return
-        raise ValueError(f"unknown fault spec {spec!r}")

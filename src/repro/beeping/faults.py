@@ -58,9 +58,7 @@ class Fault:
       :class:`BeepingNetwork`'s per-node state list),
     * :meth:`apply_levels` — the array-engine path (an
       :class:`~repro.core.engines.base.EngineBase`-style level vector),
-      mirroring the draw patterns of
-      ``FaultRecoveryRounds._corrupt_levels`` so the two paths corrupt
-      with the same distributions.
+      drawing from the same distributions as :meth:`apply`.
     """
 
     def apply(self, network: BeepingNetwork, rng: np.random.Generator) -> None:
@@ -116,8 +114,7 @@ class BernoulliCorruption(Fault):
             )
 
     def apply_levels(self, engine: Any, rng: np.random.Generator) -> None:
-        # Same two-draw pattern as ``FaultRecoveryRounds._corrupt_levels``:
-        # a Bernoulli hit vector, then a full fresh vector (drawn for
+        # A Bernoulli hit vector, then a full fresh vector (drawn for
         # every vertex so the stream layout is data-independent).
         hits = rng.random(engine.n) < self.rho
         floor, span = _level_universe(engine)

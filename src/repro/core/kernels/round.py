@@ -69,6 +69,30 @@ loop's (its draw stream is simply dropped from the draw set), and the
 caller's level block is rebuilt row for row from the recorded
 retirement copies on exit, so the in-place result is identical to the
 engines'.
+
+Frontier rounds
+---------------
+A one-row block with no stress state and no observer (every served op,
+every ideal solo run) tests legality through its **active set** ``A``:
+every vertex except (a) a floor vertex whose neighbours all sit at
+ℓmax and (b) an ℓmax vertex with a floor neighbour.  Levels ≤ 0 beep
+with certainty (channel 1 in Algorithm 1, channel 2 in Algorithm 2)
+and ℓmax never beeps, so the next level of (a) and (b) ignores the
+draws and equals the current one, in both algorithms.  ``A = ∅`` iff
+:func:`structure_pass` finds the row legal ((a) is ``I_t``, and the
+floor neighbour of (b) cannot itself be (b)), and the MIS is then the
+floor set.  While ``A`` is small a round runs on ``A`` alone
+(``_Frontier``): one ``draws.serve()`` fill of ``n`` doubles, so
+every stream position is unchanged; ``A``'s beep, hear and update as
+scalar loops over the CSR row slices; the next ``A`` re-tested on
+``A`` plus the neighbours of vertices that moved onto or off the floor
+or ℓmax.  When ``A`` reaches :data:`FRONTIER_LIMIT` the run continues
+on the dense bodies, and a dense round seeds ``A`` again (one hear)
+only while fewer than :data:`FRONTIER_LIMIT` levels sit strictly
+inside (floor, ℓmax).  Both paths consume one fill per round and
+produce identical levels, so the switch is exact at any round
+boundary; ``tests/test_frontier_rounds.py`` compares them field for
+field.  Blocks of k ≥ 2, stressed and observed runs stay dense.
 """
 
 from __future__ import annotations
@@ -101,6 +125,13 @@ ROUND_ALGORITHMS = ("single", "two_channel", "constant_state")
 #: Exponent clip for 2^(−ℓ): ℓmax = O(log n) ≤ 60 at any simulable scale,
 #: and clipping avoids float overflow on corrupted/extreme inputs.
 MAX_EXPONENT = 1023
+
+#: Frontier rounds run while the active set has fewer vertices than
+#: this, and a dense round seeds the set only while fewer levels than
+#: this sit strictly inside (floor, ℓmax); 0 disables both.  Set from
+#: the measured crossover against a dense round at n = 4,096
+#: (``docs/performance.md``, "Frontier rounds").
+FRONTIER_LIMIT = 48
 
 #: The live rows' stress states, or ``None`` on the perfect channel
 #: with the synchronous scheduler (nothing to call, nothing drawn).
@@ -287,6 +318,9 @@ class RoundKernel:
         self._constant = algorithm == "constant_state"
         self.n = -1
         self.ell_max: Optional[npt.NDArray[np.int64]] = None
+        #: ``2^−ℓ`` by level for frontier rounds; ``None`` when the
+        #: policy admits none (no per-vertex ℓmax in ``[1, MAX_EXPONENT]``).
+        self._pow2: Optional[List[float]] = None
         self.rebind(hear, ell_max)
 
     def rebind(self, hear: HearKernel, ell_max: npt.ArrayLike = None) -> None:
@@ -316,6 +350,7 @@ class RoundKernel:
             self._p_offset = (
                 int(self.ell_max.flat[0]) if self._p_table is not None else 0
             )
+            self._pow2 = self._build_pow2()
         if n == self.n:
             return
         self.n = n
@@ -367,6 +402,24 @@ class RoundKernel:
         table[: hi + 1] = 1.0
         table[2 * hi] = 0.0
         return table
+
+    def _build_pow2(self) -> Optional[List[float]]:
+        """``[2^−0, …, 2^−max ℓmax]`` for frontier rounds, or ``None``.
+
+        The entries come from the same ``np.power`` call on float
+        exponents as :meth:`_build_p_table` and the direct formula, so a
+        scalar ``u < p`` decides every beep exactly as the dense round.
+        Frontier rounds need a per-vertex ℓmax vector in ``[1,
+        MAX_EXPONENT]`` (ℓmax ≥ 1 keeps the floor and ℓmax apart).
+        """
+        ell = self.ell_max
+        if ell is None or ell.ndim != 1:
+            return None
+        hi = int(ell.max()) if ell.size else 1
+        if ell.size and (int(ell.min()) < 1 or hi > MAX_EXPONENT):
+            return None
+        exponent = np.arange(hi + 1, dtype=np.float64)
+        return np.power(2.0, -exponent).tolist()  # type: ignore[no-any-return]
 
     # ------------------------------------------------------------------
     # One round (the engines' step())
@@ -426,8 +479,10 @@ class RoundKernel:
         ideal) and ``round_index`` the scheduler round of the first
         step.  ``observer`` (a solo ``RunCollector``, ``k == 1``) gets
         every round's :func:`structure_pass`, which also serves the
-        retirement, and the emitted beeps.  Returns ``(outcomes,
-        steps_executed)``.
+        retirement, and the emitted beeps.  An ideal, unobserved
+        one-row block tests legality through its active set and runs
+        frontier rounds while that set is small (module docstring).
+        Returns ``(outcomes, steps_executed)``.
         """
         if self._constant:
             raise ValueError("run_block is for level algorithms; use run_constant")
@@ -445,8 +500,24 @@ class RoundKernel:
         nxt = self._plane[:k]
         executed = 0
         step = self._step_single if self._single else self._step_two
+        front: Optional[_Frontier] = None
+        if (
+            k == 1 and stress is None and observer is None
+            and self._pow2 is not None and FRONTIER_LIMIT > 0
+        ):
+            front = _Frontier(self, FRONTIER_LIMIT)
+        # The active set while frontier rounds run, else ``None``.
+        active: Optional[List[int]] = None
         while True:
             should_check = executed % check_every == 0 or executed >= max_rounds
+            if front is not None:
+                if active is None:
+                    active = front.seed(cur[0])
+                # Legal ⇔ A = ∅.  No A means A, or the levels strictly
+                # inside (floor, ℓmax), reached the limit: not legal.
+                if should_check and active == []:
+                    outcomes[0] = front.outcome(cur[0], executed)
+                    break
             verdict: Optional[Verdict] = None
             if observer is not None:
                 rows = cur[:1]
@@ -456,7 +527,7 @@ class RoundKernel:
                 )
                 observer.observe_masks(rows[0], in_mis[0], dominated[0], bool(legal[0]))
                 verdict = (legal, self._rows[:1], in_mis)
-            if should_check:
+            if should_check and front is None:
                 live = self._retire_legal(
                     cur, live, perm, outcomes, executed, draws, stress, verdict
                 )
@@ -472,6 +543,10 @@ class RoundKernel:
                         final_levels=cur[i].copy(),
                     )
                 break
+            if active is not None:
+                active = front.step(draws.serve(), active)  # type: ignore[union-attr]
+                executed += 1
+                continue
             step(
                 cur[:live], nxt[:live], draws.serve()[:live], stress,
                 round_index + executed,
@@ -781,6 +856,172 @@ class RoundKernel:
                 if mask is not None:
                     np.logical_and(flip[i], mask, out=flip[i])
         np.logical_xor(in_mis, flip, out=in_mis)
+
+
+# ----------------------------------------------------------------------
+# Frontier rounds: an ideal solo row stepped on its active set alone.
+# ----------------------------------------------------------------------
+class _Frontier:
+    """Frontier rounds of one ideal, unobserved ``(1, n)`` run.
+
+    Scalar loops over memoryviews of the level row, the draw row, the
+    policy vectors and the structure's own CSR arrays (no copies): a
+    handful of vertices costs a few microseconds in plain Python, where
+    numpy's per-call overhead on tiny arrays would cost as much as a
+    dense round.  The active set ``A`` is every vertex except a floor
+    vertex whose neighbours all sit at ℓmax and an ℓmax vertex with a
+    floor neighbour (module docstring).
+    """
+
+    __slots__ = (
+        "_kernel", "_limit", "_single", "_indptr", "_indices",
+        "_floor", "_top", "_pow2", "_levels", "_draws",
+    )
+
+    def __init__(self, kernel: RoundKernel, limit: int):
+        csr = kernel.structure.csr
+        self._kernel = kernel
+        self._limit = limit
+        self._single = kernel._single
+        self._indptr = memoryview(csr.indptr)
+        self._indices = memoryview(csr.indices)
+        self._floor = memoryview(kernel._floor32)
+        self._top = memoryview(kernel._ell32)
+        self._pow2 = kernel._pow2
+        self._levels: Any = None
+        self._draws: Any = None
+
+    def seed(self, row: npt.NDArray[np.int32]) -> Optional[List[int]]:
+        """``A`` of ``row`` by a full scan, or ``None`` when it is large.
+
+        Counts the levels strictly inside (floor, ℓmax) first; only when
+        they are few does it pay one hear (a floor neighbour) and the
+        scalar pass over their neighbourhoods.
+        """
+        kern = self._kernel
+        at_floor = kern._mask_a[0]
+        at_top = kern._mask_b[0]
+        work = kern._beeps[0]
+        np.equal(row, kern._floor32, out=at_floor)
+        np.equal(row, kern._ell32, out=at_top)
+        np.logical_or(at_floor, at_top, out=work)
+        if row.size - np.count_nonzero(work) >= self._limit:
+            return None
+        heard = kern._hear.hear_rows(kern._mask_a[:1], kern._heard[:1])[0]
+        # Settled so far: ℓmax beside the floor, or floor beside no floor.
+        np.logical_and(at_top, heard, out=at_top)
+        np.greater(at_floor, heard, out=at_floor)
+        np.logical_or(at_floor, at_top, out=work)
+        np.logical_not(work, out=work)
+        active = np.flatnonzero(work).tolist()
+        if len(active) >= self._limit:
+            return None
+        # A floor vertex beside a level inside (floor, ℓmax) is active
+        # too: the hear above only saw its floor neighbours.
+        self._levels = levels = memoryview(row)
+        floor, top, indptr, indices = self._floor, self._top, self._indptr, self._indices
+        extra = set()
+        for v in active:
+            lv = levels[v]
+            if lv != floor[v] and lv != top[v]:
+                for w in indices[indptr[v]:indptr[v + 1]]:
+                    if levels[w] == floor[w]:
+                        extra.add(w)
+        if extra:
+            extra.update(active)
+            active = list(extra)
+        return active if len(active) < self._limit else None
+
+    def step(
+        self, draws: npt.NDArray[np.float64], active: List[int]
+    ) -> Optional[List[int]]:
+        """One round on ``active``; the next ``A``, or ``None`` when large.
+
+        ``draws`` is the round's ``(1, n)`` fill, already served: every
+        vertex's uniform is drawn as in a dense round, only ``A`` reads
+        them.  The next levels are decided from the current ones before
+        any is written, as in the dense blend.
+        """
+        u = self._draws
+        if u is None:
+            u = self._draws = memoryview(draws[0])
+        levels, floor, top, pw = self._levels, self._floor, self._top, self._pow2
+        indptr, indices = self._indptr, self._indices
+        moves = []
+        if self._single:
+            for v in active:
+                lv = levels[v]
+                for w in indices[indptr[v]:indptr[v + 1]]:
+                    lw = levels[w]
+                    if lw <= 0 or (lw < top[w] and u[w] < pw[lw]):
+                        nl = lv + 1 if lv < top[v] else top[v]
+                        break
+                else:
+                    if lv <= 0 or (lv < top[v] and u[v] < pw[lv]):
+                        nl = floor[v]
+                    else:
+                        nl = lv - 1 if lv > 1 else 1
+                if nl != lv:
+                    moves.append((v, nl))
+        else:
+            for v in active:
+                lv = levels[v]
+                heard1 = False
+                for w in indices[indptr[v]:indptr[v + 1]]:
+                    lw = levels[w]
+                    if lw == 0:  # heard2 wins over everything
+                        nl = top[v]
+                        break
+                    if not heard1 and 0 < lw < top[w] and u[w] < pw[lw]:
+                        heard1 = True
+                else:
+                    if heard1:
+                        nl = lv + 1 if lv < top[v] else top[v]
+                    elif lv == 0 or (0 < lv < top[v] and u[v] < pw[lv]):
+                        nl = 0
+                    else:
+                        nl = lv - 1 if lv > 1 else 1
+                if nl != lv:
+                    moves.append((v, nl))
+        if not moves:
+            return active
+        # A settled vertex reads only whether each neighbour sits at the
+        # floor or at ℓmax, so only a move onto or off those levels can
+        # unsettle the mover's neighbours.
+        candidates = set(active)
+        for v, nl in moves:
+            lv = levels[v]
+            levels[v] = nl
+            if (lv == floor[v]) != (nl == floor[v]) or (lv == top[v]) != (nl == top[v]):
+                candidates.update(indices[indptr[v]:indptr[v + 1]])
+        nxt = []
+        for v in candidates:
+            lv = levels[v]
+            if lv == floor[v]:  # active unless every neighbour is at ℓmax
+                for w in indices[indptr[v]:indptr[v + 1]]:
+                    if levels[w] != top[w]:
+                        nxt.append(v)
+                        break
+            elif lv == top[v]:  # active unless a neighbour is at the floor
+                for w in indices[indptr[v]:indptr[v + 1]]:
+                    if levels[w] == floor[w]:
+                        break
+                else:
+                    nxt.append(v)
+            else:
+                nxt.append(v)
+        return nxt if len(nxt) < self._limit else None
+
+    def outcome(self, row: npt.NDArray[np.int32], rounds: int) -> BlockOutcome:
+        """The legal row's outcome: its MIS is its floor set."""
+        in_mis = self._kernel._mask_a[0]
+        np.equal(row, self._kernel._floor32, out=in_mis)
+        return BlockOutcome(
+            stabilized=True,
+            rounds=rounds,
+            mis=frozenset(np.flatnonzero(in_mis).tolist()),
+            final_levels=row.copy(),
+        )
 
 
 # ----------------------------------------------------------------------

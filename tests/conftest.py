@@ -148,9 +148,9 @@ def stream_states(engine):
 
 def assert_same_streams(engine, twin):
     """``engine`` and ``twin`` continue every random stream alike."""
-    for (row, channel, scheduler), (row2, channel2, scheduler2) in zip(
-        stream_states(engine), stream_states(twin), strict=True
-    ):
+    mine, theirs = stream_states(engine), stream_states(twin)
+    assert len(mine) == len(theirs)
+    for (row, channel, scheduler), (row2, channel2, scheduler2) in zip(mine, theirs):
         np.testing.assert_array_equal(row, row2)
         assert channel == channel2
         assert scheduler == scheduler2

@@ -442,7 +442,8 @@ _STRESS = (
 
 
 def _assert_same_channels(channels, twin_channels):
-    for channel, twin in zip(channels, twin_channels, strict=True):
+    assert len(channels) == len(twin_channels)
+    for channel, twin in zip(channels, twin_channels):
         assert channel.drops_total == twin.drops_total
         assert channel.spurious_total == twin.spurious_total
         assert channel.last_drops == twin.last_drops
