@@ -5,7 +5,9 @@ story (Dolev [7]) also covers link churn — and Algorithm 1 handles it by
 the same mechanism, provided the ℓmax knowledge stays valid (we commit a
 degree cap up front, the "loose upper bound on Δ" the theorems allow).
 
-Measured (the headline table, written to ``results/BENCH_serve.json``):
+Measured (the headline table, written to ``results/BENCH_serve.json``;
+``--smoke`` writes ``results/BENCH_serve.smoke.json`` instead, so a
+smoke run never replaces the full-scale record):
 per-op latency percentiles and rounds-to-restabilize while
 :class:`repro.serve.MISService` replays a seeded churn-heavy op stream,
 in two modes —
@@ -166,7 +168,7 @@ def run_serve_bench(full: bool = False) -> list:
         "QUERY_MIS p50 must be below ADD_EDGE p50 in incremental mode"
     )
     path = save_bench_rows(
-        "serve",
+        "serve" if full else "serve.smoke",
         rows,
         parameters={
             "family": "er",

@@ -154,10 +154,10 @@ class BatchedEngine:
         # The round kernel, built on first use, re-targeted by rebind.
         self._fused: Optional[RoundKernel] = None
         self._bind(structure_for(graph), policy)
-        # int32 levels: they live in [−ℓmax, ℓmax] and the round is
-        # memory-bound, so the narrow width halves its traffic.  The
-        # arithmetic is exact; int64 consumers (the solo facade) cast
-        # at their own boundary.
+        # int32 levels, the engine's state at every boundary: the round
+        # kernel steps them on its own narrow (int8 while ℓmax ≤ 63)
+        # planes and hands int32 back; int64 consumers (the solo
+        # facade) cast at their own boundary.
         self.levels = np.ones((self.replicas, self.n), dtype=np.int32)
         # The uniform-draw buffer every round fills in place, row by row.
         self._draws = np.empty((self.replicas, self.n), dtype=np.float64)

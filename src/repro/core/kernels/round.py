@@ -6,10 +6,11 @@ over the CSR pattern per ≤ 64 rows, Algorithm 2's two channels stacked
 into one block; a :class:`RoundKernel` owns the *full* round
 (beep decision → stress gate → hear → channel → level update, plus
 legality/retirement in its run loops) for a ``(k, n)`` block of
-replicas, over preallocated int32 planes with the hear delegated to the
-engine's own :class:`~repro.core.kernels.hear.HearKernel`.  Its three
-round bodies (``_step_single``, ``_step_two``, ``_step_constant``) are
-the only round arithmetic of the array engines: every engine ``step()``
+replicas, over preallocated narrow level planes (below) with the
+hear delegated to the engine's own
+:class:`~repro.core.kernels.hear.HearKernel`.  Its three round bodies
+(``_step_single``, ``_step_two``, ``_step_constant``) are the only
+round arithmetic of the array engines: every engine ``step()``
 runs one of them on its own levels (:meth:`RoundKernel.step`), and
 every solo run and every batched run without a collector — stressed
 and observed runs included — runs them in the fused loops
@@ -38,13 +39,29 @@ methods are called, not inlined: each ``StressState`` stays the one
 owner of its streams, counters and stale-beep carriers, and a tracer
 wrapping them still sees every call.
 
+Narrow level planes
+-------------------
+Levels live in [−ℓmax, ℓmax] with ℓmax = O(log n), and a round's
+integer intermediates stay within ±2ℓmax (the blend's ``up − down``),
+so :meth:`RoundKernel.rebind` picks the plane dtype once from the
+policy: int8 while every |ℓmax| ≤ :data:`NARROW_ELL_MAX` = 63, int32
+otherwise.  :meth:`RoundKernel.run_block` copies the caller's int32
+block into its work block once at entry (range-checked, so a bad level
+raises instead of wrapping) and writes int32 back at exit; outcomes
+carry fresh int32 rows.  :meth:`RoundKernel.step` reads the engine's
+int32 state and computes into the narrow scratch (a same-kind cast on
+store).  The beep decision needs no table: ``np.ldexp(1.0, −ℓ)`` is
+exactly 2^−ℓ (bit-identical to ``np.power``), ≥ 1 > u for ℓ ≤ 0, and
+ℓmax is masked out (Algorithm 1 by ``ℓ < ℓmax``, Algorithm 2 by its
+``(0, ℓmax)`` band).
+
 Byte-identity contract
 ----------------------
 The random draw layout is one ``Generator.random(out=)`` fill of ``n``
 doubles per live replica per round (:class:`PerRoundDraws`, the one
 draw source), so every generator stops exactly where its last consumed
-draw ended; beep probabilities come from one ``np.power``
-construction, hear masks equal ``(A @ beeps) > 0`` exactly (the block
+draw ended; beep probabilities are exact powers of two (``np.ldexp``),
+hear masks equal ``(A @ beeps) > 0`` exactly (the block
 path ORs over the all-ones CSR pattern, so it counts nothing and cannot
 overflow), and the level update is an exact integer blend.  A fused run
 therefore equals the same engine's ``step()`` loop bit for bit —
@@ -122,9 +139,14 @@ __all__ = [
 #: Accepted algorithm tags (mirrors the engines' vocabulary).
 ROUND_ALGORITHMS = ("single", "two_channel", "constant_state")
 
-#: Exponent clip for 2^(−ℓ): ℓmax = O(log n) ≤ 60 at any simulable scale,
-#: and clipping avoids float overflow on corrupted/extreme inputs.
+#: Largest ℓmax with a ``2^−ℓ`` table for frontier rounds (and the
+#: exponent clip of the test oracles): ℓmax = O(log n) ≤ 60 at any
+#: simulable scale.
 MAX_EXPONENT = 1023
+
+#: The largest |ℓmax| an int8 level plane holds: a round's intermediates
+#: reach ``up = ℓmax + 1`` and the blend's ``±2ℓmax``, and 2·63 ≤ 127.
+NARROW_ELL_MAX = 63
 
 #: Frontier rounds run while the active set has fewer vertices than
 #: this, and a dense round seeds the set only while fewer levels than
@@ -138,13 +160,31 @@ FRONTIER_LIMIT = 48
 StressRows = Optional[List["StressState"]]
 
 BoolBlock = npt.NDArray[np.bool_]
-LevelBlock = npt.NDArray[np.integer[Any]]  # int32 or int64 levels
+LevelBlock = npt.NDArray[np.integer[Any]]  # int8, int32 or int64 levels
 #: ``(legal, rows, in_mis)``: see :func:`pruned_legality`.
 Verdict = Tuple[BoolBlock, Any, Any]
 
 
 def _fresh(shape: Tuple[int, ...], count: int) -> Tuple[BoolBlock, ...]:
     return tuple(np.empty(shape, dtype=bool) for _ in range(count))
+
+
+def _plane_dtype(ell_max: npt.NDArray[np.int64]) -> Any:
+    """int8 when every intermediate of a round fits, int32 otherwise."""
+    top = int(np.abs(ell_max).max()) if ell_max.size else 0
+    if top > NARROW_ELL_MAX:
+        return np.int32
+    narrow = np.int8  # repro: allow[RPR302]
+    # The blend's ±2ℓmax (and ``up = ℓmax + 1``) must fit the plane.
+    assert 2 * top < np.iinfo(narrow).max
+    return narrow
+
+
+def _widen(row: npt.NDArray[np.integer[Any]]) -> npt.NDArray[np.int32]:
+    """A fresh int32 copy of a level row, cast on store."""
+    out = np.empty(row.shape[0], dtype=np.int32)
+    np.copyto(out, row)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +358,9 @@ class RoundKernel:
         self._constant = algorithm == "constant_state"
         self.n = -1
         self.ell_max: Optional[npt.NDArray[np.int64]] = None
+        #: The level planes' dtype (:func:`_plane_dtype`; int32 for the
+        #: two-state baseline, which has no level planes to narrow).
+        self.plane_dtype: Any = np.int32
         #: ``2^−ℓ`` by level for frontier rounds; ``None`` when the
         #: policy admits none (no per-vertex ℓmax in ``[1, MAX_EXPONENT]``).
         self._pow2: Optional[List[float]] = None
@@ -326,11 +369,12 @@ class RoundKernel:
     def rebind(self, hear: HearKernel, ell_max: npt.ArrayLike = None) -> None:
         """Re-target the kernel at the engine's rebound hear kernel.
 
-        The policy tables are rebuilt when ``ell_max`` is a new array
-        (engines hand back the same read-only array while the policy
-        holds); the per-round scratch is reallocated only when the
-        vertex count changed, so a fixed-``n`` topology delta under the
-        same policy costs no allocation at all.
+        The policy vectors and the plane dtype are rebuilt when
+        ``ell_max`` is a new array (engines hand back the same read-only
+        array while the policy holds); the per-round scratch is
+        reallocated only when the vertex count or the plane dtype
+        changed, so a fixed-``n`` topology delta under the same policy
+        costs no allocation at all.
         """
         self._hear = hear
         self.structure = hear.structure
@@ -338,26 +382,22 @@ class RoundKernel:
         ell = None if self._constant else np.asarray(ell_max, dtype=np.int64)
         if ell is not None and ell.shape not in ((), (n,)):
             raise ValueError(f"ell_max must be scalar or shape ({n},)")
+        dtype = self.plane_dtype
         if ell is not None and ell is not self.ell_max:
             self.ell_max = ell
-            floor = (
-                -self.ell_max if self._single else np.zeros_like(self.ell_max)
-            )
-            self._ell32 = self.ell_max.astype(np.int32)
-            self._floor32 = floor.astype(np.int32)
-            self._neg_ell32 = -self._ell32
-            self._p_table = self._build_p_table()
-            self._p_offset = (
-                int(self.ell_max.flat[0]) if self._p_table is not None else 0
-            )
+            dtype = _plane_dtype(ell)
+            floor = -ell if self._single else np.zeros_like(ell)
+            self._top = ell.astype(dtype)
+            self._floor = floor.astype(dtype)
+            self._neg_top = -self._top
             self._pow2 = self._build_pow2()
-        if n == self.n:
+        if n == self.n and dtype == self.plane_dtype:
             return
         self.n = n
+        self.plane_dtype = dtype
         k = self.replicas
         # ---- per-round scratch, bound once (hot-path contract) -------
         self._p_buf = np.empty((k, n), dtype=np.float64)
-        self._idx32 = np.empty((k, n), dtype=np.int32)
         self._beeps = np.empty((k, n), dtype=bool)
         self._mask_a = np.empty((k, n), dtype=bool)
         self._mask_b = np.empty((k, n), dtype=bool)
@@ -366,51 +406,23 @@ class RoundKernel:
         self._stack = (
             np.empty((2 * k, n), dtype=bool) if self._two else None
         )
-        self._up = np.empty((k, n), dtype=np.int32)
-        self._sel = np.empty((k, n), dtype=np.int32)
-        self._plane = np.empty((k, n), dtype=np.int32)
+        # The narrow level planes: ``run_block``'s work block, the
+        # blend's target, ``up`` and the ``−ℓ``/``sel`` scratch.
+        self._work = np.empty((k, n), dtype=dtype)
+        self._plane = np.empty((k, n), dtype=dtype)
+        self._up = np.empty((k, n), dtype=dtype)
+        self._sel = np.empty((k, n), dtype=dtype)
         self._cand = np.empty(k, dtype=bool)
         self._rows = np.arange(k)
-
-    def _build_p_table(self) -> Optional[npt.NDArray[np.float64]]:
-        """Beep-probability lookup table for uniform-ℓmax policies.
-
-        With one global ``L = ℓmax`` the Figure-1 activation depends only
-        on the level, so ``p = table[level + L]`` replaces the per-round
-        clip/power/masked-assignment chain with a single fancy index.
-        Entries are computed by the *same* ``np.power`` call as the
-        direct formula of :meth:`_probabilities`, so probabilities are
-        bit-identical:
-
-        * ``table[0..L] = 1.0`` (levels ≤ 0 beep always);
-        * ``table[L+k] = 2^−k`` for ``0 < k < L``;
-        * ``table[2L] = 0.0`` (level ℓmax never beeps on channel 1).
-
-        Algorithm 2 indexes the same table (levels ∈ [0, L]): level 0
-        maps to 1.0 = 2^0 and the 0.0 entry at level L is masked out by
-        the activity band, exactly as in the direct formula.
-        """
-        ell = self.ell_max
-        if ell is None or ell.size == 0:
-            return None
-        lo = int(ell.min())
-        hi = int(ell.max())
-        if lo != hi or hi < 1 or hi > MAX_EXPONENT:
-            return None
-        exponent = np.arange(2 * hi + 1, dtype=np.float64) - float(hi)
-        table = np.power(2.0, -np.clip(exponent, 0.0, float(MAX_EXPONENT)))
-        table[: hi + 1] = 1.0
-        table[2 * hi] = 0.0
-        return table
 
     def _build_pow2(self) -> Optional[List[float]]:
         """``[2^−0, …, 2^−max ℓmax]`` for frontier rounds, or ``None``.
 
-        The entries come from the same ``np.power`` call on float
-        exponents as :meth:`_build_p_table` and the direct formula, so a
-        scalar ``u < p`` decides every beep exactly as the dense round.
-        Frontier rounds need a per-vertex ℓmax vector in ``[1,
-        MAX_EXPONENT]`` (ℓmax ≥ 1 keeps the floor and ℓmax apart).
+        Every entry is an exact power of two, equal to the dense round's
+        ``np.ldexp(1.0, −ℓ)``, so a scalar ``u < p`` decides every beep
+        exactly as the dense round.  Frontier rounds need a per-vertex
+        ℓmax vector in ``[1, MAX_EXPONENT]`` (ℓmax ≥ 1 keeps the floor
+        and ℓmax apart).
         """
         ell = self.ell_max
         if ell is None or ell.ndim != 1:
@@ -434,11 +446,12 @@ class RoundKernel:
         """One round on a ``(k, n)`` block, updating ``state`` in place.
 
         ``state`` is int32 levels (bool membership for the two-state
-        baseline), ``draws`` the round's ``(k, n)`` uniforms, ``stress``
-        the rows' stress states and ``round_index`` the scheduler's
-        round.  Returns the emitted beeps as a view of the kernel's
-        scratch, valid until the next round: ``(k, n)``, or ``(2k, n)``
-        for Algorithm 2 with channel 2 in rows ``k:``.
+        baseline), computed into the narrow planes and stored back;
+        ``draws`` the round's ``(k, n)`` uniforms, ``stress`` the rows'
+        stress states and ``round_index`` the scheduler's round.
+        Returns the emitted beeps as a view of the kernel's scratch,
+        valid until the next round: ``(k, n)``, or ``(2k, n)`` for
+        Algorithm 2 with channel 2 in rows ``k:``.
         """
         k = state.shape[0]
         if self._constant:
@@ -472,12 +485,14 @@ class RoundKernel:
         Mirrors a hand-driven ``step()`` loop exactly: legality is
         observed before stepping at rounds ``0, check_every,
         2·check_every, …`` plus once at budget exhaustion, so each
-        row's ``rounds`` equals the step loop's.  Rows are compacted as
-        replicas retire (see the module docstring), and ``levels`` is
-        rebuilt in place from the per-replica retirement copies on
-        exit.  ``stress`` holds each row's stress state (``None`` when
-        ideal) and ``round_index`` the scheduler round of the first
-        step.  ``observer`` (a solo ``RunCollector``, ``k == 1``) gets
+        row's ``rounds`` equals the step loop's.  The rounds run on the
+        kernel's narrow work block, loaded once at entry (a level
+        outside [floor, ℓmax] raises ``ValueError``).  Rows are
+        compacted as replicas retire (see the module docstring), and
+        ``levels`` is rebuilt in place from the per-replica int32
+        retirement copies on exit.  ``stress`` holds each row's stress
+        state (``None`` when ideal) and ``round_index`` the scheduler
+        round of the first step.  ``observer`` (a solo ``RunCollector``, ``k == 1``) gets
         every round's :func:`structure_pass`, which also serves the
         retirement, and the emitted beeps.  An ideal, unobserved
         one-row block tests legality through its active set and runs
@@ -491,12 +506,13 @@ class RoundKernel:
         k = levels.shape[0]
         if observer is not None and k != 1:
             raise ValueError("an observer watches a solo (1, n) block")
+        cur = self._work[:k]
+        self._load(levels, cur)
         outcomes: List[Optional[BlockOutcome]] = [None] * k
         perm = list(range(k))
         # Stress states move with their rows on retirement, like perm.
         stress = None if stress is None else list(stress)
         live = k
-        cur = levels
         nxt = self._plane[:k]
         executed = 0
         step = self._step_single if self._single else self._step_two
@@ -522,7 +538,7 @@ class RoundKernel:
             if observer is not None:
                 rows = cur[:1]
                 in_mis, dominated, legal = structure_pass(
-                    self._hear, rows, self._floor32, self._ell32,
+                    self._hear, rows, self._floor, self._top,
                     out=(self._mask_a[:1], self._mask_b[:1], self._heard[:1]),
                 )
                 observer.observe_masks(rows[0], in_mis[0], dominated[0], bool(legal[0]))
@@ -540,7 +556,7 @@ class RoundKernel:
                         stabilized=False,
                         rounds=executed,
                         mis=frozenset(),
-                        final_levels=cur[i].copy(),
+                        final_levels=_widen(cur[i]),
                     )
                 break
             if active is not None:
@@ -555,19 +571,32 @@ class RoundKernel:
                 observer.observe_beeps(self._beeps[0] if self._single else tuple(self._stack[:2]))
             cur, nxt = nxt, cur
             executed += 1
-        # Compaction permuted the block rows (and the run may have ended
-        # on the scratch plane); every replica's ground truth is its
-        # recorded copy.  One pass, once per run.
+        # Compaction permuted the block rows (and the run ended on a
+        # narrow plane); every replica's ground truth is its recorded
+        # int32 copy.  One pass, once per run.
         for r in range(k):
             np.copyto(levels[r], outcomes[r].final_levels)
         return outcomes, executed  # type: ignore[return-value]
+
+    def _load(
+        self, levels: npt.NDArray[np.int32], work: LevelBlock
+    ) -> None:
+        """Copy ``levels`` into the narrow ``work`` block, range-checked."""
+        k = levels.shape[0]
+        low = self._mask_a[:k]
+        high = self._mask_b[:k]
+        np.less(levels, self._floor, out=low)
+        np.greater(levels, self._top, out=high)
+        if low.any() or high.any():
+            raise ValueError("levels outside [floor, ell_max]")
+        np.copyto(work, levels, casting="same_kind")
 
     # ------------------------------------------------------------------
     # Legality + retirement
     # ------------------------------------------------------------------
     def _retire_legal(
         self,
-        cur: npt.NDArray[np.int32],
+        cur: LevelBlock,
         live: int,
         perm: List[int],
         outcomes: List[Optional[BlockOutcome]],
@@ -589,7 +618,7 @@ class RoundKernel:
         """
         if verdict is None:
             verdict = pruned_legality(
-                self._hear, cur[:live], self._floor32, self._ell32,
+                self._hear, cur[:live], self._floor, self._top,
                 (self._mask_a[:live], self._mask_b[:live], self._cand[:live]),
             )
         legal, idx, in_mis = verdict
@@ -601,7 +630,7 @@ class RoundKernel:
                 stabilized=True,
                 rounds=executed,
                 mis=frozenset(np.flatnonzero(in_mis[jj]).tolist()),
-                final_levels=cur[j].copy(),
+                final_levels=_widen(cur[j]),
             )
             last = live - 1
             if j != last:
@@ -616,63 +645,58 @@ class RoundKernel:
     # ------------------------------------------------------------------
     # Round bodies
     # ------------------------------------------------------------------
-    def _probabilities(
-        self, cur: npt.NDArray[np.int32], k: int
-    ) -> npt.NDArray[np.float64]:
-        """Channel-1 beep probabilities (the Figure-1 activation)."""
-        table = self._p_table
+    def _beep_below(
+        self,
+        cur: LevelBlock,
+        draws: npt.NDArray[np.float64],
+        out: npt.NDArray[np.bool_],
+    ) -> None:
+        """``out = draws < 2^−cur``: the Figure-1 activation below ℓmax.
+
+        ``np.ldexp(1.0, −ℓ)`` is exactly 2^−ℓ, and at ℓ ≤ 0 it is ≥ 1 >
+        u, so the vertex always beeps; the caller masks out ℓmax, which
+        never beeps on channel 1.  ``−ℓ`` goes through the ``sel``
+        scratch, which the update overwrites only after the hear.
+        """
+        k = cur.shape[0]
+        neg = self._sel[:k]
+        np.negative(cur, out=neg)
         p = self._p_buf[:k]
-        if table is not None:
-            idx = self._idx32[:k]
-            np.add(cur, self._p_offset, out=idx)
-            # Levels are invariants of the dynamics, so indices are
-            # always in range; mode="clip" only skips the bounds-check
-            # pass (measurably faster, value-identical).
-            np.take(table, idx, out=p, mode="clip")
-            return p
-        # Non-uniform ℓmax: the direct clip/negate/power chain
-        # (cast-on-store, value-identical to ``.astype``).
-        np.clip(cur, 0, MAX_EXPONENT, out=p)
-        np.negative(p, out=p)
-        np.power(2.0, p, out=p)
-        if self._single:
-            low = self._mask_a[:k]
-            np.less_equal(cur, 0, out=low)
-            p[low] = 1.0
-            np.greater_equal(cur, self._ell32, out=low)
-            p[low] = 0.0
-        return p
+        np.ldexp(1.0, neg, out=p)
+        np.less(draws, p, out=out)
 
     def _step_single(
         self,
-        cur: npt.NDArray[np.int32],
-        nxt: npt.NDArray[np.int32],
+        cur: LevelBlock,
+        nxt: LevelBlock,
         draws: npt.NDArray[np.float64],
         stress: StressRows,
         round_index: int,
     ) -> None:
         """One Algorithm-1 round, writing the new levels into ``nxt``.
 
-        ``draws < p`` decides the beeps, the hear booleans pick the
-        branch, and the branch-free integer blend ``x + (y − x)·mask``
-        computes ``where(heard, up, where(beeps, −ℓmax, down))`` exactly.
-        Unlike a masked ``copyto`` its cost does not blow up at the
-        ~30–50 % beep densities this algorithm lives at.
+        ``draws < 2^−ℓ`` below ℓmax decides the beeps, the hear booleans
+        pick the branch, and the branch-free integer blend ``x + (y −
+        x)·mask`` computes ``where(heard, up, where(beeps, −ℓmax,
+        down))`` exactly.  Unlike a masked ``copyto`` its cost does not
+        blow up at the ~30–50 % beep densities this algorithm lives at.
         """
         k = cur.shape[0]
         up = self._up[:k]
         np.add(cur, 1, out=up)
-        np.minimum(up, self._ell32, out=up)
-        p = self._probabilities(cur, k)
+        np.minimum(up, self._top, out=up)
         beeps = self._beeps[:k]
-        np.less(draws, p, out=beeps)
+        self._beep_below(cur, draws, beeps)
+        below = self._mask_a[:k]
+        np.less(cur, self._top, out=below)
+        np.logical_and(beeps, below, out=beeps)
         masks = _gate(stress, round_index, beeps)
         heard = self._hear.hear_rows(beeps, self._heard[:k])
         _perturb(stress, heard)
         np.subtract(cur, 1, out=nxt)
         np.maximum(nxt, 1, out=nxt)
         sel = self._sel[:k]
-        np.subtract(self._neg_ell32, nxt, out=sel)
+        np.subtract(self._neg_top, nxt, out=sel)
         np.multiply(sel, beeps, out=sel)
         np.add(nxt, sel, out=nxt)
         np.subtract(up, nxt, out=sel)
@@ -682,8 +706,8 @@ class RoundKernel:
 
     def _step_two(
         self,
-        cur: npt.NDArray[np.int32],
-        nxt: npt.NDArray[np.int32],
+        cur: LevelBlock,
+        nxt: LevelBlock,
         draws: npt.NDArray[np.float64],
         stress: StressRows,
         round_index: int,
@@ -699,16 +723,15 @@ class RoundKernel:
         k = cur.shape[0]
         up = self._up[:k]
         np.add(cur, 1, out=up)
-        np.minimum(up, self._ell32, out=up)
-        p1 = self._probabilities(cur, k)
+        np.minimum(up, self._top, out=up)
         band = self._mask_a[:k]
         hi = self._mask_b[:k]
         np.greater(cur, 0, out=band)
-        np.less(cur, self._ell32, out=hi)
+        np.less(cur, self._top, out=hi)
         np.logical_and(band, hi, out=band)
         stacked = self._stack[: 2 * k]
         beep1 = stacked[:k]
-        np.less(draws, p1, out=beep1)
+        self._beep_below(cur, draws, beep1)
         np.logical_and(beep1, band, out=beep1)
         beep2 = stacked[k:]
         np.equal(cur, 0, out=beep2)
@@ -731,7 +754,7 @@ class RoundKernel:
         np.subtract(up, nxt, out=sel)
         np.multiply(sel, heard1, out=sel)
         np.add(nxt, sel, out=nxt)
-        np.subtract(self._ell32, nxt, out=sel)
+        np.subtract(self._top, nxt, out=sel)
         np.multiply(sel, heard2, out=sel)
         np.add(nxt, sel, out=nxt)
         _hold(masks, nxt, cur)
@@ -885,13 +908,13 @@ class _Frontier:
         self._single = kernel._single
         self._indptr = memoryview(csr.indptr)
         self._indices = memoryview(csr.indices)
-        self._floor = memoryview(kernel._floor32)
-        self._top = memoryview(kernel._ell32)
+        self._floor = memoryview(kernel._floor)
+        self._top = memoryview(kernel._top)
         self._pow2 = kernel._pow2
         self._levels: Any = None
         self._draws: Any = None
 
-    def seed(self, row: npt.NDArray[np.int32]) -> Optional[List[int]]:
+    def seed(self, row: LevelBlock) -> Optional[List[int]]:
         """``A`` of ``row`` by a full scan, or ``None`` when it is large.
 
         Counts the levels strictly inside (floor, ℓmax) first; only when
@@ -902,8 +925,8 @@ class _Frontier:
         at_floor = kern._mask_a[0]
         at_top = kern._mask_b[0]
         work = kern._beeps[0]
-        np.equal(row, kern._floor32, out=at_floor)
-        np.equal(row, kern._ell32, out=at_top)
+        np.equal(row, kern._floor, out=at_floor)
+        np.equal(row, kern._top, out=at_top)
         np.logical_or(at_floor, at_top, out=work)
         if row.size - np.count_nonzero(work) >= self._limit:
             return None
@@ -1012,15 +1035,15 @@ class _Frontier:
                 nxt.append(v)
         return nxt if len(nxt) < self._limit else None
 
-    def outcome(self, row: npt.NDArray[np.int32], rounds: int) -> BlockOutcome:
+    def outcome(self, row: LevelBlock, rounds: int) -> BlockOutcome:
         """The legal row's outcome: its MIS is its floor set."""
         in_mis = self._kernel._mask_a[0]
-        np.equal(row, self._kernel._floor32, out=in_mis)
+        np.equal(row, self._kernel._floor, out=in_mis)
         return BlockOutcome(
             stabilized=True,
             rounds=rounds,
             mis=frozenset(np.flatnonzero(in_mis).tolist()),
-            final_levels=row.copy(),
+            final_levels=_widen(row),
         )
 
 
@@ -1063,8 +1086,8 @@ def _perturb(stress: StressRows, *heard: npt.NDArray[np.bool_]) -> None:
 
 def _hold(
     masks: Optional[List[Optional[npt.NDArray[np.bool_]]]],
-    nxt: npt.NDArray[np.int32],
-    cur: npt.NDArray[np.int32],
+    nxt: LevelBlock,
+    cur: LevelBlock,
 ) -> None:
     """Delayed vertices keep their pre-round level."""
     if masks is None:

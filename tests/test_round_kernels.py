@@ -9,8 +9,10 @@ The reference here is the same engine driven by hand through
 ``step()`` (the helpers in ``conftest.py``).  These tests pin the
 identity on all three algorithms, solo and batched, the check cadence,
 survival across a topology ``rebind``, fused runs after a hand-stepped
-row subset, and that the fused path hears through the engine's own
-hear kernel.
+row subset, that the fused path hears through the engine's own hear
+kernel, and that the narrow level planes follow the policy's ℓmax
+without changing a level (against the hand-rolled oracles of
+``tests/test_robustness_differential.py``).
 """
 
 import numpy as np
@@ -30,9 +32,11 @@ from repro.core.engines.constant_state import (
 )
 from repro.core.engines.single import SingleChannelEngine
 from repro.core.engines.two_channel import TwoChannelEngine
-from repro.core.kernels import HearKernel, structure_for
+from repro.core.kernels import HearKernel, PerRoundDraws, structure_for
+from repro.core.knowledge import explicit_policy, uniform_policy
 from repro.core.runner import compute_mis, policy_for_variant
 from repro.graphs.generators import by_name
+from test_robustness_differential import _oracle_single, _oracle_two_channel
 
 SOLO = [(SingleChannelEngine, "max_degree"), (TwoChannelEngine, "two_channel")]
 
@@ -264,3 +268,111 @@ def test_fused_run_uses_the_engines_hear_kernel(monkeypatch, source):
     assert solo._block._fused._hear is solo.kernel
     assert batched._fused._hear is batched.kernel
     assert {id(k) for k in calls} == {id(solo.kernel), id(batched.kernel)}
+
+
+# ----------------------------------------------------------------------
+# Narrow level planes: the width follows ℓmax, the levels do not
+# ----------------------------------------------------------------------
+ORACLES = {
+    "single": (SingleChannelEngine, _oracle_single),
+    "two_channel": (TwoChannelEngine, _oracle_two_channel),
+}
+WIDTH_ROUNDS = 50
+
+
+def _stream_after(seed, policy, algorithm, rounds, n):
+    """The next uniform of a stream after a random start and ``rounds``."""
+    rng = np.random.default_rng(seed)
+    top = np.asarray(policy.ell_max, dtype=np.int64)
+    rng.integers(0, 2 * top + 1 if algorithm == "single" else top + 1, size=n)
+    for _ in range(rounds):
+        rng.random(n)
+    return rng.random()
+
+
+def _assert_planes(kernel, width):
+    assert kernel.plane_dtype == width
+    for plane in (kernel._work, kernel._plane, kernel._up, kernel._sel, kernel._top):
+        assert plane.dtype == width
+
+
+def _assert_steps_match_oracle(engine, policy, algorithm, seed):
+    graph = engine.graph
+    engine.randomize_levels()
+    trajectory = _oracle_single if algorithm == "single" else _oracle_two_channel
+    oracle = trajectory(graph, policy, seed, WIDTH_ROUNDS)
+    np.testing.assert_array_equal(engine.levels, next(oracle))
+    for expected in oracle:
+        engine.step()
+        np.testing.assert_array_equal(engine.levels, expected)
+    assert engine.rng.random() == _stream_after(
+        seed, policy, algorithm, WIDTH_ROUNDS, graph.num_vertices
+    )
+
+
+@pytest.mark.parametrize("per_vertex", (False, True), ids=("uniform", "one_vertex"))
+@pytest.mark.parametrize("top, width", ((63, np.int8), (64, np.int32)), ids=("63", "64"))
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+def test_plane_width_follows_ell_max_and_levels_match_the_oracle(
+    algorithm, top, width, per_vertex
+):
+    graph = _graph()
+    n = graph.num_vertices
+    policy = (
+        explicit_policy([top if v == 5 else 20 for v in range(n)])
+        if per_vertex else uniform_policy(graph, top)
+    )
+    engine_cls, oracle_fn = ORACLES[algorithm]
+    # ``step()``: the engine's int32 state through the narrow scratch.
+    stepped = engine_cls(graph, policy, seed=5)
+    _assert_planes(stepped._block._kernel(), width)
+    _assert_steps_match_oracle(stepped, policy, algorithm, 5)
+    # ``run_block``: a one-row block on the same stream, int32 outcome.
+    trajectory = list(oracle_fn(graph, policy, 5, WIDTH_ROUNDS))
+    rng = np.random.default_rng(5)
+    fused = BatchedEngine(graph, policy, rngs=[rng], algorithm=algorithm)
+    out = fused.run(max_rounds=WIDTH_ROUNDS, arbitrary_start=True).results[0]
+    _assert_planes(fused._fused, width)
+    assert out.final_levels.dtype == np.int32
+    assert fused.levels.dtype == np.int32
+    np.testing.assert_array_equal(out.final_levels, trajectory[out.rounds])
+    np.testing.assert_array_equal(fused.levels[0], trajectory[out.rounds])
+    assert rng.random() == _stream_after(5, policy, algorithm, out.rounds, n)
+
+
+@pytest.mark.parametrize("wide", (64, 200))
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+def test_same_n_rebind_across_the_narrow_bound_repicks_the_width(algorithm, wide):
+    graph = _graph()
+    engine_cls, _ = ORACLES[algorithm]
+    engine = engine_cls(graph, uniform_policy(graph, 63), seed=9)
+    kernel = engine._block._kernel()
+    _assert_planes(kernel, np.int8)
+    policy = uniform_policy(graph, wide)
+    engine.rebind(structure_for(graph), policy)
+    assert engine._block._fused is kernel
+    _assert_planes(kernel, np.int32)
+    _assert_steps_match_oracle(engine, policy, algorithm, 9)
+    engine.rebind(structure_for(graph), uniform_policy(graph, 63))
+    _assert_planes(kernel, np.int8)
+
+
+@pytest.mark.parametrize("top", (63, 64))
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+def test_run_block_rejects_a_level_outside_its_band(algorithm, top):
+    graph = _graph()
+    n = graph.num_vertices
+    policy = explicit_policy([top] + [10] * (n - 1))
+    engine = BatchedEngine(graph, policy, replicas=2, seed=0, algorithm=algorithm)
+    kernel = engine._kernel()
+    floor = -10 if algorithm == "single" else 0
+    before = [rng.bit_generator.state for rng in engine.rngs]
+    # Inside the policy's widest band but outside vertex 1's own; and
+    # a level an int8 plane would wrap.
+    for vertex, level in ((1, 11), (1, floor - 1), (0, 128), (0, top + 1)):
+        block = np.ones((2, n), dtype=np.int32)
+        block[1, vertex] = level
+        with pytest.raises(ValueError, match="outside"):
+            kernel.run_block(block, PerRoundDraws(engine.rngs, engine._draws), 10)
+        assert block[1, vertex] == level
+    assert [rng.bit_generator.state for rng in engine.rngs] == before

@@ -10,11 +10,68 @@ from repro.core.engines import (
     simulate_single,
     simulate_two_channel,
 )
-from repro.core.kernels import RoundKernel
+from repro.core.kernels import HearKernel, RoundKernel, structure_for
+from repro.core.levels import beep_probability
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.graphs.mis import check_mis
 from repro.obs import RunCollector, StructureView
+
+
+# ----------------------------------------------------------------------
+# The kernel's beep decision is the Figure-1 activation
+# ----------------------------------------------------------------------
+#: ``(ℓmax per vertex group, ...)``: uniform policies on both plane
+#: widths (int8 up to 63, int32 from 64), and per-vertex vectors.
+FIGURE1_POLICIES = [(1,), (4,), (20,), (63,), (64,), (200,), (1, 4, 63), (3, 64, 20)]
+_LAST_UNIFORM = 1.0 - 2.0**-53  # the largest ``Generator.random()`` value
+
+
+def _every_level(ell_maxes, algorithm):
+    """One vertex per admissible ``(ℓmax, ℓ)`` pair."""
+    tops, levels = [], []
+    for top in ell_maxes:
+        floor = -top if algorithm == "single" else 0
+        span = range(floor, top + 1)
+        tops.extend([top] * len(span))
+        levels.extend(span)
+    return np.array(tops, dtype=np.int64), np.array(levels, dtype=np.int64)
+
+
+@pytest.mark.parametrize("algorithm", ("single", "two_channel"))
+@pytest.mark.parametrize(
+    "ell_maxes", FIGURE1_POLICIES, ids=lambda t: "-".join(map(str, t))
+)
+def test_beep_decision_matches_figure1(algorithm, ell_maxes):
+    tops, levels = _every_level(ell_maxes, algorithm)
+    n = levels.size
+    kernel = RoundKernel(
+        HearKernel(structure_for(Graph(n))), algorithm=algorithm,
+        ell_max=tops, replicas=4,
+    )
+    assert kernel.plane_dtype == (np.int8 if tops.max() <= 63 else np.int32)
+    # Row by row: u = 0, just below 2^−ℓ, exactly 2^−ℓ, the largest u.
+    edge = np.ldexp(1.0, -levels)
+    draws = np.minimum(
+        np.stack([np.zeros(n), np.nextafter(edge, 0.0), edge, np.full(n, _LAST_UNIFORM)]),
+        _LAST_UNIFORM,
+    )
+    state = np.tile(levels.astype(np.int32), (4, 1))
+    emitted = kernel.step(state, draws)
+    p = np.array([beep_probability(int(l), int(t)) for l, t in zip(levels, tops)])
+    expected = draws < p
+    if algorithm == "single":
+        np.testing.assert_array_equal(emitted, expected)
+        assert expected[:, levels <= 0].all()
+    else:
+        inside = (levels > 0) & (levels < tops)
+        np.testing.assert_array_equal(emitted[:4], expected & inside)
+        np.testing.assert_array_equal(emitted[4:], np.tile(levels == 0, (4, 1)))
+    assert not emitted[:4, levels == tops].any()
+    # Strictly inside (0, ℓmax) the boundary falls exactly at 2^−ℓ.
+    inside = (levels > 0) & (levels < tops)
+    np.testing.assert_array_equal(emitted[1, inside], True)
+    np.testing.assert_array_equal(emitted[2, inside], False)
 
 
 class TestSingleChannelEngine:
@@ -34,20 +91,6 @@ class TestSingleChannelEngine:
             engine.set_levels(np.array([4, 0, 0, 0]))  # out of range
         engine.set_levels(np.array([-3, 3, 0, 1]))
         assert list(engine.levels) == [-3, 3, 0, 1]
-
-    def test_beep_probabilities_match_figure1(self, path4):
-        # The Figure-1 activation lives in the engine's round kernel:
-        # the uniform-ℓmax lookup table and the direct formula (taken
-        # for a non-uniform ℓmax) must both give it.
-        engine = SingleChannelEngine(path4, uniform_policy(path4, 4))
-        kernel = engine._block._kernel()
-        assert kernel._p_table is not None
-        levels = np.array([[-4, 0, 2, 4]], dtype=np.int32)
-        assert list(kernel._probabilities(levels, 1)[0]) == [1.0, 1.0, 0.25, 0.0]
-        direct = RoundKernel(engine.kernel, algorithm="single", ell_max=[4, 4, 4, 5])
-        assert direct._p_table is None
-        levels = np.array([[-4, 0, 2, 5]], dtype=np.int32)
-        assert list(direct._probabilities(levels, 1)[0]) == [1.0, 1.0, 0.25, 0.0]
 
     def test_randomize_levels_in_range(self, er_graph):
         policy = uniform_policy(er_graph, 6)
