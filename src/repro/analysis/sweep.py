@@ -93,9 +93,9 @@ class SweepWorkerError(RuntimeError):
     Raised in the parent in place of the bare
     ``concurrent.futures.process.BrokenProcessPool`` so the error names
     the sweep layer and the cleanup guarantee: the ``run_sweep`` call
-    still shuts its pool down, so no worker outlives it (the ``with``
-    discipline RPR704 enforces statically and the ``--sanitize`` crash
-    probe exercises at runtime).
+    still shuts its pool down, so no worker outlives it (every pool is a
+    ``with`` block; ``tests/test_sweep_executors.py`` and the
+    ``--sanitize`` crash probe check it at runtime).
     """
 
 #: A measurement: (config, rng) → float (e.g. stabilization rounds).

@@ -220,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser(
         "check",
         help="determinism & contract gate (ruff + mypy + one static-analysis "
-        "pass: repro-lint, repro-dataflow, repro-concurrency, repro-hotpath; "
-        "engine-contract [+ sanitizers])",
+        "pass: repro-lint, repro-dataflow, repro-hotpath; engine-contract "
+        "[+ sanitizers])",
     )
     check_p.add_argument(
         "paths", nargs="*", help="paths for the custom linter (default: src)"
@@ -247,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument(
         "--baseline",
         metavar="FILE",
-        help="JSON baseline of accepted dataflow/concurrency/hotpath "
-        "findings to suppress",
+        help="JSON baseline of accepted dataflow/hotpath findings to suppress",
     )
     check_p.add_argument(
         "--sarif",

@@ -12,9 +12,9 @@ contract — are mechanically detectable, and this package detects them:
 * :mod:`~repro.devtools.pipeline` — one static-analysis pass: every
   file parsed once, the per-line rules of :mod:`~repro.devtools.rules`
   (RNG discipline, determinism, numeric safety, profiling discipline)
-  in one walk per module, and the :mod:`~repro.devtools.dataflow`,
-  :mod:`~repro.devtools.concurrency` and :mod:`~repro.devtools.hotpath`
-  families on one interprocedural driver.  Rule catalogue:
+  in one walk per module, and the :mod:`~repro.devtools.dataflow` and
+  :mod:`~repro.devtools.hotpath` families on one interprocedural
+  driver.  Rule catalogue:
   ``docs/linting.md``.
 * :mod:`~repro.devtools.contract` — the *runtime* engine-contract
   checker (backend surface, Graph immutability) behind

@@ -10,11 +10,11 @@ Runs, in order:
 
    * **repro-lint** — the per-line RPR1xx–5xx rules in
      :mod:`repro.devtools.rules`, one walk per module;
-   * **repro-dataflow** / **repro-concurrency** / **repro-hotpath** —
-     the RPR6xx seed-provenance and dtype-flow, RPR7xx process-
-     lifecycle, and RPR8xx hot-path families (:data:`FAMILIES`), each
-     on the shared interprocedural driver, with ``--baseline``
-     suppression and per-family wall time in the JSON payload.
+   * **repro-dataflow** / **repro-hotpath** — the RPR6xx
+     seed-provenance and dtype-flow and the RPR8xx hot-path families
+     (:data:`FAMILIES`), each on the shared interprocedural driver,
+     with ``--baseline`` suppression and per-family wall time in the
+     JSON payload.
 4. **engine-contract** — the runtime registry sweep from
    :mod:`repro.devtools.contract`.
 5. **sanitizers** (only with ``--sanitize``) — the runtime traps in
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.profiling import PhaseProfiler
-from . import concurrency, dataflow, hotpath
+from . import dataflow, hotpath
 from .pipeline.baseline import BaselineError, Fingerprint, apply_baseline, load_baseline
 from .pipeline.driver import Family
 from .pipeline.project import Project, build_project
@@ -56,7 +56,7 @@ from .rules import lint_project
 __all__ = ["FAMILIES", "STRICT_MYPY_TARGETS", "ToolResult", "run_check", "main"]
 
 #: The interprocedural rule families, in report order.
-FAMILIES: Tuple[Family, ...] = (dataflow.FAMILY, concurrency.FAMILY, hotpath.FAMILY)
+FAMILIES: Tuple[Family, ...] = (dataflow.FAMILY, hotpath.FAMILY)
 
 #: The mypy --strict surface (acceptance criterion of the lint gate).
 STRICT_MYPY_TARGETS = (
@@ -66,7 +66,6 @@ STRICT_MYPY_TARGETS = (
     "src/repro/obs",
     "src/repro/devtools/sanitize.py",
     "src/repro/devtools/pipeline",
-    "src/repro/devtools/concurrency",
     "src/repro/devtools/hotpath",
 )
 
@@ -300,8 +299,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description="determinism & contract gate (ruff + mypy + one "
-        "static-analysis pass: repro-lint, repro-dataflow, "
-        "repro-concurrency, repro-hotpath; engine-contract [+ sanitizers])",
+        "static-analysis pass: repro-lint, repro-dataflow, repro-hotpath; "
+        "engine-contract [+ sanitizers])",
     )
     parser.add_argument(
         "paths",
@@ -329,8 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--baseline",
         metavar="FILE",
-        help="JSON baseline of accepted dataflow/concurrency/hotpath "
-        "findings to suppress",
+        help="JSON baseline of accepted dataflow/hotpath findings to suppress",
     )
     parser.add_argument(
         "--sarif",

@@ -1,7 +1,7 @@
 """The hot-path hygiene interpreter behind RPR801–805.
 
-The RPR6xx family tracks *values* and the RPR7xx family tracks
-*resources*; this one tracks **allocation frequency**.  It first
+The RPR6xx family tracks *values*; this one tracks **allocation
+frequency**.  It first
 infers the *hot region* — every function reachable, through the
 project call graph, from the per-round roots
 (``EngineBase.until_stable``/``BatchedEngine.run``/``step``, the fused

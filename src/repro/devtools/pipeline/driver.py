@@ -1,9 +1,8 @@
-"""The summary-based interprocedural driver behind RPR6xx–RPR8xx.
+"""The summary-based interprocedural driver behind RPR6xx and RPR8xx.
 
-Each whole-program family — dataflow (:mod:`repro.devtools.dataflow`),
-process lifecycle (:mod:`repro.devtools.concurrency`) and hot-path
-hygiene (:mod:`repro.devtools.hotpath`) — subclasses :class:`Analyzer`
-and supplies only its own lattice and sink logic.  The driver owns the
+Each whole-program family — dataflow (:mod:`repro.devtools.dataflow`)
+and hot-path hygiene (:mod:`repro.devtools.hotpath`) — subclasses
+:class:`Analyzer` and supplies only its own lattice and sink logic.  The driver owns the
 steps they share:
 
 * the per-function **summary memo**, with functions still in progress

@@ -22,10 +22,10 @@ runtime booby-trapped:
 * **seed-tree audit** — a serial sweep's samples are recomputed from
   the documented ``root.spawn(configs) → child.spawn(reps)`` tree via
   the blessed :func:`repro.devtools.seeding.rng_from_sequence`;
-* **pool crash recovery** — worker-crash injection, the runtime twin of
-  RPR704: a sweep worker calls ``os._exit`` mid-task and the parent
-  must surface :class:`repro.analysis.sweep.SweepWorkerError` and shut
-  the pool down, leaving no worker process alive;
+* **pool crash recovery** — worker-crash injection: a sweep worker
+  calls ``os._exit`` mid-task and the parent must surface
+  :class:`repro.analysis.sweep.SweepWorkerError` and shut the pool
+  down, leaving no worker process alive;
 * **allocation audit** — the runtime twin of the RPR8xx hot-path rules
   (:mod:`repro.devtools.hotpath.audit`): every engine combo is
   driven to steady state and its net retained bytes/round, measured
@@ -344,7 +344,7 @@ def check_sweep_pool_worker_crash() -> SanitizerResult:
 
     Expects :class:`repro.analysis.sweep.SweepWorkerError` in place of
     the bare ``BrokenProcessPool``, and no worker process outliving the
-    ``run_sweep`` call — the runtime twin of RPR704.
+    ``run_sweep`` call.
     """
     import multiprocessing
 

@@ -1,7 +1,7 @@
 """Graph substrate: topology type, generators, properties, MIS oracles, I/O."""
 
 from .graph import Graph
-from .mutable import MutableTopology, TopologyDelta, TopologyError, diff_graphs
+from .mutable import MutableTopology, TopologyDelta, TopologyError, TopologyView, diff_graphs
 from . import generators
 from .generators import by_name as graph_by_name, FAMILY_NAMES
 from .properties import (
@@ -44,6 +44,7 @@ __all__ = [
     "MutableTopology",
     "TopologyDelta",
     "TopologyError",
+    "TopologyView",
     "diff_graphs",
     "generators",
     "graph_by_name",

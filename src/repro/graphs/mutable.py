@@ -48,6 +48,7 @@ __all__ = [
     "TopologyError",
     "TopologyDelta",
     "MutableTopology",
+    "TopologyView",
     "diff_graphs",
 ]
 
@@ -313,6 +314,68 @@ class MutableTopology:
             f"MutableTopology(n={self._n}, live={self.num_live}, "
             f"m={self._num_edges}, cap={self.degree_cap})"
         )
+
+
+class TopologyView:
+    """A read-only view of a :class:`MutableTopology`.
+
+    Forwards the read surface and nothing else: there is no
+    ``add_node``/``remove_node``/``add_edge``/``remove_edge`` and no
+    settable attribute, so a holder of the view (``MISService.topology``)
+    sees every op the owner applies but cannot apply one itself.
+    """
+
+    __slots__ = ("_topology",)
+
+    def __init__(self, topology: MutableTopology):
+        self._topology = topology
+
+    @property
+    def num_vertices(self) -> int:
+        return self._topology.num_vertices
+
+    @property
+    def num_live(self) -> int:
+        return self._topology.num_live
+
+    @property
+    def num_edges(self) -> int:
+        return self._topology.num_edges
+
+    @property
+    def version(self) -> int:
+        return self._topology.version
+
+    @property
+    def degree_cap(self) -> Optional[int]:
+        return self._topology.degree_cap
+
+    def is_live(self, v: int) -> bool:
+        return self._topology.is_live(v)
+
+    def degree(self, v: int) -> int:
+        return self._topology.degree(v)
+
+    def neighbors(self, v: int) -> Tuple[int, ...]:
+        return self._topology.neighbors(v)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return self._topology.has_edge(u, v)
+
+    def live_vertices(self) -> Tuple[int, ...]:
+        return self._topology.live_vertices()
+
+    def tombstones(self) -> FrozenSet[int]:
+        return self._topology.tombstones()
+
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        return self._topology.edges()
+
+    def max_degree(self) -> int:
+        return self._topology.max_degree()
+
+    def snapshot(self) -> Graph:
+        return self._topology.snapshot()
 
 
 def diff_graphs(old: Graph, new: Graph) -> TopologyDelta:

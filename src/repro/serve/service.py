@@ -3,7 +3,9 @@
 :class:`MISService` is the tentpole of the serving stack.  It owns
 
 * a :class:`~repro.graphs.mutable.MutableTopology` (the mutation
-  surface, with the committed degree cap),
+  surface, with the committed degree cap), which only :meth:`apply`
+  mutates — callers get the read-only
+  :class:`~repro.graphs.mutable.TopologyView` as ``topology``,
 * a resumable engine bound to the topology's derived structure, and
 * the committed uniform ℓmax policy (valid for the whole service
   lifetime because the cap bounds Δ).
@@ -50,7 +52,7 @@ from ..core.runner import default_round_budget
 from ..devtools.seeding import SeedLike
 from ..graphs.graph import Graph
 from ..graphs.mis import is_maximal_independent_set
-from ..graphs.mutable import MutableTopology, TopologyDelta, TopologyError
+from ..graphs.mutable import MutableTopology, TopologyDelta, TopologyError, TopologyView
 from ..obs import MetricsRegistry, MetricSink, wall_clock
 from .ops import Op
 
@@ -211,7 +213,8 @@ class MISService:
             )
         if degree_cap is None:
             degree_cap = max(graph.max_degree(), 1)
-        self.topology = MutableTopology(graph, degree_cap=degree_cap)
+        self._topology = MutableTopology(graph, degree_cap=degree_cap)
+        self._view = TopologyView(self._topology)
         self.algorithm = algorithm
         self.rebuild_per_op = rebuild_per_op
         self.registry = registry
@@ -249,13 +252,18 @@ class MISService:
         engine = self._engine
         outcome = engine.until_stable(self._budget)
         full = outcome.mis if outcome.stabilized else engine.mis_vertices()
-        self._served = (self.topology.version, full)
+        self._served = (self._topology.version, full)
         if not outcome.stabilized:
             raise ServeError(
                 f"failed to re-stabilize within {self._budget} rounds "
-                f"(n={self.topology.num_vertices}, this indicates a bug)"
+                f"(n={self._topology.num_vertices}, this indicates a bug)"
             )
         return int(outcome.rounds)
+
+    @property
+    def topology(self) -> TopologyView:
+        """Read-only view of the topology; ops go through :meth:`apply`."""
+        return self._view
 
     @property
     def structure(self) -> GraphStructure:
@@ -269,7 +277,7 @@ class MISService:
         """
         version, full = self._served
         if self._answer[0] != version:
-            members = full - self.topology.tombstones()
+            members = full - self._topology.tombstones()
             self._answer = (version, tuple(sorted(members)))
         return self._answer[1]
 
@@ -282,14 +290,14 @@ class MISService:
         be maximal independent on the snapshot.
         """
         return is_maximal_independent_set(
-            self.topology.snapshot(), self._served[1]
+            self._topology.snapshot(), self._served[1]
         )
 
     # ------------------------------------------------------------------
     # The op path
     # ------------------------------------------------------------------
     def _apply_mutation(self, op: Op) -> OpResult:
-        topo = self.topology
+        topo = self._topology
         node: Optional[int] = None
         if op.kind == "ADD_NODE":
             node, delta = topo.add_node()
@@ -322,11 +330,11 @@ class MISService:
         if self.rebuild_per_op:
             # Cold baseline: full snapshot + from-scratch build, cache
             # deliberately bypassed so the comparison is honest.
-            return GraphStructure(self.topology.snapshot()), True
+            return GraphStructure(self._topology.snapshot()), True
         if delta.grows:
             # Growth rebuilds every form anyway; route through the shared
             # cache so the (rare) grown structure is reusable.
-            return structure_for(self.topology.snapshot()), True
+            return structure_for(self._topology.snapshot()), True
         rebuilt = should_rebuild(self._engine.structure, delta)
         return update_structure(self._engine.structure, delta), rebuilt
 
@@ -339,7 +347,7 @@ class MISService:
                 assert op.v is not None
                 result = OpResult(
                     op=op, status="ok",
-                    neighbors=self.topology.neighbors(op.v),
+                    neighbors=self._topology.neighbors(op.v),
                 )
             elif op.kind == "QUERY_MIS":
                 result = OpResult(op=op, status="ok", mis=self.mis())

@@ -2,7 +2,7 @@
 
 Pragmas, baselines, SARIF export, catalogue/docs sync, the real-tree and
 wall-time checks, and the ``repro check`` subprocess flows are the same
-plumbing for RPR6xx, RPR7xx and RPR8xx, so each check is written once
+plumbing for RPR6xx and RPR8xx, so each check is written once
 here.  A family's test module binds them to its :class:`Case` under its
 own test names, e.g.::
 
@@ -24,7 +24,7 @@ from typing import Tuple
 
 import pytest
 
-from repro.devtools import concurrency, dataflow, hotpath
+from repro.devtools import dataflow, hotpath
 from repro.devtools.pipeline.baseline import (
     BaselineError,
     apply_baseline,
@@ -69,18 +69,6 @@ DATAFLOW = Case(
     seeded_rule="RPR602",
 )
 
-CONCURRENCY = Case(
-    family=concurrency.FAMILY,
-    rule_ids=("RPR703", "RPR704", "RPR705"),
-    seeded_source=(
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "def run(task):\n"
-        "    pool = ProcessPoolExecutor(2)\n"
-        "    return pool.submit(task).result()\n"
-    ),
-    seeded_rule="RPR704",
-)
-
 HOTPATH = Case(
     family=hotpath.FAMILY,
     rule_ids=("RPR801", "RPR802", "RPR803", "RPR804", "RPR805"),
@@ -95,7 +83,7 @@ HOTPATH = Case(
     seeded_rule="RPR801",
 )
 
-CASES = (DATAFLOW, CONCURRENCY, HOTPATH)
+CASES = (DATAFLOW, HOTPATH)
 
 
 def _rules(report):

@@ -234,6 +234,19 @@ def step_constant_state(engine, max_rounds):
 # * ``dense``  -- built by ``structure_for`` on the graph rebuilt from
 #   its dense n x n adjacency matrix.
 # ----------------------------------------------------------------------
+def assert_identical(patched, fresh):
+    """Both derived forms of ``patched`` equal ``fresh``, byte for byte."""
+    assert patched.n == fresh.n
+    assert patched.num_edges == fresh.num_edges
+    assert patched.edge_array.dtype == fresh.edge_array.dtype
+    assert patched.edge_array.tobytes() == fresh.edge_array.tobytes()
+    for attr in ("indptr", "indices", "data"):
+        got = getattr(patched.csr, attr)
+        want = getattr(fresh.csr, attr)
+        assert got.dtype == want.dtype, attr
+        assert got.tobytes() == want.tobytes(), attr
+
+
 STRUCTURE_SOURCES = ("auto", "sparse", "dense")
 
 

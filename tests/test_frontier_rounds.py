@@ -10,9 +10,13 @@ field, the engine's round index and the next draw of its generator
 must be identical under every limit.
 
 The service machine drives :class:`~repro.serve.MISService` through
-random node/edge churn (tombstone reuse and id-space growth included)
-next to a twin service whose every op runs with frontier rounds
-disabled; after each op both serve a verified MIS and equal outcomes.
+random node/edge churn (tombstone reuse and id-space growth included),
+queries and rejected ops next to a twin service whose every op runs
+with frontier rounds disabled; after each op both serve a verified MIS
+and equal outcomes, and the patched structure equals a fresh build.  A
+rejected op (duplicate or absent edge, self loop, dead or
+out-of-range id, degree-cap violation) leaves the topology version, the
+levels and the generator exactly as they were.
 """
 
 from contextlib import contextmanager
@@ -24,7 +28,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import repro.core.kernels.round as round_module
+from conftest import assert_identical
 from repro.core.engines import SingleChannelEngine, TwoChannelEngine
+from repro.core.kernels import GraphStructure
 from repro.core.knowledge import max_degree_policy, own_degree_policy
 from repro.graphs import Graph
 from repro.graphs import generators as gen
@@ -209,6 +215,7 @@ class ServiceMachine(RuleBasedStateMachine):
         with frontier_limit(0):
             twin = self.twin.apply(op)
         assert result.outcome() == twin.outcome()
+        return result
 
     def _vertex(self, data):
         live = self.service.topology.live_vertices()
@@ -236,6 +243,101 @@ class ServiceMachine(RuleBasedStateMachine):
         nbrs = self.service.topology.neighbors(u) if u is not None else ()
         if nbrs:
             self._apply(Op("DEL_EDGE", u=u, v=data.draw(st.sampled_from(nbrs))))
+
+    @rule()
+    def query_mis(self):
+        result = self._apply(Op("QUERY_MIS"))
+        assert result.mis == self.service.mis()
+
+    @rule(data=st.data())
+    def read_nbrs(self, data):
+        v = self._vertex(data)
+        if v is not None:
+            result = self._apply(Op("READ_NBRS", v=v))
+            assert result.neighbors == self.service.topology.neighbors(v)
+
+    def _at_cap(self):
+        """A live vertex at the degree cap, filled up by ADD_EDGE if need be."""
+        topo = self.service.topology
+        cap = topo.degree_cap
+        u = max(topo.live_vertices(), key=topo.degree)
+        for v in topo.live_vertices():
+            if topo.degree(u) == cap:
+                break
+            if v != u and not topo.has_edge(u, v) and topo.degree(v) < cap:
+                self._apply(Op("ADD_EDGE", u=u, v=v))
+        return u if topo.degree(u) == cap else None
+
+    def _rejectable(self, data):
+        """One op the topology must reject, or None if none applies.
+
+        The dead-id and cap cases first apply the (accepted) DEL_NODE or
+        ADD_EDGE ops that make them possible.
+        """
+        topo = self.service.topology
+        live = topo.live_vertices()
+        if not live:
+            return None
+        kind = data.draw(st.sampled_from(
+            ("duplicate", "non_edge", "self_loop", "tombstone", "out_of_range", "cap")
+        ))
+        if kind == "duplicate" and topo.num_edges:
+            u, v = data.draw(st.sampled_from(topo.edges()))
+            return Op("ADD_EDGE", u=u, v=v)
+        if kind == "non_edge":
+            pairs = [(u, v) for u in live for v in live if u < v and not topo.has_edge(u, v)]
+            if pairs:
+                u, v = data.draw(st.sampled_from(pairs))
+                return Op("DEL_EDGE", u=u, v=v)
+        if kind == "self_loop":
+            v = data.draw(st.sampled_from(live))
+            return Op(data.draw(st.sampled_from(("ADD_EDGE", "DEL_EDGE"))), u=v, v=v)
+        if kind in ("tombstone", "out_of_range"):
+            if kind == "tombstone" and not topo.tombstones() and len(live) > 1:
+                self._apply(Op("DEL_NODE", v=data.draw(st.sampled_from(live))))
+            dead = sorted(topo.tombstones())
+            if kind == "out_of_range":
+                v = topo.num_vertices + data.draw(st.integers(0, 3))
+            elif dead:
+                v = data.draw(st.sampled_from(dead))
+            else:
+                return None
+            other = data.draw(st.sampled_from(topo.live_vertices()))
+            return data.draw(st.sampled_from((
+                Op("DEL_NODE", v=v), Op("READ_NBRS", v=v),
+                Op("ADD_EDGE", u=other, v=v), Op("DEL_EDGE", u=v, v=other),
+            )))
+        if kind == "cap":
+            u = self._at_cap()
+            if u is None:
+                return None
+            spare = [v for v in topo.live_vertices() if v != u and not topo.has_edge(u, v)]
+            if not spare:
+                spare = [self._apply(Op("ADD_NODE")).node]
+            return Op("ADD_EDGE", u=u, v=data.draw(st.sampled_from(spare)))
+        return None
+
+    @rule(data=st.data())
+    def rejected_op_changes_nothing(self, data):
+        op = self._rejectable(data)
+        if op is None:
+            return
+
+        def state():
+            engine = self.service._engine
+            return (
+                self.service.topology.version, engine.levels.tobytes(),
+                engine.rng.bit_generator.state, self.service.mis(),
+            )
+
+        before = state()
+        assert self._apply(op).status == "rejected", op
+        assert state() == before
+
+    @invariant()
+    def structure_equals_a_fresh_build(self):
+        fresh = GraphStructure(self.service.topology.snapshot())
+        assert_identical(self.service.structure, fresh)
 
     @invariant()
     def serves_the_same_legal_mis(self):

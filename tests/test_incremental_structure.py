@@ -19,6 +19,7 @@ delta patterns the serving workload produces:
 import numpy as np
 import pytest
 
+from conftest import assert_identical
 from repro.core.kernels import (
     GraphStructure,
     should_rebuild,
@@ -39,19 +40,6 @@ def _materialized(graph):
     structure.edge_array
     structure.csr
     return structure
-
-
-def assert_identical(patched, fresh):
-    """Both derived forms of ``patched`` equal ``fresh``, byte for byte."""
-    assert patched.n == fresh.n
-    assert patched.num_edges == fresh.num_edges
-    assert patched.edge_array.dtype == fresh.edge_array.dtype
-    assert patched.edge_array.tobytes() == fresh.edge_array.tobytes()
-    for attr in ("indptr", "indices", "data"):
-        got = getattr(patched.csr, attr)
-        want = getattr(fresh.csr, attr)
-        assert got.dtype == want.dtype, attr
-        assert got.tobytes() == want.tobytes(), attr
 
 
 def _check(structure, topo, delta):

@@ -1,9 +1,11 @@
 """The shared static-analysis pipeline behind ``repro check``.
 
 Pins what the families share rather than any one rule: every file is
-parsed exactly once per ``repro check`` run, and one pragma parser
-serves every family — honoring *every* ``# repro: allow[...]`` on a
-line, not just the first.
+parsed exactly once per ``repro check`` run, one pragma parser serves
+every family — honoring *every* ``# repro: allow[...]`` on a line, not
+just the first — and every path the ruff and ``mypy --strict`` gates
+name exists, so a stale entry fails here and not only where those tools
+are installed.
 """
 
 import ast
@@ -11,7 +13,7 @@ import ast
 import pytest
 
 import analysis_cases as cases
-from repro.devtools.check import run_check
+from repro.devtools.check import RUFF_TARGETS, STRICT_MYPY_TARGETS, run_check
 from repro.devtools.rules import lint_source
 
 
@@ -32,6 +34,11 @@ def test_repro_check_parses_each_file_once(monkeypatch):
         for path in (cases.REPO_ROOT / "src").rglob("*.py")
     )
     assert sorted(parsed) == files
+
+
+@pytest.mark.parametrize("path", STRICT_MYPY_TARGETS + RUFF_TARGETS)
+def test_every_gate_path_exists(path):
+    assert (cases.REPO_ROOT / path).exists(), path
 
 
 @pytest.mark.parametrize("case", cases.CASES, ids=lambda case: case.family.name)

@@ -8,6 +8,8 @@ Pins two contracts of :mod:`repro.analysis.sweep`:
   ``jobs`` count produce cell-for-cell identical samples.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.analysis.sweep import (
     spawn_sweep_seeds,
     supports_batch,
 )
+from repro.obs import MetricsOptions
 
 CONFIGS = [{"family": "er", "n": 24}, {"family": "cycle", "n": 20}]
 MEASURE = StabilizationRounds(variant="max_degree")
@@ -189,7 +192,34 @@ def test_unpicklable_measurement_fails_at_submit_and_shuts_the_pool_down(
 
 
 # ----------------------------------------------------------------------
-# Worker-crash recovery (satellite: the runtime twin of RPR704)
+# Pool lifecycle: every parallel path merges by index and leaves no worker
+# ----------------------------------------------------------------------
+def _worker_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plain", "metrics"])
+@pytest.mark.parametrize("executor", ["process", "batched"])
+def test_parallel_sweep_merges_in_order_and_leaves_no_worker(executor, observed):
+    """jobs=2 through each of the four pool blocks equals the serial run."""
+
+    def sweep(jobs, chosen):
+        return run_sweep(
+            CONFIGS, MEASURE, repetitions=3, master_seed=11, jobs=jobs,
+            executor=chosen, metrics=MetricsOptions() if observed else None,
+        )
+
+    serial = sweep(1, "serial")
+    before = _worker_pids()
+    parallel = sweep(2, executor)
+    assert _samples(parallel) == _samples(serial)
+    if observed:
+        assert parallel.metrics.records == serial.metrics.records
+    assert _worker_pids() - before == set()
+
+
+# ----------------------------------------------------------------------
+# Worker-crash recovery
 # ----------------------------------------------------------------------
 def _crash_on_flag(config, rng):
     """Module-level (picklable) measurement that kills its own worker."""
@@ -202,9 +232,7 @@ def _crash_on_flag(config, rng):
 
 def test_worker_crash_surfaces_named_error_and_cleans_up():
     """os._exit in a worker → SweepWorkerError, and no worker survives."""
-    import multiprocessing
-
-    before = {child.pid for child in multiprocessing.active_children()}
+    before = _worker_pids()
     with pytest.raises(SweepWorkerError, match="died mid-task"):
         run_sweep(
             [{"crash": 1}],
@@ -215,9 +243,4 @@ def test_worker_crash_surfaces_named_error_and_cleans_up():
             executor="process",
         )
     # run_sweep shut its pool down before the error left the call.
-    survivors = [
-        child.pid
-        for child in multiprocessing.active_children()
-        if child.pid not in before
-    ]
-    assert survivors == []
+    assert _worker_pids() - before == set()
