@@ -21,7 +21,9 @@ across engines — asserted by ``tests/test_engine_equivalence.py``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -29,7 +31,7 @@ import numpy.typing as npt
 from ...devtools.seeding import SeedLike, derive_seed_sequence, resolve_rng, rng_from_sequence
 from ...graphs.graph import Graph
 from ..kernels import GraphStructure, HearKernel
-from ..kernels.round import MAX_EXPONENT
+from ..kernels.round import MAX_EXPONENT, active_of
 from ..knowledge import EllMaxPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -398,6 +400,27 @@ class EngineBase:
     def is_legal(self) -> bool:
         """Legal iff S_t covers all vertices and the rest sit at ℓmax."""
         return bool(self._sync().legal_mask()[0])
+
+    def settled(self, vertices: Iterable[int]) -> bool:
+        """True iff no vertex of ``vertices`` is active (:func:`~repro.core.kernels.round.active_of`).
+
+        Reads only ``vertices``' levels and CSR rows, so it costs
+        ``Σ deg(vertices)``, not ``n``.  Over every vertex it equals
+        :meth:`is_legal`; over a subset it certifies legality when
+        every other vertex is known settled — e.g. the dirty rows of a
+        delta applied to a legal configuration, since a vertex's status
+        reads only its own level, its neighbours' levels and its row.
+        """
+        csr = self.structure.csr
+        block = self._block
+        return not active_of(
+            vertices,
+            memoryview(self.levels),
+            memoryview(block._floor),
+            memoryview(block.ell_max),
+            memoryview(csr.indptr),
+            memoryview(csr.indices),
+        )
 
     def mis_vertices(self) -> FrozenSet[int]:
         return self._sync().mis_vertices(0)

@@ -25,7 +25,10 @@ retirement form :func:`pruned_legality` and the two-state
 :func:`constant_legality` are the only legality predicates: the
 engines' mask/legality queries, the fused retirement and both
 collectors call them.  A solo collector is observed inside
-:meth:`RoundKernel.run_block`.
+:meth:`RoundKernel.run_block`.  Their local counterpart is
+:func:`active_of` (below, "Frontier rounds"): frontier rounds and
+:meth:`~repro.core.engines.EngineBase.settled` decide legality on a
+vertex subset through it.
 
 Stress models
 -------------
@@ -101,21 +104,24 @@ floor neighbour of (b) cannot itself be (b)), and the MIS is then the
 floor set.  While ``A`` is small a round runs on ``A`` alone
 (``_Frontier``): one ``draws.serve()`` fill of ``n`` doubles, so
 every stream position is unchanged; ``A``'s beep, hear and update as
-scalar loops over the CSR row slices; the next ``A`` re-tested on
-``A`` plus the neighbours of vertices that moved onto or off the floor
-or ℓmax.  When ``A`` reaches :data:`FRONTIER_LIMIT` the run continues
-on the dense bodies, and a dense round seeds ``A`` again (one hear)
-only while fewer than :data:`FRONTIER_LIMIT` levels sit strictly
-inside (floor, ℓmax).  Both paths consume one fill per round and
-produce identical levels, so the switch is exact at any round
-boundary; ``tests/test_frontier_rounds.py`` compares them field for
-field.  Blocks of k ≥ 2, stressed and observed runs stay dense.
+scalar loops over the CSR row slices; the next ``A`` re-tested
+(:func:`active_of`) on ``A`` plus the neighbours of vertices that moved
+onto or off the floor or ℓmax.  When ``A`` reaches
+:data:`FRONTIER_LIMIT` the run continues on the dense bodies, and a
+dense round seeds ``A`` again (one hear) only while fewer than
+:data:`FRONTIER_LIMIT` levels sit strictly inside (floor, ℓmax).  Both
+paths consume one fill per round and produce identical levels, so the
+switch is exact at any round boundary; ``tests/test_frontier_rounds.py``
+compares them field for field.  Blocks of k ≥ 2, stressed and observed
+runs stay dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -128,6 +134,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BlockOutcome",
+    "active_of",
     "MAX_EXPONENT",
     "RoundKernel",
     "PerRoundDraws",
@@ -884,6 +891,43 @@ class RoundKernel:
 # ----------------------------------------------------------------------
 # Frontier rounds: an ideal solo row stepped on its active set alone.
 # ----------------------------------------------------------------------
+def active_of(
+    vertices: Iterable[int],
+    levels: Sequence[int],
+    floor: Sequence[int],
+    top: Sequence[int],
+    indptr: Sequence[int],
+    indices: Sequence[int],
+) -> List[int]:
+    """The active vertices among ``vertices``, in their order.
+
+    The one scalar definition of "active" (module docstring, "Frontier
+    rounds"): every vertex except a floor vertex whose neighbours all
+    sit at ℓmax and an ℓmax vertex with a floor neighbour.  It reads
+    only ``vertices``' own levels and CSR rows, so its cost is
+    ``Σ deg(vertices)``.  The sequences are indexed per vertex
+    (memoryviews of the level row, the floor and ℓmax vectors and the
+    CSR arrays, or plain lists).
+    """
+    out = []
+    for v in vertices:
+        lv = levels[v]
+        if lv == floor[v]:  # active unless every neighbour is at ℓmax
+            for w in indices[indptr[v]:indptr[v + 1]]:
+                if levels[w] != top[w]:
+                    out.append(v)
+                    break
+        elif lv == top[v]:  # active unless a neighbour is at the floor
+            for w in indices[indptr[v]:indptr[v + 1]]:
+                if levels[w] == floor[w]:
+                    break
+            else:
+                out.append(v)
+        else:
+            out.append(v)
+    return out
+
+
 class _Frontier:
     """Frontier rounds of one ideal, unobserved ``(1, n)`` run.
 
@@ -1017,22 +1061,7 @@ class _Frontier:
             levels[v] = nl
             if (lv == floor[v]) != (nl == floor[v]) or (lv == top[v]) != (nl == top[v]):
                 candidates.update(indices[indptr[v]:indptr[v + 1]])
-        nxt = []
-        for v in candidates:
-            lv = levels[v]
-            if lv == floor[v]:  # active unless every neighbour is at ℓmax
-                for w in indices[indptr[v]:indptr[v + 1]]:
-                    if levels[w] != top[w]:
-                        nxt.append(v)
-                        break
-            elif lv == top[v]:  # active unless a neighbour is at the floor
-                for w in indices[indptr[v]:indptr[v + 1]]:
-                    if levels[w] == floor[w]:
-                        break
-                else:
-                    nxt.append(v)
-            else:
-                nxt.append(v)
+        nxt = active_of(candidates, levels, floor, top, indptr, indices)
         return nxt if len(nxt) < self._limit else None
 
     def outcome(self, row: LevelBlock, rounds: int) -> BlockOutcome:

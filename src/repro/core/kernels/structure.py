@@ -6,15 +6,20 @@ adjacency.  :class:`GraphStructure` bundles the two derived forms of
 that adjacency:
 
 * ``edge_array`` — the canonical ``(m, 2)`` int64 edge list (sorted,
-  u < v): the graph's own read-only array;
+  u < v): the graph's own read-only array, or, for a patched structure,
+  the upper triangle of its CSR;
 * ``csr`` — the canonical int32 CSR matrix the hear kernel reads
   (all stored entries 1; identical, entry for entry, to
   :func:`repro.graphs.io.to_sparse_adjacency`; the symmetric matrix
   is its own transpose).  It wraps copies of the graph's
   ``indptr``/``indices``, so the structure owns the arrays it shares.
 
-Both forms are built lazily and exactly once per structure; the
-module-level **structure cache** (:func:`structure_for`) is keyed by the
+Both forms are built lazily and exactly once per structure.  A patched
+structure (:func:`update_structure`) holds only its CSR, spliced from
+the source's rows, and derives its edge array on first read; nothing
+on the serving path reads it, so an op costs its dirty rows plus two
+array copies, with no O(m) edge-key work.  The module-level
+**structure cache** (:func:`structure_for`) is keyed by the
 :class:`~repro.graphs.graph.Graph` itself — Graphs hash and compare by
 content, so two engines on equal topologies share one structure (and
 therefore one CSR) even when the Graph objects differ.
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -63,6 +68,9 @@ class GraphStructure:
         seen); such structures are not cacheable.
     """
 
+    #: True for :meth:`from_csr` wrappers: no edge list, no patching.
+    _bare = False
+
     def __init__(self, graph: Optional[Graph]):
         self.graph = graph
         if graph is not None:
@@ -93,6 +101,7 @@ class GraphStructure:
                 shape=csr.shape,
             )
         structure = cls(None)
+        structure._bare = True
         structure.n = int(csr.shape[0])
         structure.num_edges = int(csr.nnz) // 2
         structure._csr = csr
@@ -103,17 +112,22 @@ class GraphStructure:
     # ------------------------------------------------------------------
     @property
     def edge_array(self) -> npt.NDArray[np.int64]:
-        """Canonical ``(m, 2)`` int64 edge array (sorted, u < v).
+        """Canonical ``(m, 2)`` int64 edge array (sorted, u < v), read-only.
 
-        Present for graph-keyed structures (the Graph's own read-only
-        array) and for incrementally patched structures
-        (:func:`update_structure` splices the array directly, so the
-        patched structure needs no Graph object at all).
+        A graph-keyed structure returns the Graph's own array.  A patched
+        structure (:func:`update_structure`) derives it on first read
+        from its CSR's upper triangle: rows are sorted, so keeping
+        ``indices > row`` row by row is canonical order.  Only the
+        rebuild branch of :func:`update_structure`, tests and debugging
+        read it.
         """
         if self._edge_array is None:
-            if self.graph is None:
+            if self.graph is not None:
+                self._edge_array = self.graph.edge_array
+            elif self._bare:
                 raise ValueError("structure wraps a bare CSR; no edge list")
-            self._edge_array = self.graph.edge_array
+            else:
+                self._edge_array = _upper_triangle(self.csr)
         return self._edge_array
 
     @property
@@ -122,13 +136,13 @@ class GraphStructure:
 
         Entry-identical to :func:`repro.graphs.io.to_sparse_adjacency`:
         the Graph's CSR pattern is sorted and deduplicated, so
-        construction order cannot leak into the result.  A patched
-        structure without a Graph builds one from its edge array.
+        construction order cannot leak into the result.  Patched and
+        bare structures hold theirs from construction; a graph-keyed one
+        builds it here.
         """
         if self._csr is None:
             graph = self.graph
-            if graph is None:
-                graph = Graph(self.n, self.edge_array)
+            assert graph is not None, "patched and bare structures hold a CSR"
             indices = graph.indices.copy()
             self._csr = sp.csr_matrix(
                 (np.ones(indices.size, dtype=np.int32), indices, graph.indptr.copy()),
@@ -227,6 +241,19 @@ def should_rebuild(structure: GraphStructure, delta: "TopologyDelta") -> bool:
     return delta.churned_edges > _REBUILD_EDGE_FRACTION * m
 
 
+def _upper_triangle(csr: sp.csr_matrix) -> npt.NDArray[np.int64]:
+    """The canonical ``(m, 2)`` int64 edge array of a symmetric CSR (read-only)."""
+    indptr = csr.indptr
+    rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), np.diff(indptr))
+    cols = csr.indices.astype(np.int64)
+    keep = cols > rows
+    out = np.empty((int(np.count_nonzero(keep)), 2), dtype=np.int64)
+    out[:, 0] = rows[keep]
+    out[:, 1] = cols[keep]
+    out.flags.writeable = False
+    return out
+
+
 def _edge_pairs(edges: tuple) -> npt.NDArray[np.int64]:
     """Canonical edge tuples as an ``(k, 2)`` int64 array."""
     return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -258,15 +285,18 @@ def _patch_edge_array(
 
 
 def _patch_csr(
-    csr: sp.csr_matrix, n: int, delta: "TopologyDelta"
+    indptr: npt.NDArray[np.integer[Any]],
+    indices: npt.NDArray[np.integer[Any]],
+    n: int,
+    delta: "TopologyDelta",
 ) -> sp.csr_matrix:
     """Rebuild only the dirty CSR rows; clean row runs are copied whole.
 
-    The output is entry- and dtype-identical to a fresh canonical build:
+    ``indptr``/``indices`` are the source's CSR arrays (only read).  The
+    output is entry- and dtype-identical to a fresh canonical build:
     per-row neighbor lists arrive sorted from the delta, the data vector
     is all int32 ones, and the index arrays inherit the source dtypes.
     """
-    indptr, indices = csr.indptr, csr.indices
     new_counts = np.diff(indptr)
     for v in delta.dirty:
         new_counts[v] = len(delta.neighbors[v])
@@ -289,7 +319,7 @@ def _patch_csr(
         new_indices[new_indptr[prev] : new_indptr[n]] = (
             indices[indptr[prev] : indptr[n]]
         )
-    data = np.ones(total, dtype=csr.data.dtype)
+    data = np.ones(total, dtype=np.int32)
     return sp.csr_matrix((data, new_indices, new_indptr), shape=(n, n))
 
 
@@ -300,19 +330,21 @@ def update_structure(
 ) -> GraphStructure:
     """A new :class:`GraphStructure` with ``delta`` applied to ``structure``.
 
-    The input structure is never mutated (shared structures are
-    read-only by contract); the returned structure holds fresh arrays
-    that are **byte-identical** to a from-scratch ``structure_for`` on
-    the post-delta graph — asserted across both derived forms and every
-    delta shape by ``tests/test_incremental_structure.py``.
+    The input structure is never mutated, nor are its lazy forms built
+    (shared structures are read-only by contract); the returned
+    structure holds fresh arrays that are **byte-identical** to a
+    from-scratch ``structure_for`` on the post-delta graph — asserted
+    across both derived forms and every delta shape by
+    ``tests/test_incremental_structure.py``.
 
-    The edge array is always patched; the CSR is patched only when the
-    source structure had already built it, and otherwise stays lazy and
-    builds from the patched edge array on first use, exactly as a fresh
-    structure would.  When :func:`should_rebuild` prefers a from-scratch
-    build (large delta, or a vertex-id-space growth that changes every
-    array shape), the patch is skipped and the result comes from the
-    shared cache.
+    The patch touches the CSR only: it reads the source's rows from its
+    CSR when built, else from its Graph's ``indptr``/``indices``, and
+    splices the dirty rows (:func:`_patch_csr`).  The patched edge array
+    is derived from that CSR on first read (:attr:`GraphStructure.edge_array`),
+    so an op does no O(m) edge-key work.  When :func:`should_rebuild`
+    prefers a from-scratch build (large delta, or a vertex-id-space
+    growth that changes every array shape), the patch is skipped and the
+    result comes from the shared cache.
 
     Parameters
     ----------
@@ -328,7 +360,7 @@ def update_structure(
         graph-keyed (and therefore cacheable); the serving hot path
         omits it to skip the O(n + m) Graph construction entirely.
     """
-    if structure.graph is None and structure._edge_array is None:
+    if structure._bare:
         raise ValueError("cannot patch a structure wrapping a bare CSR")
     if graph is not None and graph.num_vertices != delta.new_n:
         raise ValueError(
@@ -348,15 +380,14 @@ def update_structure(
             _edge_pairs(delta.added),
         )))
 
-    removed = _edge_pairs(delta.removed)
-    added = _edge_pairs(delta.added)
-    n = delta.new_n
+    source = structure._csr
+    if source is not None:
+        indptr, indices = source.indptr, source.indices
+    else:
+        assert structure.graph is not None  # only graph-keyed forms are lazy
+        indptr, indices = structure.graph.indptr, structure.graph.indices
     patched = GraphStructure(graph)
-    patched.n = n
+    patched.n = delta.new_n
     patched.num_edges = structure.num_edges - len(delta.removed) + len(delta.added)
-    patched._edge_array = _patch_edge_array(
-        structure.edge_array, max(n, 1), removed, added
-    )
-    if structure._csr is not None:
-        patched._csr = _patch_csr(structure._csr, n, delta)
+    patched._csr = _patch_csr(indptr, indices, delta.new_n, delta)
     return patched

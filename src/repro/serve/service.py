@@ -21,6 +21,18 @@ predicate holds again.  Self-stabilization is what makes the carry
 sound: any configuration is a valid starting point, so the rounds spent
 re-stabilizing scale with the damage, not with ``n``.
 
+A mutation applied to a legal configuration first tries the **local
+certificate**: a rebind without a new policy keeps every level, and a
+vertex's status (active or settled, :func:`repro.core.kernels.round.active_of`)
+reads only its own level, its neighbours' levels and its own row, so
+only the delta's dirty rows can have turned active.  When
+:meth:`~repro.core.engines.EngineBase.settled` finds them all settled,
+the configuration is still legal: the op reports 0 rounds and runs no
+kernel, in ``O(Σ deg(dirty))``.  A 0-round run draws nothing, so
+outputs and every generator position are the same either way.  After
+a :class:`ServeError` the levels are not legal and the next mutation
+re-stabilizes in full.
+
 Reads never touch engine state.  A legal configuration is a fixed point
 of the algorithm, so the MIS the final legality pass of a
 re-stabilization built is the answer until the next mutation: the
@@ -236,6 +248,9 @@ class MISService:
         # the live-restricted answer memoized for one version.
         self._served: Tuple[int, FrozenSet[int]] = (-1, frozenset())
         self._answer: Tuple[int, Tuple[int, ...]] = (-1, ())
+        # Whether the engine's levels are legal for the current topology:
+        # what lets a mutation certify itself on its dirty rows.
+        self._legal = False
         self._stabilize()  # serve a legal MIS from the very first op
 
     # ------------------------------------------------------------------
@@ -253,6 +268,7 @@ class MISService:
         outcome = engine.until_stable(self._budget)
         full = outcome.mis if outcome.stabilized else engine.mis_vertices()
         self._served = (self._topology.version, full)
+        self._legal = outcome.stabilized
         if not outcome.stabilized:
             raise ServeError(
                 f"failed to re-stabilize within {self._budget} rounds "
@@ -310,6 +326,8 @@ class MISService:
         else:  # DEL_EDGE
             assert op.u is not None and op.v is not None
             delta = topo.remove_edge(op.u, op.v)
+        # Not legal until this op certifies or re-stabilizes the levels.
+        legal, self._legal = self._legal, False
         structure, rebuilt = self._invalidate(delta)
         policy: Optional[EllMaxPolicy] = None
         if structure.n != self._engine.n:
@@ -320,7 +338,17 @@ class MISService:
                 Graph(structure.n, ()), policy
             )
         self._engine.rebind(structure, policy=policy)
-        rounds = self._stabilize()
+        if legal and policy is None and self._engine.settled(delta.dirty):
+            # Local certificate: the rebind kept every level, and only a
+            # dirty row can have turned active, so the configuration is
+            # still legal and its floor set, the served MIS, is unchanged.
+            # Re-tag it for the new version (a recycled ADD_NODE has no
+            # dirty row but revives an id the tombstone filter dropped).
+            self._served = (topo.version, self._served[1])
+            self._legal = True
+            rounds = 0
+        else:
+            rounds = self._stabilize()
         return OpResult(
             op=op, status="ok", node=node, rounds=rounds, rebuilt=rebuilt
         )

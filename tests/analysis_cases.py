@@ -186,20 +186,15 @@ def docs_cover_every_rule(case, linting=(), performance=()):
 
 
 def real_source_tree_is_clean(case):
+    """``src/repro`` analyzes clean, within the 10 s wall budget."""
     def test():
+        start = time.perf_counter()
         report = case.family.analyze_paths([str(SRC / "repro")], root=REPO_ROOT)
+        assert time.perf_counter() - start < 10.0
         assert report.errors == []
         assert report.violations == [], "\n".join(
             v.format() for v in report.violations
         )
-    return test
-
-
-def wall_time_budget(case):
-    def test():
-        start = time.perf_counter()
-        case.family.analyze_paths([str(SRC / "repro")], root=REPO_ROOT)
-        assert time.perf_counter() - start < 10.0
     return test
 
 
@@ -214,16 +209,28 @@ def _check(*args, cwd=REPO_ROOT):
 
 
 @functools.lru_cache(maxsize=None)
-def _check_on_src():
-    """One ``repro check`` JSON run over ``src``, shared by every family."""
-    proc = _check()
+def repro_check_gate():
+    """The full ``repro check`` gate over ``src`` as JSON, run once per test run.
+
+    Every static family plus the runtime engine-contract sweep (and
+    ruff/mypy when installed): a superset of a ``--no-contract`` run, so
+    each test about the repository's own check reads this one
+    subprocess.  Asserts the gate exits 0.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "check", "--format", "json"],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO_ROOT),
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+    )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return json.loads(proc.stdout)
 
 
 def check_json_reports_timing(case):
     def test():
-        payload = _check_on_src()
+        payload = repro_check_gate()
         assert payload["ok"] is True
         [tool] = [t for t in payload["tools"] if t["name"] == case.family.tool]
         assert tool["status"] == "passed"

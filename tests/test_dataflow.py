@@ -224,6 +224,5 @@ test_docs_cover_every_dataflow_rule = cases.docs_cover_every_rule(
     CASE, linting=("--sanitize", "allow-file")
 )
 test_real_source_tree_is_dataflow_clean = cases.real_source_tree_is_clean(CASE)
-test_analyzer_wall_time_budget = cases.wall_time_budget(CASE)
 test_check_json_payload_reports_dataflow_timing = cases.check_json_reports_timing(CASE)
 test_check_baseline_and_sarif_flags = cases.check_flags_baselines_and_exports(CASE)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from analysis_cases import repro_check_gate
 from repro.devtools.rules import (
     LintReport,
     lint_paths,
@@ -360,10 +361,7 @@ def _run_cli(args, cwd):
 
 
 def test_repro_check_exits_zero_on_repo():
-    proc = _run_cli(["check", "--format", "json", "--no-contract", "src"],
-                    cwd=REPO_ROOT)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
+    payload = repro_check_gate()  # asserts exit code 0
     assert payload["ok"] is True
     names = {tool["name"] for tool in payload["tools"]}
     assert "repro-lint" in names
@@ -395,5 +393,5 @@ def test_repro_check_exits_nonzero_on_seeded_violation(tmp_path):
 def test_repro_check_full_gate_is_green():
     """The acceptance criterion: `python -m repro check` exits 0 on the
     repository, including the runtime engine-contract sweep."""
-    proc = _run_cli(["check"], cwd=REPO_ROOT)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    payload = repro_check_gate()  # asserts exit code 0
+    assert "engine-contract" in {tool["name"] for tool in payload["tools"]}

@@ -12,11 +12,15 @@ must be identical under every limit.
 The service machine drives :class:`~repro.serve.MISService` through
 random node/edge churn (tombstone reuse and id-space growth included),
 queries and rejected ops next to a twin service whose every op runs
-with frontier rounds disabled; after each op both serve a verified MIS
-and equal outcomes, and the patched structure equals a fresh build.  A
-rejected op (duplicate or absent edge, self loop, dead or
-out-of-range id, degree-cap violation) leaves the topology version, the
-levels and the generator exactly as they were.
+with frontier rounds and the local certificate disabled; after each op
+both serve a verified MIS and equal outcomes, levels, round index and
+generator state, and the patched structure equals a fresh build.  Every
+certificate the service asks for (each accepted mutation that keeps the
+id space) must agree with the full ``is_legal()``.  A machine serves
+either algorithm ideal, or Algorithm 1 under a noisy channel with
+drifting clocks.  A rejected op (duplicate or absent edge, self loop,
+dead or out-of-range id, degree-cap violation) leaves the topology
+version, the levels and the generator exactly as they were.
 """
 
 from contextlib import contextmanager
@@ -54,6 +58,15 @@ ENGINES = {"single": SingleChannelEngine, "two_channel": TwoChannelEngine}
 POLICIES = {"max_degree": max_degree_policy, "own_degree": own_degree_policy}
 STARTS = ("legal+1", "legal+3", "clash", "random", "floor", "top")
 BUDGETS = (0, 1, 4, 10_000)
+#: Served as (algorithm, channel, scheduler): both algorithms ideal, and
+#: Algorithm 1 under spurious beeps and drift (Algorithm 2 is far more
+#: fragile to spurious beeps, docs/robustness.md, and can exhaust the
+#: service's budget on them).
+SERVICES = (
+    ("single", None, None),
+    ("two_channel", None, None),
+    ("single", "noisy:0.02", "drift:0.1"),
+)
 
 
 @contextmanager
@@ -118,6 +131,15 @@ def test_frontier_runs_equal_dense_runs(graph_name, algorithm, policy, start):
     engine_cls = ENGINES[algorithm]
     pol = POLICIES[policy](graph)
     levels = _start_levels(engine_cls, graph, pol, start)
+    # The frontier's "active" predicate over every vertex is the full
+    # legality test, before and after a run.
+    probe = engine_cls(graph, pol, seed=5)
+    probe.set_levels(levels)
+    everyone = range(graph.num_vertices)
+    for _ in range(2):
+        verdicts = [probe.settled([v]) for v in everyone]
+        assert probe.settled(everyone) == all(verdicts) == probe.is_legal()
+        assert probe.until_stable(10_000).stabilized
     for check_every in (1, 3):
         for budget in BUDGETS:
             runs = [
@@ -194,27 +216,52 @@ def test_stressed_and_batched_runs_stay_dense(monkeypatch):
 
 
 class ServiceMachine(RuleBasedStateMachine):
-    """Churn a service next to a twin whose frontier rounds are off."""
+    """Churn a service next to a twin whose frontier rounds and local
+    certificate are off."""
 
     @initialize(
         n=st.integers(2, 16),
         p=st.floats(0.0, 0.4),
         graph_seed=st.integers(0, 2**16),
         seed=st.integers(0, 2**16),
-        algorithm=st.sampled_from(sorted(ENGINES)),
+        served=st.sampled_from(SERVICES),
     )
-    def setup(self, n, p, graph_seed, seed, algorithm):
+    def setup(self, n, p, graph_seed, seed, served):
         graph = gen.erdos_renyi(n, p, seed=graph_seed)
         cap = graph.max_degree() + 2
-        self.service = MISService(graph, degree_cap=cap, algorithm=algorithm, seed=seed)
+        algorithm, channel, scheduler = served
+        kwargs = dict(
+            degree_cap=cap, algorithm=algorithm, seed=seed,
+            channel=channel, scheduler=scheduler,
+        )
+        self.service = MISService(graph, **kwargs)
+        self.certificates = []
+        engine = self.service._engine
+        local = engine.settled
+
+        def settled(vertices):
+            # Each mutation follows a legal state (the invariants below).
+            verdict = local(vertices)
+            assert verdict == engine.is_legal()
+            self.certificates.append(verdict)
+            return verdict
+
+        engine.settled = settled
         with frontier_limit(0):
-            self.twin = MISService(graph, degree_cap=cap, algorithm=algorithm, seed=seed)
+            self.twin = MISService(graph, **kwargs)
+        self.twin._engine.settled = lambda vertices: False
 
     def _apply(self, op):
+        asked = len(self.certificates)
+        size = self.service.topology.num_vertices
         result = self.service.apply(op)
         with frontier_limit(0):
             twin = self.twin.apply(op)
         assert result.outcome() == twin.outcome()
+        # Every accepted mutation that keeps the id space asks once.
+        keeps = result.status == "ok" and op.is_mutation
+        keeps = keeps and self.service.topology.num_vertices == size
+        assert len(self.certificates) == asked + keeps
         return result
 
     def _vertex(self, data):
@@ -347,6 +394,20 @@ class ServiceMachine(RuleBasedStateMachine):
         np.testing.assert_array_equal(engine.levels, twin.levels)
         assert engine.round_index == twin.round_index
         assert engine.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert _stress_state(engine) == _stress_state(twin)
+
+
+def _stress_state(engine):
+    """The channel and scheduler stream positions and stale-beep carriers."""
+    rows = engine._block._stress_rows or ()
+    return [
+        (
+            row.channel_rng and row.channel_rng.bit_generator.state,
+            row.scheduler_rng and row.scheduler_rng.bit_generator.state,
+            {key: carrier.tobytes() for key, carrier in row._carriers.items()},
+        )
+        for row in rows
+    ]
 
 
 ServiceMachine.TestCase.settings = settings(

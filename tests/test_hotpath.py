@@ -237,7 +237,6 @@ test_docs_cover_every_hotpath_rule = cases.docs_cover_every_rule(
     CASE, linting=("allocation audit",), performance=("hot-path contract", "RPR801")
 )
 test_real_source_tree_is_hotpath_clean = cases.real_source_tree_is_clean(CASE)
-test_analyzer_wall_time_budget = cases.wall_time_budget(CASE)
 test_check_json_payload_reports_hotpath_timing = cases.check_json_reports_timing(CASE)
 test_check_flags_baselines_and_exports_a_seeded_allocation = (
     cases.check_flags_baselines_and_exports(CASE)

@@ -1,12 +1,13 @@
 """``update_structure`` must be byte-identical to a from-scratch build.
 
-The incremental path splices only dirty CSR rows and the churned edge
-keys, so the natural failure mode is a subtly different array (wrong
-dtype, unsorted row, stale entry) that still *behaves* right on most
-graphs.  Every test here therefore compares raw bytes of both derived
-forms — CSR (indptr/indices/data) and the edge array — against
-``GraphStructure`` built fresh on the post-delta graph, across the six
-delta patterns the serving workload produces:
+The incremental path splices only dirty CSR rows, and a patched
+structure derives its edge array from that CSR, so the natural failure
+mode is a subtly different array (wrong dtype, unsorted row, stale
+entry) that still *behaves* right on most graphs.  Every test here
+therefore compares raw bytes of both derived forms — CSR
+(indptr/indices/data) and the edge array — against ``GraphStructure``
+built fresh on the post-delta graph, across the six delta patterns the
+serving workload produces:
 
 1. single edge add,
 2. single edge delete,
@@ -152,20 +153,53 @@ def test_chained_patches_stay_identical():
 
 
 def test_patch_preserves_laziness_and_source():
-    """An unbuilt CSR is not patched: it builds lazily from the patched
-    edge array and still matches; the source structure is never touched."""
+    """A patch reads an unbuilt source's rows from its Graph: the patched
+    CSR and the edge array it derives match a fresh build, and the
+    source structure builds neither form."""
     graph = _graph()
     topo = MutableTopology(graph)
     structure = GraphStructure(graph)
-    edge_bytes = structure.edge_array.tobytes()  # materialize edges only
     delta = topo.remove_edge(*topo.edges()[0])
     patched = update_structure(structure, delta)
-    assert patched._csr is None
+    assert patched._edge_array is None  # derived on first read only
     assert_identical(patched, GraphStructure(topo.snapshot()))
-    # Source structure unchanged (shared-structure read-only contract).
+    # Source structure untouched (shared-structure read-only contract).
     assert structure._csr is None
-    assert structure.edge_array.tobytes() == edge_bytes
+    assert structure._edge_array is None
     assert structure.num_edges == graph.num_edges
+    # A patched edge array is as read-only as a Graph's own.
+    assert not patched.edge_array.flags.writeable
+
+
+def test_patch_chain_never_builds_an_edge_array():
+    """50 chained ops patch CSR rows only: no structure in the chain
+    materializes its O(m) edge array, and the last still matches."""
+    graph = _graph()
+    topo = MutableTopology(graph)
+    structure = GraphStructure(graph)
+    chain = [structure]
+    rng = np.random.default_rng(9)
+    while len(chain) <= 50:
+        kind = rng.integers(4)
+        live = topo.live_vertices()
+        if kind == 0 and topo.num_edges:
+            edges = topo.edges()
+            delta = topo.remove_edge(*edges[int(rng.integers(len(edges)))])
+        elif kind == 1 and topo.tombstones():
+            _, delta = topo.add_node()
+        elif kind == 2 and len(live) > 2:
+            delta = topo.remove_node(live[int(rng.integers(len(live)))])
+        else:
+            u, v = (live[int(i)] for i in rng.integers(0, len(live), 2))
+            if u == v or topo.has_edge(u, v):
+                continue
+            delta = topo.add_edge(u, v)
+        assert not should_rebuild(structure, delta)
+        structure = update_structure(structure, delta)
+        chain.append(structure)
+    assert all(s._edge_array is None for s in chain)
+    assert chain[0]._csr is None
+    assert_identical(structure, GraphStructure(topo.snapshot()))
 
 
 def test_patched_structure_has_no_graph_until_rebuild():
@@ -198,6 +232,8 @@ def test_bare_csr_structure_rejected():
     delta = topo.remove_edge(*topo.edges()[0])
     with pytest.raises(ValueError, match="bare CSR"):
         update_structure(bare, delta)
+    with pytest.raises(ValueError, match="bare CSR"):
+        bare.edge_array  # no edge list to derive from a foreign CSR
 
 
 def test_graph_size_mismatch_rejected():

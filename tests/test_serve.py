@@ -520,6 +520,76 @@ def test_serve_error_never_serves_the_pre_mutation_answer():
     assert not service.verify_legal()
 
 
+def test_serve_error_turns_the_local_certificate_off():
+    """After a ServeError the levels are not legal: the next mutation
+    re-stabilizes in full even when it has no dirty row to check."""
+    graph = _graph()
+    cap = graph.max_degree() + 2
+    service = MISService(graph, degree_cap=cap, seed=0)
+    engine = service._engine
+    runs = []
+    run = engine.until_stable
+
+    def until_stable(*args, **kwargs):
+        runs.append(args)
+        return run(*args, **kwargs)
+
+    engine.until_stable = until_stable
+    u, v, w = service.mis()[:3]  # MIS members: never adjacent
+    assert service.apply(Op("DEL_NODE", v=w)).status == "ok"
+    budget, service._budget = service._budget, 0
+    with pytest.raises(ServeError):
+        service.apply(Op("ADD_EDGE", u=u, v=v))
+    service._budget = budget
+    assert not service.verify_legal()
+    runs.clear()
+    # A recycled ADD_NODE has no dirty row: settled(()) holds trivially.
+    result = service.apply(Op("ADD_NODE"))
+    assert result.node == w and engine.settled(())
+    assert len(runs) == 1 and result.rounds > 0
+    assert service.verify_legal()
+    assert service.mis() == _engine_answer(service)
+    # Legal again, so the certificate is back on: a 0-round op runs nothing.
+    runs.clear()
+    assert service.apply(Op("DEL_NODE", v=w)).rounds == 0
+    assert runs == []
+
+
+@pytest.mark.parametrize("algorithm", ["single", "two_channel"])
+def test_replaying_the_served_op_log_reproduces_the_service(algorithm):
+    graph = _graph()
+    cap = graph.max_degree() + 2
+    ops = generate_ops("churn-heavy", 200, 6, graph, degree_cap=cap)
+    u, v = graph.edges[0]
+    ops[50:50] = [Op("ADD_EDGE", u=u, v=v), Op("DEL_NODE", v=10**6)]  # rejected
+    served = MISService(graph, degree_cap=cap, seed=6, algorithm=algorithm)
+    report = served.run(ops)
+    log = [format_op(r.op) for r in report.results]
+    replay = MISService(graph, degree_cap=cap, seed=6, algorithm=algorithm)
+    replayed = replay.run(parse_ops(log))
+    assert replayed.outcomes() == report.outcomes()
+    assert sum(r.status == "rejected" for r in report.results) >= 2
+    assert replay.mis() == served.mis()
+    assert replay._served == served._served
+    np.testing.assert_array_equal(replay._engine.levels, served._engine.levels)
+    assert replay._engine.rng.bit_generator.state == served._engine.rng.bit_generator.state
+
+
+def test_recycled_add_node_retags_the_served_mis():
+    graph = _graph()
+    service = MISService(graph, degree_cap=graph.max_degree() + 2, seed=0)
+    v = next(x for x in range(graph.num_vertices) if x not in service.mis())
+    assert service.apply(Op("DEL_NODE", v=v)).status == "ok"
+    assert v not in service.apply(Op("QUERY_MIS")).mis
+    result = service.apply(Op("ADD_NODE"))
+    assert result.node == v and result.rounds == 0  # no dirty row
+    # The revived id is isolated, at the floor: served from this version on.
+    served = service.apply(Op("QUERY_MIS")).mis
+    assert v in served
+    assert service._served[0] == service.topology.version
+    assert served == _engine_answer(service)
+
+
 def test_incremental_beats_rebuild_at_n512():
     """The BENCH_serve acceptance claim: ≥3x median single-edge latency.
 
