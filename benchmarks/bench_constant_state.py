@@ -19,7 +19,10 @@ from _harness import print_header, seed_for, sizes_and_reps
 
 from repro.analysis.tables import format_rows
 from repro.core import max_degree_policy
-from repro.core.engines import simulate_constant_state, simulate_single
+from repro.core.engines import (
+    BatchedEngine, simulate_constant_state, simulate_single,
+)
+from repro.devtools.seeding import resolve_rng
 from repro.graphs.generators import by_name
 
 FAMILIES = ["cycle", "grid", "regular", "er", "ba", "star"]
@@ -41,21 +44,20 @@ def run_experiment(full: bool = False) -> list:
     for family in FAMILIES:
         graph = by_name(family, n, seed=seed_for("E13g", family, n))
         policy = max_degree_policy(graph, c1=8)
-        constant_rounds, finished = [], 0
-        alg1_rounds = []
-        for rep in range(reps):
-            seed = seed_for("E13s", family, rep)
-            result = simulate_constant_state(
-                graph, seed=seed, arbitrary_start=True, max_rounds=BUDGET
-            )
-            if result.stabilized:
-                finished += 1
-                constant_rounds.append(result.rounds)
-            alg1_rounds.append(
-                simulate_single(
-                    graph, policy, seed=seed, arbitrary_start=True
-                ).rounds
-            )
+        seeds = [seed_for("E13s", family, rep) for rep in range(reps)]
+        # One two-state block per family; row r is the solo run on
+        # ``resolve_rng(seeds[r])``, replica for replica.
+        block = BatchedEngine(
+            graph, None, algorithm="constant_state",
+            rngs=[resolve_rng(seed) for seed in seeds],
+        )
+        results = block.run(max_rounds=BUDGET, arbitrary_start=True)
+        constant_rounds = [r.rounds for r in results if r.stabilized]
+        finished = len(constant_rounds)
+        alg1_rounds = [
+            simulate_single(graph, policy, seed=seed, arbitrary_start=True).rounds
+            for seed in seeds
+        ]
         rows.append(
             {
                 "family": family,

@@ -87,7 +87,7 @@ class LegacyBatchedEngine(BatchedEngine):
         for i, r in enumerate(active_idx):
             draws[i] = self.rngs[r].random(self.n)
 
-        if self._single:
+        if self.algorithm == "single":
             exponent = np.clip(levels, 0, MAX_EXPONENT).astype(np.float64)
             p = np.power(2.0, -exponent)
             p[levels <= 0] = 1.0

@@ -22,9 +22,14 @@ absorbing: an IN vertex of an MIS hears nothing (all neighbors OUT) and
 stays IN; an OUT vertex hears its IN neighbor every round and stays OUT.
 
 Contrast with the paper's Algorithm 1: no ``ℓmax``, no topology
-knowledge, one bit of state — but also no O(log n) guarantee, and
-convergence degrades on irregular/dense families (the trade-off [16]
-reports; ``tests/test_baseline_constant_state.py`` measures it).
+knowledge, one bit of state — and no O(log n) guarantee.  [16] reports
+that such dynamics are efficient only for some graph families; this
+reconstruction does not show it so far.  E13 (EXPERIMENTS.md,
+``results/constant_state.txt``) measures 12–13 mean rounds from random
+starts on six families at n = 1,024 (cycle to star), below Algorithm
+1's 25–44, and ``tests/test_baseline_constant_state.py`` only checks
+that runs converge.  Whether a family or a start separates the two
+processes is ROADMAP item 15.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ class Fault:
         """Corrupt an array engine's level vector in place.
 
         ``engine`` is any level-array engine (``levels`` / ``ell_max`` /
-        ``_floor_vector()``); the two-state baseline has no level form.
+        ``_floor_vector()``), not the two-state tag (floor above ℓmax).
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no level-array form"

@@ -224,14 +224,15 @@ class EngineBase:
     Subclasses name the :attr:`algorithm`.
     """
 
-    #: ``"single"`` (Algorithm 1, levels in ``[-ℓmax, ℓmax]``) or
-    #: ``"two_channel"`` (Algorithm 2, levels in ``[0, ℓmax]``).
+    #: ``"single"`` (Algorithm 1, levels in ``[-ℓmax, ℓmax]``),
+    #: ``"two_channel"`` (Algorithm 2, levels in ``[0, ℓmax]``) or
+    #: ``"constant_state"`` (the two-state baseline, 1 = IN, 0 = OUT).
     algorithm: str
 
     def __init__(
         self,
         graph: Graph,
-        policy: EllMaxPolicy,
+        policy: Optional[EllMaxPolicy],
         seed: SeedLike = None,
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
@@ -341,14 +342,12 @@ class EngineBase:
         policy: Optional[EllMaxPolicy] = None,
     ) -> None:
         """Swap in a new structure, carrying the levels (see :meth:`BatchedEngine.rebind`)."""
-        old_n = self.n
-        self._block.rebind(structure, policy)
-        if self.n != old_n:
-            levels = np.ones(self.n, dtype=np.int64)
-            levels[:old_n] = self.levels
-            self.levels = levels
-        if policy is not None:
-            np.clip(self.levels, self._floor_vector(), self.ell_max, out=self.levels)
+        if policy is None and structure.n == self.n:
+            # Levels carry verbatim (every served mutation): no row round trip.
+            self._block.rebind(structure)
+            return
+        self._sync().rebind(structure, policy)
+        self.levels = self._block.levels[0].astype(np.int64)
 
     def step(self) -> StepOutput:
         """One round; fresh copies of the emitted beeps (see :meth:`BatchedEngine.step`)."""
@@ -398,7 +397,7 @@ class EngineBase:
         return self._sync().stable_mask().reshape(self.n)
 
     def is_legal(self) -> bool:
-        """Legal iff S_t covers all vertices and the rest sit at ℓmax."""
+        """Legal iff S_t covers all vertices and the rest sit at ℓmax (two-state: IN is an MIS)."""
         return bool(self._sync().legal_mask()[0])
 
     def settled(self, vertices: Iterable[int]) -> bool:

@@ -5,7 +5,8 @@ Corollary 2.3: the same graph and policy are simulated for 20+ seeds.
 :class:`BatchedEngine` runs R such replicas as an ``(R, n)`` int32
 level block, so the reception of *all* replicas is one
 :meth:`~repro.core.kernels.HearKernel.hear_rows` call a round.  It is
-the only engine state: a solo engine
+the only engine state, for all three algorithm tags (the two-state
+baseline's block holds 0/1 with 1 = IN): a solo engine
 (:class:`~repro.core.engines.base.EngineBase`) is a facade over a
 one-row block on the caller's generator.
 
@@ -42,7 +43,9 @@ from ..kernels import (
     RoundKernel,
     structure_for,
 )
-from ..kernels.round import pruned_legality, structure_pass
+from ..kernels.round import (
+    ROUND_ALGORITHMS, level_floor, level_range, pruned_legality, structure_pass,
+)
 from ..knowledge import EllMaxPolicy
 from .base import StepOutput, StressState, VectorizedResult, bind_stress_models
 
@@ -52,9 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...obs.collectors import BatchedCollector, RunCollector
 
 __all__ = ["BatchedEngine", "BatchedResult", "simulate_batched"]
-
-#: Accepted algorithm tags.
-ALGORITHMS = ("single", "two_channel")
 
 
 @dataclass
@@ -82,12 +82,14 @@ class BatchedResult:
 
 
 class BatchedEngine:
-    """R replicas of Algorithm 1 or 2 on one graph, stepped together.
+    """R replicas of one algorithm on one graph, stepped together.
 
     Parameters
     ----------
     graph, policy:
-        The shared topology and ℓmax policy.
+        The shared topology and ℓmax policy (``None`` for the two-state
+        tag, whose band is fixed: see
+        :func:`~repro.core.kernels.round.level_floor`).
     replicas:
         Number of independent replicas R.
     seed:
@@ -100,7 +102,8 @@ class BatchedEngine:
         *same* streams to batched and solo paths, and how a solo
         facade runs a one-row block on the caller's generator.
     algorithm:
-        ``"single"`` (Algorithm 1) or ``"two_channel"`` (Algorithm 2).
+        ``"single"`` (Algorithm 1), ``"two_channel"`` (Algorithm 2) or
+        ``"constant_state"`` (the two-state baseline: 1 = IN, 0 = OUT).
     channel, scheduler:
         Stress models (:mod:`repro.beeping.channels` /
         :mod:`repro.beeping.schedulers`).  Each replica binds its own
@@ -113,7 +116,7 @@ class BatchedEngine:
     def __init__(
         self,
         graph: Graph,
-        policy: EllMaxPolicy,
+        policy: Optional[EllMaxPolicy],
         replicas: Optional[int] = None,
         seed: SeedSpec = None,
         rngs: Optional[Sequence[np.random.Generator]] = None,
@@ -121,12 +124,13 @@ class BatchedEngine:
         channel: "ChannelLike" = None,
         scheduler: "SchedulerLike" = None,
     ):
-        if policy.num_vertices != graph.num_vertices:
-            raise ValueError("policy size does not match graph size")
-        if algorithm not in ALGORITHMS:
+        if algorithm not in ROUND_ALGORITHMS:
             raise ValueError(
-                f"unknown algorithm {algorithm!r}; choose one of {ALGORITHMS}"
+                f"unknown algorithm {algorithm!r}; choose one of {ROUND_ALGORITHMS}"
             )
+        self.algorithm = algorithm
+        self._constant = algorithm == "constant_state"
+        self._check_policy(policy, graph.num_vertices)
         if rngs is None:
             if replicas is None or replicas < 1:
                 raise ValueError("replicas must be >= 1 when rngs is not given")
@@ -136,8 +140,7 @@ class BatchedEngine:
 
         self.rngs = list(rngs)
         self.replicas = len(self.rngs)
-        self.algorithm = algorithm
-        self._single = algorithm == "single"
+        self._two = algorithm == "two_channel"
         self.n = graph.num_vertices
         # Per-replica stress models: any derivation draw happens here,
         # before ``randomize_levels``.
@@ -168,13 +171,24 @@ class BatchedEngine:
     # ------------------------------------------------------------------
     # Topology rebinding (the long-lived-service path)
     # ------------------------------------------------------------------
+    def _check_policy(self, policy: Optional[EllMaxPolicy], n: int) -> None:
+        """The level algorithms need a policy of size ``n``; the two-state tag none."""
+        if self._constant:
+            if policy is not None:
+                raise ValueError("the constant_state tag takes no policy")
+        elif policy is None:
+            raise ValueError(f"the {self.algorithm} tag needs an ell_max policy")
+        elif policy.num_vertices != n:
+            raise ValueError("policy size does not match graph size")
+
     def _bind(
         self, structure: GraphStructure, policy: Optional[EllMaxPolicy]
     ) -> None:
         """Point the engine (and its kernel) at ``structure``/``policy``.
 
-        Without a policy the committed ℓmax, floor and their int32
-        copies are kept as they are.
+        Without a policy a level algorithm keeps its committed ℓmax,
+        floor, range and their int32 copies; the two-state tag sets its
+        fixed band (ℓmax role 0) at every bind.
         """
         self.structure = structure
         self.graph = structure.graph
@@ -182,11 +196,13 @@ class BatchedEngine:
         # ``adjacency`` stays as the alias collectors and tests read.
         self.adjacency = structure.csr
         self.kernel = HearKernel(structure)
-        if policy is not None:
+        if self._constant:
+            self.ell_max = np.zeros(self.n, dtype=np.int64)
+        elif policy is not None:
             self.ell_max = np.asarray(policy.ell_max, dtype=np.int64)
-            self._floor: npt.NDArray[np.int64] = (
-                -self.ell_max if self._single else np.zeros_like(self.ell_max)
-            )
+        if self._constant or policy is not None:
+            self._floor = level_floor(self.algorithm, self.ell_max)
+            self._low, self._high = level_range(self.algorithm, self._floor, self.ell_max)
             self._ell_max32 = self.ell_max.astype(np.int32)
             self._floor32 = self._floor.astype(np.int32)
         if self._fused is not None:
@@ -206,9 +222,8 @@ class BatchedEngine:
         are kept verbatim, new vertices start at level 1, and every
         replica's stream continues exactly where it was.
         """
-        if policy is not None:
-            if policy.num_vertices != structure.n:
-                raise ValueError("policy size does not match structure size")
+        if policy is not None or self._constant:
+            self._check_policy(policy, structure.n)
         elif structure.n != self.n:
             raise ValueError(
                 "rebind across a vertex-id-space change requires a policy"
@@ -225,7 +240,7 @@ class BatchedEngine:
             # A shrunk ℓmax could strand carried levels outside the
             # band; the committed uniform policies of the service never
             # do, but clamp so ``step`` sees admissible state.
-            np.clip(self.levels, self._floor32, self._ell_max32, out=self.levels)
+            np.clip(self.levels, self._low, self._high, out=self.levels)
         # Stress models follow the id space: scheduler clocks/carriers
         # re-bind on growth, the channel (counters included) carries over.
         for stress in self._stress:
@@ -243,7 +258,7 @@ class BatchedEngine:
         levels = np.asarray(levels, dtype=np.int64)
         if levels.shape != (self.replicas, self.n):
             raise ValueError(f"levels must have shape ({self.replicas}, {self.n})")
-        if np.any(levels < self._floor) or np.any(levels > self.ell_max):
+        if np.any(levels < self._low) or np.any(levels > self._high):
             raise ValueError("levels outside the admissible range")
         self.levels = levels.astype(np.int32)
 
@@ -251,11 +266,12 @@ class BatchedEngine:
         """Per-replica uniform arbitrary configuration (full RAM corruption).
 
         Consumes one ``integers`` draw of ``n`` values from each
-        replica's generator, shifted straight into its level row.
+        replica's generator, shifted by the range's low end straight
+        into its level row.
         """
-        span = self.ell_max - self._floor + 1
+        span = self._high - self._low + 1
         for r, rng in enumerate(self.rngs):
-            np.add(rng.integers(0, span, size=self.n), self._floor, out=self.levels[r])
+            np.add(rng.integers(0, span, size=self.n), self._low, out=self.levels[r])
 
     # ------------------------------------------------------------------
     # Stability structure (paper Section 3): the kernels' one structure
@@ -326,7 +342,7 @@ class BatchedEngine:
         k = active_idx.size
         if k == 0:
             silent = np.zeros((0, self.n), dtype=bool)
-            return silent if self._single else (silent, silent)
+            return (silent, silent) if self._two else silent
         # With every replica still active the level block is the stored
         # matrix itself (no gather); otherwise a fancy-index copy.
         full = k == self.replicas
@@ -341,9 +357,9 @@ class BatchedEngine:
         if not full:
             self.levels[active_idx] = levels
         self.round_index += 1
-        if self._single:
-            return emitted.copy()
-        return emitted[:k].copy(), emitted[k:].copy()
+        if self._two:
+            return emitted[:k].copy(), emitted[k:].copy()
+        return emitted.copy()
 
     # ------------------------------------------------------------------
     def run(
@@ -443,7 +459,7 @@ class BatchedEngine:
 
 def simulate_batched(
     graph: Graph,
-    policy: EllMaxPolicy,
+    policy: Optional[EllMaxPolicy],
     replicas: Optional[int] = None,
     seed: SeedSpec = None,
     rngs: Optional[Sequence[np.random.Generator]] = None,
@@ -455,7 +471,7 @@ def simulate_batched(
     channel: "ChannelLike" = None,
     scheduler: "SchedulerLike" = None,
 ) -> BatchedResult:
-    """Run R replicas of Algorithm 1/2 to stabilization, batched."""
+    """Run R replicas of one algorithm to stabilization, batched."""
     engine = BatchedEngine(
         graph, policy, replicas=replicas, seed=seed, rngs=rngs,
         algorithm=algorithm, channel=channel, scheduler=scheduler,

@@ -5,30 +5,39 @@ The hear kernel (:mod:`repro.core.kernels.hear`) computes one
 over the CSR pattern per ≤ 64 rows, Algorithm 2's two channels stacked
 into one block; a :class:`RoundKernel` owns the *full* round
 (beep decision → stress gate → hear → channel → level update, plus
-legality/retirement in its run loops) for a ``(k, n)`` block of
+legality/retirement in its run loop) for a ``(k, n)`` block of
 replicas, over preallocated narrow level planes (below) with the
 hear delegated to the engine's own
 :class:`~repro.core.kernels.hear.HearKernel`.  Its three round bodies
 (``_step_single``, ``_step_two``, ``_step_constant``) are the only
-round arithmetic of the array engines: every engine ``step()``
-runs one of them on its own levels (:meth:`RoundKernel.step`), and
-every solo run and every batched run without a collector — stressed
-and observed runs included — runs them in the fused loops
-:meth:`RoundKernel.run_block` / :meth:`RoundKernel.run_constant`, where
-per-round dispatch overhead, not arithmetic, is what the fused loop
-removes.
+round arithmetic of the array engines, all with one signature: every
+engine ``step()`` runs one of them on its own levels
+(:meth:`RoundKernel.step`), and every solo run and every batched run
+without a collector — stressed and observed runs included — runs them
+in the one fused loop :meth:`RoundKernel.run_block`, where per-round
+dispatch overhead, not arithmetic, is what the fused loop removes.
+
+Algorithm tags and their bands
+------------------------------
+A kernel is bound to one tag of :data:`ROUND_ALGORITHMS` and an ℓmax
+vector; :func:`level_floor` maps both to the floor.  Algorithm 1 lives
+in [−ℓmax, ℓmax], Algorithm 2 in [0, ℓmax].  The two-state baseline
+(``"constant_state"``) holds 0/1 with IN = 1 as the floor and OUT = 0
+as ℓmax, so its legality *is* the Section-3 pass below: ``I_t`` is IN
+with no IN neighbour, and a legal row (every OUT vertex dominated by
+``I_t``) has the MIS ``I_t`` = IN.  A level's range is ``[min(floor,
+ℓmax), max(floor, ℓmax)]``.
 
 Section-3 structure
 -------------------
-:func:`structure_pass` (``I_t``, ``N(I_t)``, legality), its pruned
-retirement form :func:`pruned_legality` and the two-state
-:func:`constant_legality` are the only legality predicates: the
-engines' mask/legality queries, the fused retirement and both
-collectors call them.  A solo collector is observed inside
-:meth:`RoundKernel.run_block`.  Their local counterpart is
-:func:`active_of` (below, "Frontier rounds"): frontier rounds and
-:meth:`~repro.core.engines.EngineBase.settled` decide legality on a
-vertex subset through it.
+:func:`structure_pass` (``I_t``, ``N(I_t)``, legality) and its pruned
+retirement form :func:`pruned_legality` are the only legality
+predicates: the engines' mask/legality queries, the fused retirement
+and both collectors call them, on every tag.  A solo collector is
+observed inside :meth:`RoundKernel.run_block`.  Their local
+counterpart is :func:`active_of` (below, "Frontier rounds"): frontier
+rounds and :meth:`~repro.core.engines.EngineBase.settled` decide
+legality on a vertex subset through it.
 
 Stress models
 -------------
@@ -77,7 +86,7 @@ Live-prefix compaction
 ----------------------
 A step loop shrinks work as replicas retire by gathering the active
 rows every round (``levels[active_idx]`` + scatter-back).  The fused
-loops get the same shrinking work with **zero per-round cost**: rows
+loop gets the same shrinking work with **zero per-round cost**: rows
 ``[0, live)`` of the block are always the live replicas, and retiring
 row ``i`` *moves* the last live row into slot ``i`` (one row copy, once
 per retirement; its draw stream and stress state move with it) — a
@@ -113,7 +122,8 @@ dense round seeds ``A`` again (one hear) only while fewer than
 paths consume one fill per round and produce identical levels, so the
 switch is exact at any round boundary; ``tests/test_frontier_rounds.py``
 compares them field for field.  Blocks of k ≥ 2, stressed and observed
-runs stay dense.
+runs, and the two-state tag (its ℓmax role of 0 admits no ``2^−ℓ``
+table) stay dense.
 """
 
 from __future__ import annotations
@@ -138,13 +148,23 @@ __all__ = [
     "MAX_EXPONENT",
     "RoundKernel",
     "PerRoundDraws",
-    "constant_legality",
+    "level_floor",
+    "level_range",
     "pruned_legality",
     "structure_pass",
 ]
 
-#: Accepted algorithm tags (mirrors the engines' vocabulary).
+#: Accepted algorithm tags (the engines' vocabulary).
 ROUND_ALGORITHMS = ("single", "two_channel", "constant_state")
+
+#: Each tag's round body; all three share one signature.  Bound per
+#: call, not stored bound: a kernel holding its own bound method would
+#: sit in a reference cycle and outlive its engine until a GC pass.
+_BODIES = {
+    "single": "_step_single",
+    "two_channel": "_step_two",
+    "constant_state": "_step_constant",
+}
 
 #: Largest ℓmax with a ``2^−ℓ`` table for frontier rounds (and the
 #: exponent clip of the test oracles): ℓmax = O(log n) ≤ 60 at any
@@ -170,6 +190,26 @@ BoolBlock = npt.NDArray[np.bool_]
 LevelBlock = npt.NDArray[np.integer[Any]]  # int8, int32 or int64 levels
 #: ``(legal, rows, in_mis)``: see :func:`pruned_legality`.
 Verdict = Tuple[BoolBlock, Any, Any]
+
+
+def level_floor(
+    algorithm: str, ell_max: npt.NDArray[np.int64]
+) -> npt.NDArray[np.int64]:
+    """The floor of a tag's band: ``−ℓmax`` (Algorithm 1), 0 (Algorithm 2)
+    or 1 = IN (two-state, whose ℓmax role is 0 = OUT)."""
+    if algorithm == "single":
+        return -ell_max
+    if algorithm == "two_channel":
+        return np.zeros_like(ell_max)
+    return np.ones_like(ell_max)
+
+
+def level_range(
+    algorithm: str, floor: LevelBlock, ell_max: LevelBlock
+) -> Tuple[LevelBlock, LevelBlock]:
+    """``(low, high)`` of a tag's band, the given arrays uncopied: the
+    two-state floor (IN = 1) sits above its ℓmax role (OUT = 0)."""
+    return (ell_max, floor) if algorithm == "constant_state" else (floor, ell_max)
 
 
 def _fresh(shape: Tuple[int, ...], count: int) -> Tuple[BoolBlock, ...]:
@@ -255,31 +295,12 @@ def pruned_legality(
     return legal, rows, in_mis
 
 
-def constant_legality(
-    hear: HearKernel,
-    in_mis: BoolBlock,
-    out: Optional[Tuple[BoolBlock, ...]] = None,
-) -> BoolBlock:
-    """Per-row two-state legality: IN is independent and dominating.
-
-    ``out`` supplies two ``(k, n)`` bool buffers; the verdict is fresh.
-    """
-    heard, work = out or _fresh(in_mis.shape, 2)
-    hear.hear_rows(in_mis, heard)
-    np.logical_or(in_mis, heard, out=work)
-    legal = work.all(axis=1)
-    np.logical_and(in_mis, heard, out=work)
-    legal &= ~work.any(axis=1)
-    return legal
-
-
 @dataclass
 class BlockOutcome:
     """Per-replica outcome of a fused block run.
 
-    ``final_levels`` is a fresh copy taken at the replica's retirement
-    round: int32 for the level algorithms, bool for the two-state
-    baseline.  Engines convert at their own dtype boundary.
+    ``final_levels`` is a fresh int32 copy taken at the replica's
+    retirement round.  Engines convert at their own dtype boundary.
     """
 
     stabilized: bool
@@ -330,16 +351,16 @@ class PerRoundDraws:
 
 
 # ----------------------------------------------------------------------
-# The round bodies, the one-round entry point, and the fused run loops.
+# The round bodies, the one-round entry point, and the fused run loop.
 # ----------------------------------------------------------------------
 class RoundKernel:
     """Whole-round execution for a ``(k, n)`` replica block.
 
     One instance is bound to an engine's hear kernel (and through it to
-    the graph structure), an algorithm tag, an ℓmax policy vector, and a
-    replica count.  Engines build it on their first round, run their
-    ``step()`` through :meth:`step` and their run loops through
-    :meth:`run_block` / :meth:`run_constant`, and re-target it with
+    the graph structure), an algorithm tag, an ℓmax vector (the policy's,
+    or 0 for the two-state tag), and a replica count.  Engines build it
+    on their first round, run their ``step()`` through :meth:`step` and
+    their run loop through :meth:`run_block`, and re-target it with
     :meth:`rebind` when their topology changes (see
     ``docs/performance.md``, "Fused round kernel").
     """
@@ -349,7 +370,7 @@ class RoundKernel:
         hear: HearKernel,
         *,
         algorithm: str,
-        ell_max: npt.ArrayLike = None,
+        ell_max: npt.ArrayLike,
         replicas: int = 1,
     ):
         if algorithm not in ROUND_ALGORITHMS:
@@ -362,18 +383,16 @@ class RoundKernel:
         self.replicas = replicas
         self._single = algorithm == "single"
         self._two = algorithm == "two_channel"
-        self._constant = algorithm == "constant_state"
         self.n = -1
         self.ell_max: Optional[npt.NDArray[np.int64]] = None
-        #: The level planes' dtype (:func:`_plane_dtype`; int32 for the
-        #: two-state baseline, which has no level planes to narrow).
+        #: The level planes' dtype (:func:`_plane_dtype`).
         self.plane_dtype: Any = np.int32
         #: ``2^−ℓ`` by level for frontier rounds; ``None`` when the
         #: policy admits none (no per-vertex ℓmax in ``[1, MAX_EXPONENT]``).
         self._pow2: Optional[List[float]] = None
         self.rebind(hear, ell_max)
 
-    def rebind(self, hear: HearKernel, ell_max: npt.ArrayLike = None) -> None:
+    def rebind(self, hear: HearKernel, ell_max: npt.ArrayLike) -> None:
         """Re-target the kernel at the engine's rebound hear kernel.
 
         The policy vectors and the plane dtype are rebuilt when
@@ -386,16 +405,16 @@ class RoundKernel:
         self._hear = hear
         self.structure = hear.structure
         n = hear.structure.n
-        ell = None if self._constant else np.asarray(ell_max, dtype=np.int64)
-        if ell is not None and ell.shape not in ((), (n,)):
+        ell = np.asarray(ell_max, dtype=np.int64)
+        if ell.shape not in ((), (n,)):
             raise ValueError(f"ell_max must be scalar or shape ({n},)")
         dtype = self.plane_dtype
-        if ell is not None and ell is not self.ell_max:
+        if ell is not self.ell_max:
             self.ell_max = ell
             dtype = _plane_dtype(ell)
-            floor = -ell if self._single else np.zeros_like(ell)
             self._top = ell.astype(dtype)
-            self._floor = floor.astype(dtype)
+            self._floor = level_floor(self.algorithm, ell).astype(dtype)
+            self._low, self._high = level_range(self.algorithm, self._floor, self._top)
             self._neg_top = -self._top
             self._pow2 = self._build_pow2()
         if n == self.n and dtype == self.plane_dtype:
@@ -452,30 +471,21 @@ class RoundKernel:
     ) -> npt.NDArray[np.bool_]:
         """One round on a ``(k, n)`` block, updating ``state`` in place.
 
-        ``state`` is int32 levels (bool membership for the two-state
-        baseline), computed into the narrow planes and stored back;
-        ``draws`` the round's ``(k, n)`` uniforms, ``stress`` the rows'
-        stress states and ``round_index`` the scheduler's round.
-        Returns the emitted beeps as a view of the kernel's scratch,
-        valid until the next round: ``(k, n)``, or ``(2k, n)`` for
-        Algorithm 2 with channel 2 in rows ``k:``.
+        ``state`` is int32 levels, computed into the narrow planes and
+        stored back; ``draws`` the round's ``(k, n)`` uniforms,
+        ``stress`` the rows' stress states and ``round_index`` the
+        scheduler's round.  Returns the emitted beeps as a view of the
+        kernel's scratch, valid until the next round: ``(k, n)``, or
+        ``(2k, n)`` for Algorithm 2 with channel 2 in rows ``k:``.
         """
         k = state.shape[0]
-        if self._constant:
-            self._step_constant(state, draws, stress, round_index)
-            return self._beeps[:k]
         nxt = self._plane[:k]
-        if self._single:
-            self._step_single(state, nxt, draws, stress, round_index)
-            emitted = self._beeps[:k]
-        else:
-            self._step_two(state, nxt, draws, stress, round_index)
-            emitted = self._stack[: 2 * k]
+        getattr(self, _BODIES[self.algorithm])(state, nxt, draws, stress, round_index)
         np.copyto(state, nxt)
-        return emitted
+        return self._stack[: 2 * k] if self._two else self._beeps[:k]
 
     # ------------------------------------------------------------------
-    # The fused run loop (level algorithms)
+    # The fused run loop
     # ------------------------------------------------------------------
     def run_block(
         self,
@@ -494,7 +504,7 @@ class RoundKernel:
         2·check_every, …`` plus once at budget exhaustion, so each
         row's ``rounds`` equals the step loop's.  The rounds run on the
         kernel's narrow work block, loaded once at entry (a level
-        outside [floor, ℓmax] raises ``ValueError``).  Rows are
+        outside the tag's range raises ``ValueError``).  Rows are
         compacted as replicas retire (see the module docstring), and
         ``levels`` is rebuilt in place from the per-replica int32
         retirement copies on exit.  ``stress`` holds each row's stress
@@ -506,8 +516,6 @@ class RoundKernel:
         frontier rounds while that set is small (module docstring).
         Returns ``(outcomes, steps_executed)``.
         """
-        if self._constant:
-            raise ValueError("run_block is for level algorithms; use run_constant")
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
         k = levels.shape[0]
@@ -522,7 +530,7 @@ class RoundKernel:
         live = k
         nxt = self._plane[:k]
         executed = 0
-        step = self._step_single if self._single else self._step_two
+        step = getattr(self, _BODIES[self.algorithm])
         front: Optional[_Frontier] = None
         if (
             k == 1 and stress is None and observer is None
@@ -575,7 +583,7 @@ class RoundKernel:
                 round_index + executed,
             )
             if observer is not None:
-                observer.observe_beeps(self._beeps[0] if self._single else tuple(self._stack[:2]))
+                observer.observe_beeps(tuple(self._stack[:2]) if self._two else self._beeps[0])
             cur, nxt = nxt, cur
             executed += 1
         # Compaction permuted the block rows (and the run ended on a
@@ -592,10 +600,10 @@ class RoundKernel:
         k = levels.shape[0]
         low = self._mask_a[:k]
         high = self._mask_b[:k]
-        np.less(levels, self._floor, out=low)
-        np.greater(levels, self._top, out=high)
+        np.less(levels, self._low, out=low)
+        np.greater(levels, self._high, out=high)
         if low.any() or high.any():
-            raise ValueError("levels outside [floor, ell_max]")
+            raise ValueError("levels outside the admissible range")
         np.copyto(work, levels, casting="same_kind")
 
     # ------------------------------------------------------------------
@@ -766,126 +774,33 @@ class RoundKernel:
         np.add(nxt, sel, out=nxt)
         _hold(masks, nxt, cur)
 
-    # ------------------------------------------------------------------
-    # Two-state baseline
-    # ------------------------------------------------------------------
-    def run_constant(
-        self,
-        in_mis: npt.NDArray[np.bool_],
-        draws: "PerRoundDraws",
-        max_rounds: int,
-        stress: StressRows = None,
-        round_index: int = 0,
-    ) -> Tuple[List[BlockOutcome], int]:
-        """Drive a ``(k, n)`` bool membership block to per-row MIS.
-
-        Legality is observed every round (including round 0) before
-        stepping, and the budget checked between observation and step —
-        the order of a ``ConstantStateEngine.step()`` loop.  ``in_mis``
-        is updated in place; ``stress``/``round_index`` as in
-        :meth:`run_block`.
-        """
-        if not self._constant:
-            raise ValueError(
-                "run_constant requires a constant_state round kernel"
-            )
-        k = in_mis.shape[0]
-        outcomes: List[Optional[BlockOutcome]] = [None] * k
-        perm = list(range(k))
-        stress = None if stress is None else list(stress)
-        live = k
-        executed = 0
-        while True:
-            live = self._retire_constant(
-                in_mis, live, perm, outcomes, executed, draws, stress
-            )
-            if live == 0:
-                break
-            if executed >= max_rounds:
-                for i in range(live):
-                    outcomes[perm[i]] = BlockOutcome(
-                        stabilized=False,
-                        rounds=executed,
-                        mis=frozenset(),
-                        final_levels=in_mis[i].copy(),
-                    )
-                break
-            self._step_constant(
-                in_mis[:live], draws.serve()[:live], stress,
-                round_index + executed,
-            )
-            executed += 1
-        # Rebuild the caller's block from the per-replica records (the
-        # compaction permuted rows in place).  Once per run.
-        for r in range(k):
-            np.copyto(in_mis[r], outcomes[r].final_levels)
-        return outcomes, executed  # type: ignore[return-value]
-
-    def _retire_constant(
-        self,
-        in_mis: npt.NDArray[np.bool_],
-        live: int,
-        perm: List[int],
-        outcomes: List[Optional[BlockOutcome]],
-        executed: int,
-        draws: "PerRoundDraws",
-        stress: StressRows,
-    ) -> int:
-        legal = constant_legality(
-            self._hear, in_mis[:live], (self._heard[:live], self._mask_a[:live])
-        )
-        if not legal.any():
-            return live
-        # Legal two-state rows are draw-independent fixed points (IN
-        # hears nothing so it stays; OUT hears so it cannot rejoin) —
-        # compact them out exactly like the level algorithms.
-        for j in np.flatnonzero(legal)[::-1].tolist():
-            outcomes[perm[j]] = BlockOutcome(
-                stabilized=True,
-                rounds=executed,
-                mis=frozenset(np.flatnonzero(in_mis[j]).tolist()),
-                final_levels=in_mis[j].copy(),
-            )
-            last = live - 1
-            if j != last:
-                np.copyto(in_mis[j], in_mis[last])
-                perm[j] = perm[last]
-                if stress is not None:
-                    stress[j] = stress[last]
-            draws.retire(j)
-            live = last
-        return live
-
     def _step_constant(
         self,
-        in_mis: npt.NDArray[np.bool_],
+        cur: LevelBlock,
+        nxt: LevelBlock,
         draws: npt.NDArray[np.float64],
         stress: StressRows,
         round_index: int,
     ) -> None:
-        """One two-state round in place.
+        """One two-state round (1 = IN), writing the new state into ``nxt``.
 
         IN beeps; on a heads coin (``u < 1/2``) an IN vertex that heard
         a neighbour retreats and an OUT vertex that heard nothing
-        rejoins.  Both are one flip: ``coin & (in == heard)``.
+        rejoins.  Both are one flip: ``coin & (cur == heard)``.
         """
-        k = in_mis.shape[0]
+        k = cur.shape[0]
         beeps = self._beeps[:k]
-        np.copyto(beeps, in_mis)
+        np.not_equal(cur, 0, out=beeps)
         masks = _gate(stress, round_index, beeps)
         heard = self._hear.hear_rows(beeps, self._heard[:k])
         _perturb(stress, heard)
         coin = self._mask_a[:k]
         np.less(draws, 0.5, out=coin)
         flip = self._mask_b[:k]
-        np.equal(in_mis, heard, out=flip)
+        np.equal(cur, heard, out=flip)
         np.logical_and(flip, coin, out=flip)
-        if masks is not None:
-            # Delayed vertices keep their membership: no flip.
-            for i, mask in enumerate(masks):
-                if mask is not None:
-                    np.logical_and(flip[i], mask, out=flip[i])
-        np.logical_xor(in_mis, flip, out=in_mis)
+        np.bitwise_xor(cur, flip, out=nxt)
+        _hold(masks, nxt, cur)
 
 
 # ----------------------------------------------------------------------

@@ -290,20 +290,19 @@ def _fused_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
     structure = structure_for(graph)
     n = graph.num_vertices
     replicas = 4
-    for algo in ("single", "two_channel", "constant_state"):
-        constant = algo == "constant_state"
+    # ``(algorithm, ℓmax, level range)``: the two-state tag's ℓmax role
+    # is 0 and its states are 0/1.
+    for algo, ell_max, (low, high) in (
+        ("single", policy.ell_max, (-6, 6)),
+        ("two_channel", policy.ell_max, (0, 6)),
+        ("constant_state", 0, (0, 1)),
+    ):
         kern = RoundKernel(
-            HearKernel(structure),
-            algorithm=algo,
-            ell_max=None if constant else policy.ell_max,
+            HearKernel(structure), algorithm=algo, ell_max=ell_max,
             replicas=replicas,
         )
         rng = np.random.default_rng(_AUDIT_SEED)
-        if constant:
-            init = rng.integers(0, 2, size=(replicas, n)).astype(bool)
-        else:
-            low = -6 if algo == "single" else 0
-            init = rng.integers(low, 7, size=(replicas, n)).astype(np.int32)
+        init = rng.integers(low, high + 1, size=(replicas, n)).astype(np.int32)
         state = init.copy()
         buf = np.empty(state.shape, dtype=np.float64)
 
@@ -313,14 +312,10 @@ def _fused_combos(graph: Any) -> Iterator[Tuple[str, Callable[[], object]]]:
             state: Any = state,
             rng: Any = rng,
             buf: Any = buf,
-            constant: bool = constant,
         ) -> object:
             np.copyto(state, init)
             draws = PerRoundDraws([rng] * state.shape[0], buf)
-            if constant:
-                _, executed = kern.run_constant(state, draws, 8)
-            else:
-                _, executed = kern.run_block(state, draws, 8, 1)
+            _, executed = kern.run_block(state, draws, 8, 1)
             return executed
 
         yield f"fused:{algo}", step

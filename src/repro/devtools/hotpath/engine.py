@@ -53,7 +53,7 @@ __all__ = ["HotpathAnalyzer"]
 #: flagged only inside ``for``/``while`` bodies (their prologue is
 #: one-time work).
 _DRIVER_NAMES = frozenset({
-    "run", "until_stable", "run_block", "run_constant",
+    "run", "until_stable", "run_block",
 })
 
 #: Construction/rebind-time methods: never traversed, never flagged —
@@ -153,14 +153,13 @@ class HotpathAnalyzer(Analyzer[bool]):
                 "is_legal",
             })
         if cls_name == "RoundKernel":
-            # The kernel owns the whole round: the run loops are
-            # drivers (loop bodies only), ``step`` is the engines'
+            # The kernel owns the whole round: the run loop is a
+            # driver (loop bodies only), ``step`` is the engines'
             # one-round entry, and the per-round step bodies are roots
-            # of their own because the loops dispatch through a local
-            # ``step = self._step_…`` binding the call-graph walk
-            # cannot resolve.
+            # of their own because the loop dispatches through a
+            # ``getattr`` binding the call-graph walk cannot resolve.
             return frozenset({
-                "run_block", "run_constant", "step",
+                "run_block", "step",
                 "_step_single", "_step_two", "_step_constant",
             })
         if cls_name.endswith("Kernel"):

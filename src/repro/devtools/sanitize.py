@@ -179,8 +179,10 @@ def check_engine_numerics() -> SanitizerResult:
 
     The observed run also freezes its collector's view arrays, so a
     collector writing through ``view.floor`` fails here, not silently.
+    The two-state tag runs bare (it takes no collector).
     """
     from ..core.engines.batched import BatchedEngine
+    from ..core.engines.constant_state import ConstantStateEngine
     from ..core.engines.single import SingleChannelEngine
     from ..core.engines.two_channel import TwoChannelEngine
     from ..core.knowledge import max_degree_policy
@@ -199,6 +201,10 @@ def check_engine_numerics() -> SanitizerResult:
                     view = StructureView.from_engine(engine)
                     with frozen_arrays(_view_arrays(view)):
                         engine.until_stable(10_000, collector=RunCollector(view))
+            constant = ConstantStateEngine(graph, _AUDIT_SEED)
+            with errstate_guard(), frozen_arrays(engine_shared_arrays(constant)):
+                constant.randomize_levels()
+                constant.until_stable(10_000)
             batched = BatchedEngine(graph, policy, replicas=3, seed=_AUDIT_SEED)
             batched.randomize_levels()
             with errstate_guard(), frozen_arrays(engine_shared_arrays(batched)):
@@ -214,8 +220,8 @@ def check_engine_numerics() -> SanitizerResult:
         name="engine-numerics",
         ok=True,
         detail=(
-            "solo+batched fixtures clean under errstate, frozen engine "
-            "arrays and frozen collector views"
+            "solo (two-state included)+batched fixtures clean under "
+            "errstate, frozen engine arrays and frozen collector views"
         ),
     )
 

@@ -45,7 +45,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..core.kernels import GraphStructure, HearKernel, structure_for
-from ..core.kernels.round import structure_pass
+from ..core.kernels.round import level_floor, structure_pass
 from ..graphs.graph import Graph
 from .registry import MetricsRegistry
 from .sinks import MetricSink
@@ -87,12 +87,11 @@ class StructureView:
     @classmethod
     def from_engine(cls, engine: Any) -> "StructureView":
         """View onto an engine: a :class:`BatchedEngine` or a solo facade."""
-        single = engine.algorithm == "single"
         return cls(
             adjacency=engine.adjacency,
             ell_max=engine.ell_max,
-            floor=-engine.ell_max if single else np.zeros_like(engine.ell_max),
-            channels=1 if single else 2,
+            floor=level_floor(engine.algorithm, engine.ell_max),
+            channels=2 if engine.algorithm == "two_channel" else 1,
             kernel=engine.kernel,
         )
 
@@ -102,7 +101,7 @@ class StructureView:
     ) -> "StructureView":
         """View from a topology + ℓmax policy (no engine required)."""
         ell_max = np.asarray(policy.ell_max, dtype=np.int64)
-        floor = np.zeros_like(ell_max) if two_channel else -ell_max
+        floor = level_floor("two_channel" if two_channel else "single", ell_max)
         # Adjacency stays unbuilt: the run loops share the engine's
         # already-constructed matrix via :meth:`adopt_engine`, so a
         # policy-built view costs nothing the engine hasn't already paid.

@@ -103,7 +103,7 @@ def small_graph_zoo():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def fused_runs(monkeypatch):
-    """Record every fused run loop (``run_block`` / ``run_constant``).
+    """Record every fused run loop (``RoundKernel.run_block``).
 
     ``step()`` runs one kernel round too, so an engine's ``_fused``
     kernel exists after any round; an empty list is what says that
@@ -112,14 +112,13 @@ def fused_runs(monkeypatch):
     from repro.core.kernels import RoundKernel
 
     calls = []
-    for name in ("run_block", "run_constant"):
-        original = getattr(RoundKernel, name)
+    original = RoundKernel.run_block
 
-        def counted(self, *args, _original=original, **kwargs):
-            calls.append(self)
-            return _original(self, *args, **kwargs)
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(RoundKernel, name, counted)
+    monkeypatch.setattr(RoundKernel, "run_block", counted)
     return calls
 
 
@@ -128,18 +127,15 @@ def stream_states(engine):
 
     Per trajectory: the next ``n`` main-stream uniforms it would
     consume, and the exact generator states of its channel and
-    scheduler streams.  A solo level engine is read through its one-row
+    scheduler streams.  A solo engine is read through its one-row
     block.  Advances the main generators: call once, at the end of a
     comparison.
     """
     def state(rng):
         return None if rng is None else rng.bit_generator.state
 
-    if hasattr(engine, "in_mis"):  # the two-state baseline: one stream
-        rows = [(engine.rng, engine._stress)]
-    else:
-        block = getattr(engine, "_block", engine)
-        rows = list(zip(block.rngs, block._stress))
+    block = getattr(engine, "_block", engine)
+    rows = list(zip(block.rngs, block._stress))
     return [
         (rng.random(engine.n), state(s.channel_rng), state(s.scheduler_rng))
         for rng, s in rows
@@ -201,23 +197,6 @@ def step_batched(engine, max_rounds, check_every=1):
             engine.step(active)
         executed += 1
     return results
-
-
-def step_constant_state(engine, max_rounds):
-    """Drive a ``ConstantStateEngine`` through ``step()`` to an MIS."""
-    from repro.core.engines import VectorizedResult
-
-    executed = 0
-    while not engine.is_legal():
-        if executed >= max_rounds:
-            return VectorizedResult(
-                False, executed, frozenset(), engine.in_mis.astype(np.int64)
-            )
-        engine.step()
-        executed += 1
-    return VectorizedResult(
-        True, executed, engine.mis_vertices(), engine.in_mis.astype(np.int64)
-    )
 
 
 # ----------------------------------------------------------------------

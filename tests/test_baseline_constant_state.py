@@ -100,8 +100,13 @@ class TestConvergence:
         assert result.mis == {0, 1, 2}
 
     def test_slower_than_algorithm1_on_dense_graphs(self):
-        """The [16] caveat: constant state trades topology knowledge for
-        slower/variable convergence on dense irregular graphs."""
+        """Measures both processes on a dense ER graph from random starts.
+
+        [16] reports that constant-state dynamics are efficient only for
+        some families; this asserts only that every two-state run
+        converges (the mean is positive), not that it is slower than
+        Algorithm 1 — E13 finds it faster on six families, and whether
+        any input separates them is open (ROADMAP item 15)."""
         from repro.core import max_degree_policy, simulate_single
 
         graph = gen.erdos_renyi_mean_degree(60, 12.0, seed=4)

@@ -114,7 +114,7 @@ def test_constant_state_trajectories_identical():
     seed = 42
     fast = ConstantStateEngine(graph, seed=seed)
     init = np.random.default_rng(9).integers(0, 2, graph.num_vertices).astype(bool)
-    fast.set_membership(init)
+    fast.set_levels(init.astype(np.int64))
     reference = BeepingNetwork(
         graph,
         FewStatesMIS(),
@@ -126,7 +126,7 @@ def test_constant_state_trajectories_identical():
         fast.step()
         reference.step()
         ref_membership = tuple(s == IN for s in reference.states)
-        assert tuple(bool(x) for x in fast.in_mis) == ref_membership, (
+        assert tuple(bool(x) for x in fast.levels) == ref_membership, (
             f"divergence at round {round_index}"
         )
     assert fast.is_legal() == reference.is_legal()

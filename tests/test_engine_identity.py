@@ -16,8 +16,10 @@ size of that round.
 import numpy as np
 import pytest
 
-from conftest import assert_same_streams
-from repro.core.engines import BatchedEngine, SingleChannelEngine, TwoChannelEngine
+from conftest import assert_same_streams, stream_states
+from repro.core.engines import (
+    BatchedEngine, ConstantStateEngine, SingleChannelEngine, TwoChannelEngine,
+)
 from repro.core.kernels import structure_for
 from repro.core.runner import default_round_budget, policy_for_variant
 from repro.devtools.seeding import derive_seed_sequence
@@ -140,3 +142,38 @@ def test_facade_level_writes_reach_the_block(algorithm):
     _step_both(facade, block, 5)
     _stabilize_both(facade, block, default_round_budget(graph, policy))
     assert_same_streams(facade, block)
+
+
+@pytest.mark.parametrize("stress", STRESS)
+def test_two_state_block_rows_equal_solo_runs(stress):
+    # The two-state tag on the one engine state: each row of a batched
+    # block is the solo run on the same generator — rounds, MIS, final
+    # 0/1 state, channel counters and where every stream continues.
+    graph = by_name("er", 40, seed=3)
+    replicas = 4
+    block = BatchedEngine(
+        graph, None, algorithm="constant_state",
+        rngs=[np.random.default_rng(SEED + r) for r in range(replicas)], **stress,
+    )
+    rows = block.run(max_rounds=400, arbitrary_start=True)
+    assert len(rows) == replicas and rows.stabilized.any()
+    solos = []
+    for r, row in enumerate(rows):
+        solo = ConstantStateEngine(graph, seed=np.random.default_rng(SEED + r), **stress)
+        solo.randomize_levels()
+        outcome = solo.until_stable(400)
+        assert (outcome.stabilized, outcome.rounds, outcome.mis) == (
+            row.stabilized, row.rounds, row.mis,
+        )
+        np.testing.assert_array_equal(outcome.final_levels, row.final_levels)
+        np.testing.assert_array_equal(solo.levels, block.levels[r])
+        channel, twin = solo.channel, block.channels[r]
+        assert (channel.drops_total, channel.spurious_total) == (
+            twin.drops_total, twin.spurious_total,
+        )
+        solos.append(solo)
+    # Read once: reading a stream state advances the main generators.
+    for solo, (row, channel, scheduler) in zip(solos, stream_states(block)):
+        ((row2, channel2, scheduler2),) = stream_states(solo)
+        np.testing.assert_array_equal(row, row2)
+        assert (channel, scheduler) == (channel2, scheduler2)

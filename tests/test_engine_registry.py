@@ -63,18 +63,23 @@ def test_every_engine_base_subclass_is_a_one_row_facade():
         pending.extend(cls.__subclasses__())
         if not cls.__module__.startswith("repro."):
             continue
-        variant = "two_channel" if cls.algorithm == "two_channel" else "max_degree"
-        policy = policy_for_variant(graph, variant)
-        engine = cls(graph, policy, seed=np.random.default_rng(1))
+        if cls.algorithm == "constant_state":  # no ℓmax policy
+            policy_args = ()
+        else:
+            variant = "two_channel" if cls.algorithm == "two_channel" else "max_degree"
+            policy_args = (policy_for_variant(graph, variant),)
+        engine = cls(graph, *policy_args, seed=np.random.default_rng(1))
         block = engine._block
         assert isinstance(block, BatchedEngine), cls
         assert block.replicas == 1 and block.rngs[0] is engine.rng, cls
         assert block.algorithm == cls.algorithm, cls
         assert engine.levels.shape == (graph.num_vertices,), cls
         assert engine.levels.dtype == np.int64, cls
-        assert cls.simulate(graph, policy, seed=2, arbitrary_start=True), cls
+        assert cls.simulate(graph, *policy_args, seed=2, arbitrary_start=True), cls
         checked.append(cls.__name__)
-    assert {"SingleChannelEngine", "TwoChannelEngine"} <= set(checked)
+    assert {
+        "SingleChannelEngine", "TwoChannelEngine", "ConstantStateEngine",
+    } <= set(checked)
 
 
 def test_facade_with_an_unknown_algorithm_is_rejected():

@@ -215,6 +215,29 @@ def test_stressed_and_batched_runs_stay_dense(monkeypatch):
     assert built == [1]
 
 
+def test_two_state_runs_never_build_a_frontier(monkeypatch):
+    """The frontier's scalar loops are Algorithm 1/2 arithmetic: the
+    two-state tag's ℓmax role of 0 admits no ``2^−ℓ`` table, so even a
+    one-row ideal run stays dense."""
+    from repro.core.engines import ConstantStateEngine, simulate_constant_state
+
+    built = []
+    init = round_module._Frontier.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(round_module._Frontier, "__init__", counted)
+    graph = gen.erdos_renyi(30, 0.15, seed=1)
+    result = simulate_constant_state(graph, seed=2, arbitrary_start=True)
+    assert result.stabilized and result.rounds > 0
+    engine = ConstantStateEngine(graph, seed=3)
+    assert engine.until_stable(10_000).stabilized
+    assert engine._block._fused._pow2 is None
+    assert built == []
+
+
 class ServiceMachine(RuleBasedStateMachine):
     """Churn a service next to a twin whose frontier rounds and local
     certificate are off."""

@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from repro.core.engines import base as base_module
 from repro.core.engines import batched as batched_module
-from repro.core.engines import constant_state as constant_state_module
 from repro.core.engines.batched import simulate_batched
 from repro.core.engines.constant_state import simulate_constant_state
 from repro.core.engines.single import simulate_single
@@ -286,10 +285,11 @@ def _outcome_tuple(result):
 def use_oracle(monkeypatch):
     """Calling the fixture makes every engine built afterwards hear
     through :class:`EdgeListHear` — the fused round kernel included,
-    since it hears through its engine's kernel."""
+    since it hears through its engine's kernel, and the two-state tag,
+    whose block is a ``BatchedEngine``."""
 
     def install():
-        for module in (base_module, batched_module, constant_state_module):
+        for module in (base_module, batched_module):
             monkeypatch.setattr(module, "HearKernel", EdgeListHear)
 
     return install

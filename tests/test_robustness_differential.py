@@ -26,7 +26,6 @@ from conftest import (
     STRUCTURE_SOURCES,
     assert_same_streams,
     step_batched,
-    step_constant_state,
     step_until_stable,
     structure_source,
 )
@@ -225,12 +224,12 @@ def test_constant_state_engine_matches_pre_change_oracle(source, seed):
     with structure_source(graph, source) as structure:
         engine = ConstantStateEngine(graph, seed=seed)
         assert engine.structure is structure
-        engine.randomize()
+        engine.randomize_levels()
         oracle = _oracle_constant_state(graph, seed, ORACLE_ROUNDS)
-        np.testing.assert_array_equal(engine.in_mis, next(oracle))
+        np.testing.assert_array_equal(engine.levels, next(oracle))
         for expected in oracle:
             engine.step()
-            np.testing.assert_array_equal(engine.in_mis, expected)
+            np.testing.assert_array_equal(engine.levels, expected)
 
 
 # ----------------------------------------------------------------------
@@ -280,15 +279,15 @@ def test_stressed_level_engines_match_the_oracle(variant, seed):
 def test_stressed_constant_state_engine_matches_the_oracle(seed):
     graph = _graph()
     engine = ConstantStateEngine(graph, seed=seed, **_ORACLE_STRESS)
-    engine.randomize()
+    engine.randomize_levels()
     stresses = []
     oracle = _oracle_constant_state(
         graph, seed, ORACLE_ROUNDS, out=stresses, **_ORACLE_STRESS
     )
-    np.testing.assert_array_equal(engine.in_mis, next(oracle))
+    np.testing.assert_array_equal(engine.levels, next(oracle))
     for expected in oracle:
         engine.step()
-        np.testing.assert_array_equal(engine.in_mis, expected)
+        np.testing.assert_array_equal(engine.levels, expected)
     _assert_same_counters(stresses[0], engine.channel)
 
 
@@ -483,17 +482,18 @@ def test_step_loop_fallback_under_stress(variant, stress, fused_runs):
 def test_step_loop_fallback_constant_state(stress, fused_runs):
     graph = _graph(40)
     engine, twin = (ConstantStateEngine(graph, seed=19, **stress) for _ in range(2))
-    engine.randomize()
-    twin.randomize()
-    fused = engine._run_fused(max_rounds=1_000_000)
-    assert engine._fused is not None and fused_runs == [engine._fused]
-    step = step_constant_state(twin, max_rounds=1_000_000)
-    assert fused_runs == [engine._fused]
+    engine.randomize_levels()
+    twin.randomize_levels()
+    fused = engine.until_stable(max_rounds=1_000_000)
+    assert engine._block._fused is not None
+    assert fused_runs == [engine._block._fused]
+    step = step_until_stable(twin, max_rounds=1_000_000)
+    assert fused_runs == [engine._block._fused]
     assert (fused.stabilized, fused.rounds, fused.mis) == (
         step.stabilized, step.rounds, step.mis,
     )
     np.testing.assert_array_equal(fused.final_levels, step.final_levels)
-    np.testing.assert_array_equal(engine.in_mis, twin.in_mis)
+    np.testing.assert_array_equal(engine.levels, twin.levels)
     assert engine.round_index == twin.round_index
     _assert_same_channels([engine.channel], [twin.channel])
     assert_same_streams(engine, twin)

@@ -21,7 +21,6 @@ import pytest
 from conftest import (
     assert_same_streams,
     step_batched,
-    step_constant_state,
     step_until_stable,
     structure_source,
 )
@@ -125,8 +124,8 @@ def test_constant_state_fused_run_is_byte_identical():
     graph = _graph()
     fused = simulate_constant_state(graph, seed=8, arbitrary_start=True)
     engine = ConstantStateEngine(graph, seed=8)
-    engine.randomize()
-    step = step_constant_state(engine, max_rounds=1_000_000)
+    engine.randomize_levels()
+    step = step_until_stable(engine, max_rounds=1_000_000)
     _assert_same(fused, step)
 
 

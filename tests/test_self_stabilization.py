@@ -215,7 +215,7 @@ class TestStabilizationUnderStress:
         engine = ConstantStateEngine(
             er_graph, seed=13, channel="unreliable:0.05,0.01", scheduler=scheduler
         )
-        engine.randomize()
+        engine.randomize_levels()
         for _ in range(60_000):
             if engine.is_legal():
                 break

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import small_graph_zoo
 from repro.core.knowledge import max_degree_policy, uniform_policy
 from repro.core.engines import (
     SingleChannelEngine,
@@ -14,7 +15,9 @@ from repro.core.kernels import HearKernel, RoundKernel, structure_for
 from repro.core.levels import beep_probability
 from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
-from repro.graphs.mis import check_mis
+from repro.graphs.mis import (
+    check_mis, is_independent_set, is_maximal_independent_set,
+)
 from repro.obs import RunCollector, StructureView
 
 
@@ -155,17 +158,17 @@ class TestConstantStateEngine:
 
         engine = ConstantStateEngine(path4)
         with pytest.raises(ValueError):
-            engine.set_membership(np.array([True, False]))
+            engine.set_levels(np.array([1, 0]))
 
     def test_legality_is_mis_predicate(self, path4):
         from repro.core.engines import ConstantStateEngine
 
         engine = ConstantStateEngine(path4)
-        engine.set_membership(np.array([True, False, True, False]))
+        engine.set_levels(np.array([1, 0, 1, 0]))
         assert engine.is_legal()
-        engine.set_membership(np.array([True, True, False, False]))
+        engine.set_levels(np.array([1, 1, 0, 0]))
         assert not engine.is_legal()
-        engine.set_membership(np.array([True, False, False, False]))
+        engine.set_levels(np.array([1, 0, 0, 0]))
         assert not engine.is_legal()
 
     def test_legal_configuration_absorbing(self, er_graph):
@@ -174,13 +177,13 @@ class TestConstantStateEngine:
 
         engine = ConstantStateEngine(er_graph, seed=1)
         mis = greedy_mis(er_graph)
-        engine.set_membership(
-            np.array([v in mis for v in er_graph.vertices()])
+        engine.set_levels(
+            np.array([int(v in mis) for v in er_graph.vertices()])
         )
-        before = engine.in_mis.copy()
+        before = engine.levels.copy()
         for _ in range(40):
             engine.step()
-        assert (engine.in_mis == before).all()
+        assert (engine.levels == before).all()
 
     def test_simulation_produces_valid_mis(self):
         from repro.core.engines import simulate_constant_state
@@ -196,6 +199,43 @@ class TestConstantStateEngine:
         result = simulate_constant_state(er_graph, seed=3, max_rounds=0)
         # Fresh start (all IN) on a graph with edges is not an MIS.
         assert not result.stabilized
+
+    @pytest.mark.parametrize("name,graph", small_graph_zoo())
+    def test_section3_queries_are_the_mis_predicate(self, name, graph):
+        # The two-state tag's legality is the Section-3 pass with IN in
+        # the floor's role: on random 0/1 starts it must say exactly
+        # whether the IN set is an MIS, and name that set when it is.
+        from repro.core.engines import ConstantStateEngine
+
+        engine = ConstantStateEngine(graph, seed=np.random.default_rng(11))
+        every = range(graph.num_vertices)
+        for _ in range(60):
+            engine.randomize_levels()
+            assert set(np.unique(engine.levels)) <= {0, 1}
+            in_set = set(np.flatnonzero(engine.levels).tolist())
+            legal = is_maximal_independent_set(graph, in_set)
+            assert engine.is_legal() == legal
+            assert engine.settled(every) == legal
+            mis = engine.mis_vertices()
+            assert mis <= in_set
+            assert is_independent_set(graph, mis)
+            if legal:
+                assert mis == in_set
+
+    def test_policy_is_rejected_and_band_enforced(self, path4):
+        from repro.core.engines import BatchedEngine, ConstantStateEngine
+
+        policy = max_degree_policy(path4)
+        with pytest.raises(ValueError, match="no policy"):
+            BatchedEngine(path4, policy, replicas=1, algorithm="constant_state")
+        with pytest.raises(ValueError, match="needs an ell_max policy"):
+            BatchedEngine(path4, None, replicas=1, algorithm="single")
+        engine = ConstantStateEngine(path4)
+        with pytest.raises(ValueError, match="admissible"):
+            engine.set_levels(np.array([1, 0, 2, 0]))
+        engine.levels = np.array([1, 0, -1, 0])
+        with pytest.raises(ValueError, match="admissible"):
+            engine.until_stable(10)
 
 
 class TestDriveLoop:
